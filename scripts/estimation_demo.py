@@ -8,7 +8,7 @@ Usage: python scripts/estimation_demo.py
 import numpy as np
 
 from safeswarm import AgentParams, AgentState
-from safeswarm.sim import AgentSetup, Scenario, new_context, step_once
+from safeswarm.sim import AgentSetup, Scenario, SimContext, step_once
 
 NIMBLE, SLUGGISH = 1.8, 0.6
 
@@ -30,7 +30,7 @@ def main():
         agents=agents, t_end=14.0, mode="decentralized_C_estimated",
         estimator_gain=1.5, alpha_floor=0.3,
     )
-    ctx = new_context(scenario)
+    ctx = SimContext(scenario)
     print(f"true limits: agent1={NIMBLE}, agent2={SLUGGISH}; both start guessing 0.3")
     print(f"{'t':>6s} {'dist':>7s} {'h':>7s} {'est of agent2':>14s} {'est of agent1':>14s}")
     step = 0

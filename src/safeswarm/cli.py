@@ -16,7 +16,7 @@ import numpy as np
 
 from .artifacts import render_svg, write_metrics_json, write_trajectory_csv
 from .barrier import BarrierConfig
-from .dynamics import AgentParams, AgentState
+from .dynamics import AgentParams, AgentState, DegenerateGeometryError
 from .presets import PRESETS
 from .sim import MODES, AgentSetup, Scenario, ScenarioError, run
 
@@ -198,7 +198,7 @@ def run_command(argv=None) -> int:
 
     try:
         log, metrics = run(scenario)
-    except RuntimeError as exc:
+    except (RuntimeError, DegenerateGeometryError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 2
 

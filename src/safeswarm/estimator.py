@@ -12,7 +12,8 @@ never overshoot it under noiseless observations. Underestimates keep the
 safety constraints they feed strictly more cautious than the truth.
 
 Magnitudes use the max-abs (per-axis) norm, matching the box that bounds
-the controls being observed.
+the controls being observed. One estimator tracks a fixed list of ids and
+applies the law to all of them at once, as arrays in the order of ``ids``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ class LimitEstimator:
     Parameters
     ----------
     neighbor_ids:
-        Ids this estimator will track. Estimates for all of them start at
-        ``accel_floor``.
+        Ids this estimator will track, in the order of the rows that
+        ``observe`` takes; repeated ids count once. Estimates for all of
+        them start at ``accel_floor``.
     accel_floor:
         Global conservative lower bound on any agent's acceleration limit.
     gain:
@@ -59,34 +61,36 @@ class LimitEstimator:
         self.gain = float(gain)
         self.smoothing = float(smoothing)
         self.obs_cap = None if obs_cap is None else float(obs_cap)
-        self.estimates: dict[int, float] = {int(j): self.accel_floor for j in neighbor_ids}
-        self._last_v: dict[int, np.ndarray] = {}
-        self._obs: dict[int, float] = {int(j): 0.0 for j in neighbor_ids}
+        self.ids = list(dict.fromkeys(int(j) for j in neighbor_ids))
+        self.estimates: dict[int, float] = dict.fromkeys(self.ids, self.accel_floor)  # _est by id
+        self._est = np.full(len(self.ids), self.accel_floor)
+        self._obs = np.zeros(len(self.ids))
+        self._last_v: np.ndarray | None = None
 
-    def observe(self, j: int, v_observed: np.ndarray, dt: float) -> None:
-        """Fold one velocity observation of neighbor j into the smoothed
-        acceleration magnitude. The first observation only stores v."""
+    def observe(self, V: np.ndarray, dt: float) -> None:
+        """Fold one velocity observation of every tracked agent (row k of
+        the (len(ids), 2) array ``V`` belongs to ``ids[k]``) into its
+        smoothed acceleration magnitude. The first observation only stores V."""
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt!r}")
-        v = np.asarray(v_observed, dtype=float).reshape(2)
-        if j not in self.estimates:
-            self.estimates[j] = self.accel_floor
-            self._obs[j] = 0.0
-        last = self._last_v.get(j)
-        if last is not None:
-            raw = float(np.max(np.abs(v - last))) / dt
+        V = np.array(V, dtype=float)
+        if V.shape != (len(self.ids), 2):
+            raise ValueError(f"expected velocities of shape ({len(self.ids)}, 2), got {V.shape}")
+        if self._last_v is not None:
+            raw = np.abs(V - self._last_v).max(axis=1) / dt
             if self.obs_cap is not None:
-                raw = min(raw, self.obs_cap)
-            self._obs[j] = (1.0 - self.smoothing) * self._obs[j] + self.smoothing * raw
-        self._last_v[j] = v.copy()
+                raw = np.minimum(raw, self.obs_cap)
+            self._obs = (1.0 - self.smoothing) * self._obs + self.smoothing * raw
+        self._last_v = V
 
-    def update(self, j: int, dt: float) -> None:
-        """One Euler step of the adaptation law for neighbor j."""
+    def update(self, dt: float) -> None:
+        """One Euler step of the adaptation law for every tracked agent."""
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt!r}")
-        est = self.estimates[j]
-        self.estimates[j] = est + dt * self.gain * (max(est, self._obs[j]) - est)
+        est = self._est
+        self._est = est + dt * self.gain * (np.maximum(est, self._obs) - est)
+        self.estimates.update(zip(self.ids, self._est.tolist()))
 
     def observed_accel(self, j: int) -> float:
         """Current smoothed acceleration magnitude for neighbor j."""
-        return self._obs[j]
+        return float(self._obs[self.ids.index(j)])

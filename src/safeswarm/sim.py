@@ -7,6 +7,14 @@ braking when a QP is infeasible or a pair is already inside its safety
 distance, and only then integrates everyone forward. Runs are fully
 deterministic for a given scenario.
 
+The pair work of a step runs on numpy arrays over the pairs i < j, in
+``SimContext.pair_keys`` order. On the pre-step (N, 2) positions it computes
+each pair's distance, for the agents inside a violated pair, and the (N, N)
+neighbour mask ``norm <= radius[i]``; on the post-step positions and
+velocities, each pair's distance, line-of-sight speed and barrier h for the
+step record. Every value is bit-identical to what ``relative_state``,
+``pair_barrier`` and ``barrier.neighbors`` give. Rows and QPs stay per agent.
+
 Modes
 -----
 centralized:
@@ -28,7 +36,8 @@ import numpy as np
 
 from . import barrier, qp
 from .barrier import BarrierConfig, HalfspaceRow, NeighborInfo
-from .dynamics import AgentParams, AgentState, relative_state, saturate_box, step
+from .dynamics import (AgentParams, AgentState, DegenerateGeometryError, relative_state,
+                       saturate_box, step)
 from .estimator import LimitEstimator
 
 MODES = (
@@ -139,7 +148,7 @@ class StepRecord:
     u_applied: np.ndarray  # (N, 2)
     u_nominal: np.ndarray  # (N, 2)
     qp_status: list[str]
-    pair_h: dict[tuple[int, int], float]
+    pair_h: dict[tuple[int, int], float]  # keyed by SimContext.pair_keys
     min_pair_dist: float
     row_pairs: tuple[tuple[int, int], ...]  # barrier rows built this step
 
@@ -177,7 +186,8 @@ def braking_fallback(s: AgentState, accel_limit: float) -> np.ndarray:
 
 
 class SimContext:
-    """Mutable run state: current agent states, estimators, warm starts."""
+    """Mutable run state: current agent states, estimators, warm starts,
+    plus the per-pair and per-agent constants the array step reads."""
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
@@ -196,6 +206,12 @@ class SimContext:
                         self.params[i], self.params[j]
                     )
         self.neighbor_info = [self._neighbor_info(i) for i in range(self.n)]
+        self.neighbor_radius = np.array([info.neighbor_radius for info in self.neighbor_info])
+        self.pair_i, self.pair_j = np.triu_indices(self.n, 1)
+        self.pair_keys = list(zip(self.pair_i.tolist(), self.pair_j.tolist()))
+        self.pair_ds = self.safety_dist[self.pair_i, self.pair_j]
+        accel = np.array([p.accel_limit for p in self.params])
+        self.pair_accel_sum = accel[self.pair_i] + accel[self.pair_j]
         self.estimators: list[LimitEstimator] | None = None
         if scenario.mode == "decentralized_C_estimated":
             floor = scenario.resolved_alpha_floor()
@@ -228,10 +244,6 @@ class SimContext:
         return NeighborInfo(radius, min_accel, max_speed)
 
 
-def new_context(scenario: Scenario) -> SimContext:
-    return SimContext(scenario)
-
-
 def _speed_rows(i: int, state: AgentState, params: AgentParams, dt: float) -> list[HalfspaceRow]:
     # Per-axis cap on the next-step velocity: |v_c + u_c dt| <= speed_limit.
     rows = []
@@ -243,37 +255,52 @@ def _speed_rows(i: int, state: AgentState, params: AgentParams, dt: float) -> li
     return rows
 
 
-def _pair_scan(ctx: SimContext) -> tuple[dict, set[int], float]:
-    """Relative states for all pairs, agents inside a violated pair, min dist."""
-    rels = {}
-    violated: set[int] = set()
-    min_dist = math.inf
-    for i in range(ctx.n):
-        for j in range(i + 1, ctx.n):
-            rel = relative_state(ctx.states[i], ctx.states[j])
-            rels[(i, j)] = rel
-            min_dist = min(min_dist, rel.dist)
-            if rel.dist <= ctx.safety_dist[i, j]:
-                violated.add(i)
-                violated.add(j)
-    return rels, violated, min_dist
+def _pair_dist(ctx: SimContext, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dp and dist of every pair i < j, as ``relative_state`` computes them
+    (math.hypot: np.hypot rounds differently). Raises
+    DegenerateGeometryError when two positions coincide."""
+    dp = P[ctx.pair_i] - P[ctx.pair_j]
+    dist = np.array(list(map(math.hypot, dp[:, 0].tolist(), dp[:, 1].tolist())))
+    if dist.size and not dist.all():
+        raise DegenerateGeometryError("coincident agent positions")
+    return dp, dist
 
 
-def _true_pair_h(ctx: SimContext, rels: dict) -> dict[tuple[int, int], float]:
-    out = {}
-    for (i, j), rel in rels.items():
-        accel_sum = ctx.params[i].accel_limit + ctx.params[j].accel_limit
-        h, _ = barrier.pair_barrier(rel, accel_sum, ctx.safety_dist[i, j])
-        out[(i, j)] = h
-    return out
+def _pair_vbar(ctx: SimContext, dp: np.ndarray, dist: np.ndarray, V: np.ndarray) -> np.ndarray:
+    # matmul of (1, 2) by (2, 1) rounds like dp @ dv; an elementwise
+    # multiply-add or einsum does not.
+    dv = V[ctx.pair_i] - V[ctx.pair_j]
+    return np.matmul(dp[:, None, :], dv[:, :, None])[:, 0, 0] / dist
+
+
+def _pair_h(ctx: SimContext, dist: np.ndarray, vbar: np.ndarray) -> np.ndarray:
+    """``pair_barrier`` of every pair, with the true acceleration limits."""
+    gap = dist - ctx.pair_ds
+    return np.sqrt(2.0 * ctx.pair_accel_sum * np.maximum(gap, 0.0)) + vbar
+
+
+def _violated(ctx: SimContext, dist: np.ndarray) -> set[int]:
+    """Agents in a pair at or inside its safety distance."""
+    inside = dist <= ctx.pair_ds
+    return set(ctx.pair_i[inside].tolist()) | set(ctx.pair_j[inside].tolist())
+
+
+def _neighbor_mask(ctx: SimContext, P: np.ndarray) -> np.ndarray:
+    """(N, N) mask of ``barrier.neighbors``: row i holds agent i's neighbours.
+    The norm is sqrt of a (1, 2) by (2, 1) matmul, as np.linalg.norm rounds."""
+    dP = P[:, None, :] - P[None, :, :]
+    norm = np.sqrt(np.matmul(dP[..., None, :], dP[..., :, None]))[..., 0, 0]
+    mask = norm <= ctx.neighbor_radius[:, None]
+    np.fill_diagonal(mask, False)
+    return mask
 
 
 def _agent_barrier_rows(
-    ctx: SimContext, i: int, neighbor_set: set[int]
+    ctx: SimContext, i: int, neighbor_ids: list[int]
 ) -> list[HalfspaceRow]:
     mode = ctx.scenario.mode
     rows = []
-    for j in sorted(neighbor_set):
+    for j in neighbor_ids:
         if mode == "decentralized_A":
             rows.append(barrier.strategy_a_rows(i, j, ctx.states, ctx.params, ctx.cfg)[0])
         elif mode == "decentralized_B":
@@ -298,12 +325,15 @@ def _agent_barrier_rows(
 
 
 def _solve_decentralized(
-    ctx: SimContext, u_nominal: list[np.ndarray], violated: set[int]
+    ctx: SimContext, u_nominal: list[np.ndarray], violated: set[int], P: np.ndarray
 ) -> tuple[list[np.ndarray], list[str], list[tuple[int, int]]]:
     dt = ctx.scenario.dt
     u_applied = []
     statuses = []
     row_pairs: list[tuple[int, int]] = []
+    neighbor_ids: list[list[int]] = [[] for _ in range(ctx.n)]
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero(_neighbor_mask(ctx, P)))):
+        neighbor_ids[i].append(j)  # row-major order keeps each list ascending
     for i in range(ctx.n):
         if i in violated:
             u_applied.append(braking_fallback(ctx.states[i], ctx.params[i].accel_limit))
@@ -311,8 +341,7 @@ def _solve_decentralized(
             continue
         # Rows against braking (violated-pair) agents stay in force: any pair
         # involving a non-violated agent is still outside its safety distance.
-        neighbor_set = barrier.neighbors(i, ctx.states, ctx.neighbor_info[i])
-        rows = _agent_barrier_rows(ctx, i, neighbor_set)
+        rows = _agent_barrier_rows(ctx, i, neighbor_ids[i])
         row_pairs.extend(row.pair for row in rows)
         rows += _speed_rows(i, ctx.states[i], ctx.params[i], dt)
         problem = qp.QpProblem(
@@ -387,43 +416,47 @@ def _solve_centralized(
 def step_once(ctx: SimContext) -> StepRecord:
     """Advance the world by one step and return the post-step record."""
     scn = ctx.scenario
-    for i, s in enumerate(ctx.states):
-        if not (np.all(np.isfinite(s.p)) and np.all(np.isfinite(s.v))):
-            raise RuntimeError(
-                f"non-finite state for agent {ctx.params[i].id} at t={ctx.t:.6g}"
-            )
+    P = np.array([s.p for s in ctx.states])
+    V = np.array([s.v for s in ctx.states])
+    finite = np.isfinite(P).all(axis=1) & np.isfinite(V).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise RuntimeError(
+            f"non-finite state for agent {ctx.params[i].id} at t={ctx.t:.6g}"
+        )
     u_nominal = [
         goal_controller(ctx.states[i], ctx.goals[i], scn.k1, scn.k2,
                         ctx.params[i].accel_limit)
         for i in range(ctx.n)
     ]
-    _, violated, _ = _pair_scan(ctx)
+    _, dist = _pair_dist(ctx, P)
+    violated = _violated(ctx, dist)
     if scn.mode == "centralized":
         u_applied, statuses, row_pairs = _solve_centralized(ctx, u_nominal, violated)
     else:
-        u_applied, statuses, row_pairs = _solve_decentralized(ctx, u_nominal, violated)
+        u_applied, statuses, row_pairs = _solve_decentralized(ctx, u_nominal, violated, P)
 
     if ctx.estimators is not None:
-        for i in range(ctx.n):
-            for j in range(ctx.n):
-                if j == i:
-                    continue
-                ctx.estimators[i].observe(j, ctx.states[j].v, scn.dt)
-                ctx.estimators[i].update(j, scn.dt)
+        for est in ctx.estimators:
+            est.observe(V[est.ids], scn.dt)
+            est.update(scn.dt)
 
     ctx.states = [step(ctx.states[i], u_applied[i], scn.dt) for i in range(ctx.n)]
     ctx.t += scn.dt
 
-    rels, _, min_dist = _pair_scan(ctx)
+    P = np.array([s.p for s in ctx.states])
+    V = np.array([s.v for s in ctx.states])
+    dp, dist = _pair_dist(ctx, P)
+    h = _pair_h(ctx, dist, _pair_vbar(ctx, dp, dist, V))
     return StepRecord(
         t=ctx.t,
-        p=np.array([s.p for s in ctx.states]),
-        v=np.array([s.v for s in ctx.states]),
+        p=P,
+        v=V,
         u_applied=np.array(u_applied),
         u_nominal=np.array(u_nominal),
         qp_status=statuses,
-        pair_h=_true_pair_h(ctx, rels),
-        min_pair_dist=min_dist if ctx.n > 1 else math.inf,
+        pair_h=dict(zip(ctx.pair_keys, h.tolist())),
+        min_pair_dist=float(dist.min()) if dist.size else math.inf,
         row_pairs=tuple(row_pairs),
     )
 
@@ -522,7 +555,7 @@ def compute_metrics(log: TrajectoryLog) -> RunMetrics:
 def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
     """Run a scenario to t_end (or until every agent has settled at its
     goal) and return the full log plus summary metrics."""
-    ctx = new_context(scenario)
+    ctx = SimContext(scenario)
     records: list[StepRecord] = []
     n_steps = int(round(scenario.t_end / scenario.dt))
     for _ in range(n_steps):

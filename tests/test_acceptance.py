@@ -207,8 +207,8 @@ def test_criterion_7_estimator_laws():
     prev = est.estimates[3]
     for _ in range(4000):
         u = true_limit * rng.choice([-1.0, 1.0], 2) * rng.uniform(0.0, 1.0, 2)
-        est.observe(3, v, dt)
-        est.update(3, dt)
+        est.observe(v[None], dt)
+        est.update(dt)
         monotone &= est.estimates[3] >= prev - 1e-15
         prev = est.estimates[3]
         v = v + u * dt
@@ -220,8 +220,8 @@ def test_criterion_7_estimator_laws():
     v = np.zeros(2)
     t = 0.0
     while t < 5.0 / gain - 1e-9:
-        est2.observe(2, v, dt)
-        est2.update(2, dt)
+        est2.observe(v[None], dt)
+        est2.update(dt)
         v = v + np.array([target, 0.0]) * dt
         t += dt
     converged = abs(est2.estimates[2] - target) <= 0.02 * target

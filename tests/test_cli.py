@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from safeswarm import run
+from safeswarm import DegenerateGeometryError, cli, run
 from safeswarm.artifacts import (
     metrics_to_dict,
     read_trajectory_csv,
@@ -184,6 +184,20 @@ class TestRunCommand:
         # artifacts are still written for post-mortem analysis
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["min_h_mps"] < -1e-6
+
+    def test_coincident_agents_abort_with_exit_2(self, tmp_path, capsys, monkeypatch):
+        def collide(scenario):
+            raise DegenerateGeometryError("coincident agent positions")
+
+        monkeypatch.setattr(cli, "run", collide)
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(two_agent_doc()))
+        code = run_command(["--scenario", str(path), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "run aborted: coincident agent positions" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")

@@ -32,63 +32,76 @@ class TestInit:
 class TestObserve:
     def test_first_observation_only_stores_velocity(self):
         est = LimitEstimator([2], 0.5, 1.0)
-        est.observe(2, np.array([1.0, -1.0]), 0.1)
+        est.observe(np.array([[1.0, -1.0]]), 0.1)
         assert est.observed_accel(2) == 0.0
 
     def test_finite_difference_value(self):
         est = LimitEstimator([2], 0.5, 1.0, smoothing=1.0)
-        est.observe(2, np.array([0.0, 0.0]), 0.1)
-        est.observe(2, np.array([0.1, 0.0]), 0.1)
+        est.observe(np.array([[0.0, 0.0]]), 0.1)
+        est.observe(np.array([[0.1, 0.0]]), 0.1)
         assert est.observed_accel(2) == pytest.approx(1.0)
 
     def test_constant_velocity_decays_observation(self):
         est = LimitEstimator([2], 0.5, 1.0, smoothing=0.5)
-        est.observe(2, np.array([0.0, 0.0]), 0.1)
-        est.observe(2, np.array([0.2, 0.0]), 0.1)
+        est.observe(np.array([[0.0, 0.0]]), 0.1)
+        est.observe(np.array([[0.2, 0.0]]), 0.1)
         high = est.observed_accel(2)
         for _ in range(10):
-            est.observe(2, np.array([0.2, 0.0]), 0.1)
+            est.observe(np.array([[0.2, 0.0]]), 0.1)
         assert est.observed_accel(2) < high / 100
 
     def test_smoothing_one_is_raw_finite_difference(self):
         est = LimitEstimator([2], 0.5, 1.0, smoothing=1.0)
-        est.observe(2, np.zeros(2), 0.02)
-        est.observe(2, np.array([0.0, 0.03]), 0.02)
+        est.observe(np.zeros((1, 2)), 0.02)
+        est.observe(np.array([[0.0, 0.03]]), 0.02)
         assert est.observed_accel(2) == pytest.approx(1.5)
 
     def test_observation_cap(self):
         est = LimitEstimator([2], 0.5, 1.0, smoothing=1.0, obs_cap=0.7)
-        est.observe(2, np.zeros(2), 0.1)
-        est.observe(2, np.array([5.0, 0.0]), 0.1)
+        est.observe(np.zeros((1, 2)), 0.1)
+        est.observe(np.array([[5.0, 0.0]]), 0.1)
         assert est.observed_accel(2) == pytest.approx(0.7)
 
-    def test_unknown_neighbor_registered_at_floor(self):
-        est = LimitEstimator([], 0.5, 1.0)
-        est.observe(9, np.zeros(2), 0.1)
-        assert est.estimates[9] == 0.5
+    def test_rows_follow_the_order_of_ids(self):
+        est = LimitEstimator([5, 3], 0.5, 1.0, smoothing=1.0)
+        est.observe(np.zeros((2, 2)), 0.1)
+        est.observe(np.array([[0.1, 0.0], [0.0, -0.3]]), 0.1)
+        assert est.observed_accel(5) == pytest.approx(1.0)
+        assert est.observed_accel(3) == pytest.approx(3.0)
+
+    def test_rejects_velocities_of_the_wrong_shape(self):
+        est = LimitEstimator([2, 3], 0.5, 1.0)
+        for bad in (np.zeros(2), np.zeros((1, 2)), np.zeros((3, 2)), np.zeros((2, 3))):
+            with pytest.raises(ValueError, match="shape"):
+                est.observe(bad, 0.1)
+        with pytest.raises(ValueError, match="shape"):
+            LimitEstimator([], 0.5, 1.0).observe(np.zeros((1, 2)), 0.1)
 
 
 class TestUpdate:
     def test_small_observation_leaves_estimate_unchanged(self):
         est = LimitEstimator([2], 0.5, 1.0, smoothing=1.0)
-        est.observe(2, np.zeros(2), 0.1)
-        est.observe(2, np.array([0.02, 0.0]), 0.1)  # 0.2 m/s^2 < floor
-        est.update(2, 0.1)
+        est.observe(np.zeros((1, 2)), 0.1)
+        est.observe(np.array([[0.02, 0.0]]), 0.1)  # 0.2 m/s^2 < floor
+        est.update(0.1)
         assert est.estimates[2] == 0.5
 
     def test_single_euler_step(self):
         est = LimitEstimator([2], 0.5, gain=1.0, smoothing=1.0)
-        est._obs[2] = 1.0  # place a known observation directly
-        est.update(2, 0.1)
+        est.observe(np.zeros((1, 2)), 0.1)
+        est.observe(np.array([[0.1, 0.0]]), 0.1)  # observation of 1.0 m/s^2
+        est.update(0.1)
         assert est.estimates[2] == pytest.approx(0.55)
 
     def test_exponential_convergence_to_sustained_observation(self):
         gain, dt, target = 2.0, 0.01, 1.0
         est = LimitEstimator([2], 0.5, gain=gain, smoothing=1.0)
-        est._obs[2] = target
+        est.observe(np.zeros((1, 2)), dt)
+        est.observe(np.array([[target * dt, 0.0]]), dt)  # held from here on
+        assert est.observed_accel(2) == pytest.approx(target)
         t = 0.0
         while t < 3.0 / gain:
-            est.update(2, dt)
+            est.update(dt)
             t += dt
         exact = target + (0.5 - target) * math.exp(-gain * t)
         assert est.estimates[2] == pytest.approx(exact, abs=0.01)
@@ -102,8 +115,8 @@ class TestConservativeLaws:
         v = np.zeros(2)
         for _ in range(500):
             v = v + rng.uniform(-1, 1, 2) * 0.02
-            est.observe(3, v, 0.02)
-            est.update(3, 0.02)
+            est.observe(v[None], 0.02)
+            est.update(0.02)
             assert est.estimates[3] >= prev - 1e-15
             prev = est.estimates[3]
 
@@ -114,8 +127,8 @@ class TestConservativeLaws:
         v = np.zeros(2)
         for _ in range(3000):
             u = true_limit * rng.uniform(-1, 1, 2)  # |u|_inf <= true limit
-            est.observe(3, v, 0.02)
-            est.update(3, 0.02)
+            est.observe(v[None], 0.02)
+            est.update(0.02)
             v = v + u * 0.02
         assert est.estimates[3] <= true_limit + 1e-9
 
@@ -126,6 +139,6 @@ class TestConservativeLaws:
         v = np.zeros(2)
         for k in range(50):
             v = v + np.array([shrink * floor, 0.0]) * 0.02
-            est.observe(1, v, 0.02)
-            est.update(1, 0.02)
+            est.observe(v[None], 0.02)
+            est.update(0.02)
         assert est.estimates[1] >= floor

@@ -15,11 +15,11 @@ from safeswarm.sim import (
     AgentSetup,
     Scenario,
     ScenarioError,
+    SimContext,
     StepRecord,
     TrajectoryLog,
     compute_metrics,
     detect_deadlock,
-    new_context,
     run,
     step_once,
 )
@@ -155,7 +155,7 @@ class TestStepOnce:
             agents=[agent(1, (0, 0), (1, 0)), agent(2, (40, 0), (41, 0))],
             mode="decentralized_C",
         )
-        ctx = new_context(scn)
+        ctx = SimContext(scn)
         rec = step_once(ctx)
         assert np.allclose(rec.u_applied, rec.u_nominal)
         assert rec.row_pairs == ()  # out of each other's interaction range
@@ -168,14 +168,14 @@ class TestStepOnce:
             ],
             mode="decentralized_C",
         )
-        ctx = new_context(scn)
+        ctx = SimContext(scn)
         rec = step_once(ctx)
         assert not np.allclose(rec.u_applied, rec.u_nominal)
         assert min(rec.pair_h.values()) >= 0.0
 
     def test_nonfinite_state_aborts_with_diagnostic(self):
         scn = Scenario(agents=[agent(1, (0, 0), (1, 0))])
-        ctx = new_context(scn)
+        ctx = SimContext(scn)
         ctx.states[0].p[0] = np.nan
         with pytest.raises(RuntimeError, match="non-finite"):
             step_once(ctx)
