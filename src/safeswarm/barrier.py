@@ -19,16 +19,21 @@ controls. This module builds that constraint:
   conservative estimate of the neighbor's acceleration limit.
 
 Per-agent rows are expressed in the owner's own frame and scaled so that
-the two rows of a pair sum exactly to the ensemble row.
+the two rows of a pair sum exactly to the ensemble row. Each bound formula
+is written once, as an array function over many pairs
+(``centralized_bounds``, ``rate_split_bounds``, ``bound_split_bounds``,
+``hybrid_bounds``); the scalar builders above call it with one row.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AgentParams, AgentState, RelativeState, relative_state
+from .dynamics import AgentParams, AgentState, RelativeState, relative_state, row_dot
 
 
 class AlreadyViolatedError(RuntimeError):
@@ -67,10 +72,14 @@ class BarrierConfig:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
 
-    def safety_distance(self, pi: AgentParams, pj: AgentParams) -> float:
+    def safety_distances(self, radius: np.ndarray) -> np.ndarray:
+        """(N, N) safety distance of every ordered pair, from the agents' radii."""
         if self.ds_mode == "fixed":
-            return float(self.ds)
-        return pi.radius + pj.radius
+            return np.full((radius.size, radius.size), float(self.ds))
+        return radius[:, None] + radius[None, :]
+
+    def safety_distance(self, pi: AgentParams, pj: AgentParams) -> float:
+        return float(self.safety_distances(np.array([pi.radius, pj.radius]))[0, 1])
 
 
 @dataclass(frozen=True)
@@ -90,34 +99,94 @@ class HalfspaceRow:
 
 @dataclass(frozen=True)
 class NeighborInfo:
-    """Interaction radius of one agent plus the bounds it was derived from."""
+    """Interaction radius of one agent (see ``neighbor_radius``)."""
 
     neighbor_radius: float  # m
-    min_other_accel: float  # m/s^2, conservative lower bound on others' limits
-    max_other_speed: float  # m/s, conservative upper bound on others' speeds
+
+
+def barrier_values(dist, vbar, accel_sum, safety_dist):
+    """h of each pair from its distance and line-of-sight speed; elementwise
+    over arrays. Inside the safety disk the square-root term is zero."""
+    return np.sqrt(2.0 * accel_sum * np.maximum(dist - safety_dist, 0.0)) + vbar
 
 
 def pair_barrier(rel: RelativeState, accel_sum: float, safety_dist: float) -> tuple[float, bool]:
-    """Barrier value for a pair, plus a flag set when dist <= safety_dist.
-
-    Inside the safety disk the square-root term is taken as zero, so the
-    returned value reduces to the closing speed.
-    """
+    """Barrier value for a pair, plus a flag set when dist <= safety_dist."""
     if not accel_sum > 0:
         raise ValueError(f"accel_sum must be positive, got {accel_sum!r}")
-    gap = rel.dist - safety_dist
-    inside = gap <= 0.0
-    h = float(np.sqrt(2.0 * accel_sum * max(gap, 0.0)) + rel.vbar)
-    return h, inside
+    h = float(barrier_values(rel.dist, rel.vbar, accel_sum, safety_dist))
+    return h, rel.dist - safety_dist <= 0.0
 
 
-def _guard_pair(i: int, j: int, rel: RelativeState, safety_dist: float) -> None:
-    if rel.dist <= safety_dist:
-        raise AlreadyViolatedError(i, j, rel.dist, safety_dist)
+def guard_pairs(owner, other, dist: np.ndarray, safety_dist) -> None:
+    """Raise AlreadyViolatedError for the first pair at or inside its safety distance."""
+    inside = np.flatnonzero(dist <= safety_dist)
+    if inside.size:
+        k = inside[0]
+        raise AlreadyViolatedError(int(owner[k]), int(other[k]), float(dist[k]),
+                                   float(np.broadcast_to(safety_dist, dist.shape)[k]))
 
 
-def _floored_gap(rel: RelativeState, safety_dist: float, epsilon: float) -> float:
-    return max(rel.dist - safety_dist, epsilon)
+def _pow(x: np.ndarray, y: float) -> np.ndarray:
+    # Per element through C pow, as Python's float ** rounds; numpy's **
+    # differs in a few percent of cases.
+    return np.array(list(map(math.pow, x.tolist(), itertools.repeat(y))))
+
+
+# The bound functions below give the right-hand side b of the row
+# -dp . u_owner <= b (the owner's share) or -dp . u_i + dp . u_j <= b (the
+# ensemble row) for every row k of their (E, 2) and (E,) array arguments:
+# dp = p_owner - p_other, dist = |dp|, dv = v_owner - v_other, v_self =
+# v_owner. Limits, gains and distances are per-row arrays or scalars.
+
+
+def centralized_bounds(dp, dist, dv, accel_sum, gamma, safety_dist, epsilon):
+    """Ensemble bounds: the pair keeps -dh/dt <= gamma * h^3, scaled by dist."""
+    dpdv = row_dot(dp, dv)
+    h = barrier_values(dist, dpdv / dist, accel_sum, safety_dist)
+    denom = np.sqrt(2.0 * accel_sum * np.maximum(dist - safety_dist, epsilon))
+    return (gamma * _pow(h, 3.0) * dist - _pow(dpdv, 2.0) / _pow(dist, 2.0)
+            + row_dot(dv, dv) + accel_sum * dpdv / denom)
+
+
+def rate_split_bounds(dp, dist, dv, v_self, accel_self, accel_other, gamma_self,
+                      safety_dist, epsilon):
+    """Strategy A: the owner bounds its own share of the barrier decay rate,
+    scaled by dist so the two rows of a pair sum exactly to the ensemble row."""
+    accel_sum = accel_self + accel_other
+    dpdv, dpv = row_dot(dp, dv), row_dot(dp, v_self)
+    h = barrier_values(dist, dpdv / dist, accel_sum, safety_dist)
+    denom = np.sqrt(2.0 * accel_sum * np.maximum(dist - safety_dist, epsilon))
+    return ((accel_self / accel_sum) * gamma_self * _pow(h, 3.0) * dist
+            + row_dot(dv, v_self) - dpdv * dpv / _pow(dist, 2.0) + accel_sum * dpv / denom)
+
+
+def bound_split_bounds(dp, dist, dv, v_self, accel_self, accel_other, gamma_self,
+                       safety_dist, epsilon):
+    """Strategy B: the owner takes its acceleration-limit share of the
+    ensemble bound, evaluated with its own gain."""
+    accel_sum = accel_self + accel_other
+    return (accel_self / accel_sum) * centralized_bounds(
+        dp, dist, dv, accel_sum, gamma_self, safety_dist, epsilon)
+
+
+def hybrid_bounds(dp, dist, dv, v_self, accel_self, accel_other, gamma_self,
+                  safety_dist, epsilon):
+    """Strategy C: computable from the owner's own parameters, the sensed
+    relative state and ``accel_other``, the neighbor's limit or a
+    conservative estimate of it."""
+    accel_sum = accel_self + accel_other
+    dpdv, dpv = row_dot(dp, dv), row_dot(dp, v_self)
+    h = barrier_values(dist, dpdv / dist, accel_sum, safety_dist)
+    denom = np.sqrt(2.0 * np.maximum(dist - safety_dist, epsilon))
+    return (-dpdv * dpv / _pow(dist, 2.0) + row_dot(dv, v_self)
+            + (accel_self / accel_sum)
+            * (gamma_self * _pow(h, 3.0) * dist + np.sqrt(accel_sum) * dpdv / denom))
+
+
+def _one(bounds, rel: RelativeState, *args) -> float:
+    """``bounds`` for the single pair ``rel``."""
+    return float(bounds(rel.dp[None], np.array([rel.dist]), rel.dv[None], *args)[0])
 
 
 def centralized_bound(
@@ -128,15 +197,7 @@ def centralized_bound(
     epsilon: float,
 ) -> float:
     """Right-hand side of the ensemble constraint -dp . du <= b for one pair."""
-    h, _ = pair_barrier(rel, accel_sum, safety_dist)
-    dpdv = float(rel.dp @ rel.dv)
-    denom = np.sqrt(2.0 * accel_sum * _floored_gap(rel, safety_dist, epsilon))
-    return float(
-        gamma * h**3 * rel.dist
-        - dpdv**2 / rel.dist**2
-        + rel.dv @ rel.dv
-        + accel_sum * dpdv / denom
-    )
+    return _one(centralized_bounds, rel, accel_sum, gamma, safety_dist, epsilon)
 
 
 def centralized_row(
@@ -155,7 +216,7 @@ def centralized_row(
     """
     rel = relative_state(states[i], states[j])
     safety_dist = cfg.safety_distance(params[i], params[j])
-    _guard_pair(i, j, rel, safety_dist)
+    guard_pairs((i,), (j,), np.array([rel.dist]), safety_dist)
     accel_sum = params[i].accel_limit + params[j].accel_limit
     if gamma is None:
         gamma = params[i].barrier_gain
@@ -166,27 +227,19 @@ def centralized_row(
     return HalfspaceRow(a, b, (i, j))
 
 
-def _rate_split_bound(
-    rel: RelativeState,
-    v_self: np.ndarray,
-    accel_self: float,
-    accel_other: float,
-    gamma_self: float,
-    safety_dist: float,
-    epsilon: float,
-) -> float:
-    # Own share of the barrier decay rate, scaled by dist so the two
-    # per-agent rows of a pair sum exactly to the ensemble row.
-    accel_sum = accel_self + accel_other
-    h, _ = pair_barrier(rel, accel_sum, safety_dist)
-    dpdv = float(rel.dp @ rel.dv)
-    dpv = float(rel.dp @ v_self)
-    denom = np.sqrt(2.0 * accel_sum * _floored_gap(rel, safety_dist, epsilon))
-    return float(
-        (accel_self / accel_sum) * gamma_self * h**3 * rel.dist
-        + rel.dv @ v_self
-        - dpdv * dpv / rel.dist**2
-        + accel_sum * dpv / denom
+def _split_rows(bounds, i, j, states, params, cfg):
+    # The rows of both agents of pair (i, j), each over its own control.
+    rel = relative_state(states[i], states[j])
+    safety_dist = cfg.safety_distance(params[i], params[j])
+    guard_pairs((i,), (j,), np.array([rel.dist]), safety_dist)
+    ai, aj = params[i].accel_limit, params[j].accel_limit
+    b_i = _one(bounds, rel, states[i].v[None], ai, aj, params[i].barrier_gain,
+               safety_dist, cfg.epsilon)
+    b_j = _one(bounds, rel.flipped(), states[j].v[None], aj, ai, params[j].barrier_gain,
+               safety_dist, cfg.epsilon)
+    return (
+        HalfspaceRow(-rel.dp, b_i, (i, j)),
+        HalfspaceRow(rel.dp.copy(), b_j, (j, i)),
     )
 
 
@@ -204,20 +257,7 @@ def strategy_a_rows(
     dependent terms are moved into the bound so the decision variable is
     the agent's control alone.
     """
-    rel = relative_state(states[i], states[j])
-    safety_dist = cfg.safety_distance(params[i], params[j])
-    _guard_pair(i, j, rel, safety_dist)
-    ai, aj = params[i].accel_limit, params[j].accel_limit
-    b_i = _rate_split_bound(
-        rel, states[i].v, ai, aj, params[i].barrier_gain, safety_dist, cfg.epsilon
-    )
-    b_j = _rate_split_bound(
-        rel.flipped(), states[j].v, aj, ai, params[j].barrier_gain, safety_dist, cfg.epsilon
-    )
-    return (
-        HalfspaceRow(-rel.dp.copy(), b_i, (i, j)),
-        HalfspaceRow(rel.dp.copy(), b_j, (j, i)),
-    )
+    return _split_rows(rate_split_bounds, i, j, states, params, cfg)
 
 
 def strategy_b_rows(
@@ -229,21 +269,7 @@ def strategy_b_rows(
 ) -> tuple[HalfspaceRow, HalfspaceRow]:
     """Bound-split rows for pair (i, j): each agent takes a share of the
     ensemble bound proportional to its acceleration limit."""
-    rel = relative_state(states[i], states[j])
-    safety_dist = cfg.safety_distance(params[i], params[j])
-    _guard_pair(i, j, rel, safety_dist)
-    ai, aj = params[i].accel_limit, params[j].accel_limit
-    accel_sum = ai + aj
-    b_i = (ai / accel_sum) * centralized_bound(
-        rel, accel_sum, params[i].barrier_gain, safety_dist, cfg.epsilon
-    )
-    b_j = (aj / accel_sum) * centralized_bound(
-        rel, accel_sum, params[j].barrier_gain, safety_dist, cfg.epsilon
-    )
-    return (
-        HalfspaceRow(-rel.dp.copy(), b_i, (i, j)),
-        HalfspaceRow(rel.dp.copy(), b_j, (j, i)),
-    )
+    return _split_rows(bound_split_bounds, i, j, states, params, cfg)
 
 
 def strategy_c_row(
@@ -271,31 +297,10 @@ def strategy_c_row(
             # caller must supply them in sum_of_radii mode.
             raise ValueError("sum_of_radii mode requires an explicit safety_dist")
         safety_dist = float(cfg.ds)
-    _guard_pair(i, j, rel, safety_dist)
-    accel_sum = self_params.accel_limit + other_accel
-    h, _ = pair_barrier(rel, accel_sum, safety_dist)
-    dpdv = float(rel.dp @ rel.dv)
-    dpv = float(rel.dp @ states[i].v)
-    share = self_params.accel_limit / accel_sum
-    denom = np.sqrt(2.0 * _floored_gap(rel, safety_dist, cfg.epsilon))
-    b = float(
-        -dpdv * dpv / rel.dist**2
-        + rel.dv @ states[i].v
-        + share
-        * (
-            self_params.barrier_gain * h**3 * rel.dist
-            + np.sqrt(accel_sum) * dpdv / denom
-        )
-    )
-    return HalfspaceRow(-rel.dp.copy(), b, (i, j))
-
-
-def as_ensemble(row: HalfspaceRow, n_agents: int) -> np.ndarray:
-    """Embed a per-agent row's coefficients into the stacked control space."""
-    owner = row.pair[0]
-    a = np.zeros(2 * n_agents)
-    a[2 * owner : 2 * owner + 2] = row.a
-    return a
+    guard_pairs((i,), (j,), np.array([rel.dist]), safety_dist)
+    b = _one(hybrid_bounds, rel, states[i].v[None], self_params.accel_limit, other_accel,
+             self_params.barrier_gain, safety_dist, cfg.epsilon)
+    return HalfspaceRow(-rel.dp, b, (i, j))
 
 
 def neighbor_radius(

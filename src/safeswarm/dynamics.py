@@ -49,13 +49,6 @@ class AgentState:
         self.p = np.asarray(self.p, dtype=float).reshape(2)
         self.v = np.asarray(self.v, dtype=float).reshape(2)
 
-    def copy(self) -> "AgentState":
-        return AgentState(self.p.copy(), self.v.copy())
-
-    @property
-    def speed(self) -> float:
-        return float(np.linalg.norm(self.v))
-
 
 @dataclass(frozen=True)
 class RelativeState:
@@ -90,18 +83,24 @@ def relative_state(si: AgentState, sj: AgentState) -> RelativeState:
     return RelativeState(dp, dv, dist, vbar)
 
 
-def step(s: AgentState, u: np.ndarray, dt: float) -> AgentState:
-    """Semi-implicit Euler step: velocity first, then position with the new velocity."""
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair of two (..., 2) arrays, rounded like the
+    2-vector ``a @ b`` and ``np.linalg.norm`` (a (1, 2) by (2, 1) matmul;
+    an elementwise multiply-add or einsum rounds differently)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def step(p: np.ndarray, v: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Semi-implicit Euler step: velocity first, then position with the new
+    velocity. Broadcasts over (N, 2) arrays of agents; returns (p, v)."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    u = np.asarray(u, dtype=float).reshape(2)
-    v_next = s.v + u * dt
-    p_next = s.p + v_next * dt
-    return AgentState(p_next, v_next)
+    v_next = v + np.asarray(u, dtype=float) * dt
+    return p + v_next * dt, v_next
 
 
-def saturate_box(u: np.ndarray, accel_limit: float) -> np.ndarray:
-    """Clamp each control component to [-accel_limit, accel_limit]."""
-    if not accel_limit > 0:
+def saturate_box(u: np.ndarray, accel_limit) -> np.ndarray:
+    """Clamp each control component to [-accel_limit, accel_limit] (broadcast)."""
+    if not np.all(np.asarray(accel_limit) > 0):
         raise ValueError(f"accel_limit must be positive, got {accel_limit!r}")
-    return np.clip(np.asarray(u, dtype=float).reshape(2), -accel_limit, accel_limit)
+    return np.clip(np.asarray(u, dtype=float), -accel_limit, accel_limit)

@@ -3,7 +3,7 @@
 Solves
 
     minimize    ||u - u_hat||^2
-    subject to  a_k . u <= b_k   for every row k
+    subject to  A u <= b         (row k: a_k . u <= b_k)
                 |u_c| <= box_c   for every component c
 
 which is the Euclidean projection of the nominal control onto a polytope.
@@ -24,13 +24,13 @@ logged distinctly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
-
-from .barrier import HalfspaceRow
 
 logger = logging.getLogger(__name__)
 
@@ -47,23 +47,45 @@ _DEP_TOL = 1e-12
 
 @dataclass
 class QpProblem:
-    """Nominal control, halfspace rows, and per-component box bounds."""
+    """Nominal control u_hat, rows A u <= b, and per-component box bounds.
+
+    A is (m, n) and b is (m,) for the n = u_hat.size variables.
+    """
 
     u_hat: np.ndarray
-    rows: list[HalfspaceRow]
+    A: np.ndarray
+    b: np.ndarray
     box: np.ndarray
 
     def __post_init__(self):
         self.u_hat = np.asarray(self.u_hat, dtype=float).ravel()
+        self.A = np.asarray(self.A, dtype=float)
+        self.b = np.asarray(self.b, dtype=float)
         self.box = np.asarray(self.box, dtype=float).ravel()
         n = self.u_hat.size
         if self.box.size != n:
             raise ValueError(f"box has {self.box.size} bounds for {n} variables")
+        if self.b.ndim != 1 or self.A.shape != (self.b.size, n):
+            raise ValueError(f"rows {self.A.shape}, bounds {self.b.shape}: not {n} variables")
         if not np.all(self.box > 0):
             raise ValueError("box bounds must be positive")
-        for row in self.rows:
-            if np.asarray(row.a).size != n:
-                raise ValueError(f"row for pair {row.pair} has wrong dimension")
+
+    @property
+    def rows(self) -> "_RowView":
+        """Read-only view of the rows as objects with ``.a`` and ``.b``. It
+        exists only for the QP sampler of perfbench/layers.py; read A and b."""
+        return _RowView(self.A, self.b)
+
+
+class _RowView:
+    def __init__(self, A: np.ndarray, b: np.ndarray):
+        self._A, self._b = A, b
+
+    def __len__(self) -> int:
+        return len(self._b)
+
+    def __getitem__(self, k: int) -> SimpleNamespace:
+        return SimpleNamespace(a=self._A[k], b=self._b[k])
 
 
 @dataclass
@@ -85,19 +107,16 @@ class QpSolution:
 
 def expanded_constraints(problem: QpProblem) -> tuple[np.ndarray, np.ndarray]:
     """Stack user rows then box faces (+e_c, -e_c per component) as a.u <= b."""
-    n = problem.u_hat.size
-    m = len(problem.rows)
-    A = np.zeros((m + 2 * n, n))
-    b = np.zeros(m + 2 * n)
-    for k, row in enumerate(problem.rows):
-        A[k] = row.a
-        b[k] = row.b
-    for c in range(n):
-        A[m + 2 * c, c] = 1.0
-        b[m + 2 * c] = problem.box[c]
-        A[m + 2 * c + 1, c] = -1.0
-        b[m + 2 * c + 1] = problem.box[c]
-    return A, b
+    return (np.concatenate((problem.A, _box_faces(problem.u_hat.size))),
+            np.concatenate((problem.b, np.repeat(problem.box, 2))))
+
+
+@functools.cache
+def _box_faces(n: int) -> np.ndarray:
+    faces = np.zeros((2 * n, n))
+    faces[np.arange(2 * n), np.repeat(np.arange(n), 2)] = np.tile([1.0, -1.0], n)
+    faces.flags.writeable = False
+    return faces
 
 
 def _dual_coeffs(active: np.ndarray, a_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,13 +7,14 @@ braking when a QP is infeasible or a pair is already inside its safety
 distance, and only then integrates everyone forward. Runs are fully
 deterministic for a given scenario.
 
-The pair work of a step runs on numpy arrays over the pairs i < j, in
-``SimContext.pair_keys`` order. On the pre-step (N, 2) positions it computes
-each pair's distance, for the agents inside a violated pair, and the (N, N)
-neighbour mask ``norm <= radius[i]``; on the post-step positions and
-velocities, each pair's distance, line-of-sight speed and barrier h for the
-step record. Every value is bit-identical to what ``relative_state``,
-``pair_barrier`` and ``barrier.neighbors`` give. Rows and QPs stay per agent.
+The run state is the (N, 2) arrays ``SimContext.P`` and ``V``; a step runs
+on per-step arrays. Pair geometry runs over the pairs i < j in ``pair_keys``
+order, the neighbour sets are an (N, N) mask, and the mode's bound function
+in ``barrier`` builds the rows of all directed pairs (owner, other) in one
+call. Each agent's QP reads its rows, speed rows included, as one slice of
+one array; the centralized QP embeds them in one dense array. Every value is
+bit-identical to what the scalar functions (``relative_state``,
+``pair_barrier``, ``barrier.neighbors`` and the row builders) give.
 
 Modes
 -----
@@ -29,15 +30,17 @@ decentralized_C_estimated:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import barrier, qp
-from .barrier import BarrierConfig, HalfspaceRow, NeighborInfo
-from .dynamics import (AgentParams, AgentState, DegenerateGeometryError, relative_state,
+from .barrier import BarrierConfig, NeighborInfo
+from .dynamics import (AgentParams, AgentState, DegenerateGeometryError, row_dot,
                        saturate_box, step)
+from .dynamics import relative_state  # noqa: F401  (perfbench/layers.py wraps sim.relative_state)
 from .estimator import LimitEstimator
 
 MODES = (
@@ -112,24 +115,21 @@ class Scenario:
                 raise ScenarioError(
                     f"agent {a.params.id} starts above its speed limit"
                 )
-        for i in range(len(self.agents)):
-            for j in range(i + 1, len(self.agents)):
-                ai, aj = self.agents[i], self.agents[j]
-                ds = self.barrier_cfg.safety_distance(ai.params, aj.params)
-                rel_dist = float(np.linalg.norm(ai.state0.p - aj.state0.p))
-                if rel_dist <= ds:
-                    raise ScenarioError(
-                        f"agents {ai.params.id} and {aj.params.id} start "
-                        f"{rel_dist:.6g} m apart, within safety distance {ds:.6g} m"
-                    )
-                rel = relative_state(ai.state0, aj.state0)
-                accel_sum = ai.params.accel_limit + aj.params.accel_limit
-                h, _ = barrier.pair_barrier(rel, accel_sum, ds)
-                if h < 0:
-                    raise ScenarioError(
-                        f"agents {ai.params.id} and {aj.params.id} start closing "
-                        f"too fast to brake (barrier {h:.6g} < 0)"
-                    )
+        pairs = _Pairs([a.params for a in self.agents], self.barrier_cfg)
+        P = np.array([a.state0.p for a in self.agents])
+        dp, dist = _pair_dist(pairs, P)
+        norm = np.sqrt(row_dot(dp, dp))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a coincident pair fails first
+            h = _pair_h(pairs, dist, _pair_vbar(pairs, dp, dist,
+                                                np.array([a.state0.v for a in self.agents])))
+        near = norm <= pairs.pair_ds
+        bad = np.flatnonzero(near | (h < 0))
+        if bad.size:
+            k = bad[0]
+            ai, aj = (self.agents[x].params.id for x in pairs.pair_keys[k])
+            raise ScenarioError(f"agents {ai} and {aj} start " + (
+                f"{norm[k]:.6g} m apart, within safety distance {pairs.pair_ds[k]:.6g} m"
+                if near[k] else f"closing too fast to brake (barrier {h[k]:.6g} < 0)"))
 
     def resolved_alpha_floor(self) -> float:
         if self.alpha_floor is not None:
@@ -170,48 +170,59 @@ class RunMetrics:
     path_lengths: dict[int, float]  # m, by agent id
 
 
-def goal_controller(s: AgentState, goal: np.ndarray, k1: float, k2: float,
-                    accel_limit: float) -> np.ndarray:
-    """Saturated PD control toward a fixed goal position."""
-    u = -k1 * (s.p - np.asarray(goal, dtype=float)) - k2 * s.v
+def goal_controller(p: np.ndarray, v: np.ndarray, goal: np.ndarray, k1: float, k2: float,
+                    accel_limit) -> np.ndarray:
+    """Saturated PD control toward a fixed goal position. Broadcasts over
+    (N, 2) arrays of agents, with one row of limits per agent."""
+    u = -k1 * (p - np.asarray(goal, dtype=float)) - k2 * v
     return saturate_box(u, accel_limit)
 
 
-def braking_fallback(s: AgentState, accel_limit: float) -> np.ndarray:
-    """Maximum per-axis deceleration along the current velocity."""
-    peak = float(np.max(np.abs(s.v)))
+def braking_fallback(v: np.ndarray, accel_limit: float) -> np.ndarray:
+    """Maximum per-axis deceleration along the velocity v of one agent."""
+    peak = float(np.max(np.abs(v)))
     if peak < 1e-12:
         return np.zeros(2)
-    return np.clip(-accel_limit * s.v / peak, -accel_limit, accel_limit)
+    return np.clip(-accel_limit * v / peak, -accel_limit, accel_limit)
 
 
-class SimContext:
-    """Mutable run state: current agent states, estimators, warm starts,
-    plus the per-pair and per-agent constants the array step reads."""
+class _Pairs:
+    """The pairs i < j of a team, in ``pair_keys`` order, with each pair's
+    safety distance and summed acceleration limit."""
+
+    def __init__(self, params: list[AgentParams], cfg: BarrierConfig):
+        self.safety_dist = cfg.safety_distances(np.array([p.radius for p in params]))
+        self.accel = np.array([p.accel_limit for p in params])
+        self.pair_keys = list(itertools.combinations(range(len(params)), 2))
+        self.pair_i, self.pair_j = np.array(self.pair_keys, dtype=int).reshape(-1, 2).T.copy()
+        self.pair_ds = self.safety_dist[self.pair_i, self.pair_j]
+        self.pair_accel_sum = self.accel[self.pair_i] + self.accel[self.pair_j]
+
+
+class SimContext(_Pairs):
+    """Mutable run state: the (N, 2) positions ``P`` and velocities ``V``,
+    estimators and warm starts, plus the per-pair and per-agent constants
+    the array step reads."""
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
         self.scenario = scenario
         self.params = [a.params for a in scenario.agents]
-        self.goals = [a.goal for a in scenario.agents]
-        self.states = [a.state0.copy() for a in scenario.agents]
-        self.n = len(scenario.agents)
-        self.t = 0.0
         self.cfg = scenario.barrier_cfg
-        self.safety_dist = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j:
-                    self.safety_dist[i, j] = self.cfg.safety_distance(
-                        self.params[i], self.params[j]
-                    )
+        super().__init__(self.params, self.cfg)
+        self.n = len(scenario.agents)
+        self.goals = np.array([a.goal for a in scenario.agents])
+        self.P = np.array([a.state0.p for a in scenario.agents])
+        self.V = np.array([a.state0.v for a in scenario.agents])
+        self.t = 0.0
+        self.box = np.repeat(self.accel[:, None], 2, axis=1)  # per-axis control bounds
+        self.speed = np.array([p.speed_limit for p in self.params])
+        self.gain = np.array([p.barrier_gain for p in self.params])
         self.neighbor_info = [self._neighbor_info(i) for i in range(self.n)]
         self.neighbor_radius = np.array([info.neighbor_radius for info in self.neighbor_info])
-        self.pair_i, self.pair_j = np.triu_indices(self.n, 1)
-        self.pair_keys = list(zip(self.pair_i.tolist(), self.pair_j.tolist()))
-        self.pair_ds = self.safety_dist[self.pair_i, self.pair_j]
-        accel = np.array([p.accel_limit for p in self.params])
-        self.pair_accel_sum = accel[self.pair_i] + accel[self.pair_j]
+        self.pair_index = np.zeros((self.n, self.n), dtype=int)  # of (i, j) and (j, i)
+        self.pair_index[self.pair_i, self.pair_j] = np.arange(self.pair_i.size)
+        self.pair_index[self.pair_j, self.pair_i] = np.arange(self.pair_i.size)
         self.estimators: list[LimitEstimator] | None = None
         if scenario.mode == "decentralized_C_estimated":
             floor = scenario.resolved_alpha_floor()
@@ -241,219 +252,212 @@ class SimContext:
             default=2 * self.params[i].radius,
         )
         radius = barrier.neighbor_radius(self.params[i], min_accel, max_speed, ds_worst)
-        return NeighborInfo(radius, min_accel, max_speed)
+        return NeighborInfo(radius)
 
 
-def _speed_rows(i: int, state: AgentState, params: AgentParams, dt: float) -> list[HalfspaceRow]:
-    # Per-axis cap on the next-step velocity: |v_c + u_c dt| <= speed_limit.
-    rows = []
-    for c in range(2):
-        e = np.zeros(2)
-        e[c] = 1.0
-        rows.append(HalfspaceRow(e, (params.speed_limit - state.v[c]) / dt, (i, i)))
-        rows.append(HalfspaceRow(-e, (params.speed_limit + state.v[c]) / dt, (i, i)))
-    return rows
+# Normals of each agent's four speed rows, +e_0, -e_0, +e_1, -e_1. The
+# negative faces are -e, with -0.0 off the diagonal.
+_SPEED_A = np.array([[1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [-0.0, -1.0]])
 
 
-def _pair_dist(ctx: SimContext, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _speed_bounds(speed: np.ndarray, V: np.ndarray, dt: float) -> np.ndarray:
+    # (N, 4) bounds of the rows _SPEED_A: per-axis cap on the next-step
+    # velocity, |v_c + u_c dt| <= speed_limit.
+    return np.stack(((speed[:, None] - V) / dt, (speed[:, None] + V) / dt), 2).reshape(-1, 4)
+
+
+def _pair_dist(ctx: _Pairs, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """dp and dist of every pair i < j, as ``relative_state`` computes them
-    (math.hypot: np.hypot rounds differently). Raises
-    DegenerateGeometryError when two positions coincide."""
+    (math.hypot: np.hypot rounds differently)."""
     dp = P[ctx.pair_i] - P[ctx.pair_j]
-    dist = np.array(list(map(math.hypot, dp[:, 0].tolist(), dp[:, 1].tolist())))
+    return dp, np.array(list(map(math.hypot, dp[:, 0].tolist(), dp[:, 1].tolist())))
+
+
+def _require_apart(dist: np.ndarray) -> None:
     if dist.size and not dist.all():
         raise DegenerateGeometryError("coincident agent positions")
-    return dp, dist
 
 
-def _pair_vbar(ctx: SimContext, dp: np.ndarray, dist: np.ndarray, V: np.ndarray) -> np.ndarray:
-    # matmul of (1, 2) by (2, 1) rounds like dp @ dv; an elementwise
-    # multiply-add or einsum does not.
-    dv = V[ctx.pair_i] - V[ctx.pair_j]
-    return np.matmul(dp[:, None, :], dv[:, :, None])[:, 0, 0] / dist
+def _pair_vbar(ctx: _Pairs, dp: np.ndarray, dist: np.ndarray, V: np.ndarray) -> np.ndarray:
+    return row_dot(dp, V[ctx.pair_i] - V[ctx.pair_j]) / dist
 
 
-def _pair_h(ctx: SimContext, dist: np.ndarray, vbar: np.ndarray) -> np.ndarray:
+def _pair_h(ctx: _Pairs, dist: np.ndarray, vbar: np.ndarray) -> np.ndarray:
     """``pair_barrier`` of every pair, with the true acceleration limits."""
-    gap = dist - ctx.pair_ds
-    return np.sqrt(2.0 * ctx.pair_accel_sum * np.maximum(gap, 0.0)) + vbar
+    return barrier.barrier_values(dist, vbar, ctx.pair_accel_sum, ctx.pair_ds)
 
 
-def _violated(ctx: SimContext, dist: np.ndarray) -> set[int]:
-    """Agents in a pair at or inside its safety distance."""
+def _violated(ctx: SimContext, dist: np.ndarray) -> np.ndarray:
+    """(N,) mask of the agents in a pair at or inside its safety distance."""
     inside = dist <= ctx.pair_ds
-    return set(ctx.pair_i[inside].tolist()) | set(ctx.pair_j[inside].tolist())
+    violated = np.zeros(ctx.n, dtype=bool)
+    violated[ctx.pair_i[inside]] = violated[ctx.pair_j[inside]] = True
+    return violated
 
 
 def _neighbor_mask(ctx: SimContext, P: np.ndarray) -> np.ndarray:
     """(N, N) mask of ``barrier.neighbors``: row i holds agent i's neighbours.
     The norm is sqrt of a (1, 2) by (2, 1) matmul, as np.linalg.norm rounds."""
     dP = P[:, None, :] - P[None, :, :]
-    norm = np.sqrt(np.matmul(dP[..., None, :], dP[..., :, None]))[..., 0, 0]
-    mask = norm <= ctx.neighbor_radius[:, None]
+    mask = np.sqrt(row_dot(dP, dP)) <= ctx.neighbor_radius[:, None]
     np.fill_diagonal(mask, False)
     return mask
 
 
-def _agent_barrier_rows(
-    ctx: SimContext, i: int, neighbor_ids: list[int]
-) -> list[HalfspaceRow]:
-    mode = ctx.scenario.mode
-    rows = []
-    for j in neighbor_ids:
-        if mode == "decentralized_A":
-            rows.append(barrier.strategy_a_rows(i, j, ctx.states, ctx.params, ctx.cfg)[0])
-        elif mode == "decentralized_B":
-            rows.append(barrier.strategy_b_rows(i, j, ctx.states, ctx.params, ctx.cfg)[0])
-        elif mode == "decentralized_C":
-            rows.append(
-                barrier.strategy_c_row(
-                    i, j, ctx.states, ctx.params[i],
-                    ctx.params[j].accel_limit, ctx.cfg,
-                    safety_dist=ctx.safety_dist[i, j],
-                )
-            )
-        else:  # decentralized_C_estimated
-            rows.append(
-                barrier.strategy_c_row(
-                    i, j, ctx.states, ctx.params[i],
-                    ctx.estimators[i].estimates[j], ctx.cfg,
-                    safety_dist=ctx.safety_dist[i, j],
-                )
-            )
-    return rows
+def _apply(ctx: SimContext, U: np.ndarray, brake: np.ndarray) -> np.ndarray:
+    # The QP answers clipped to the box, and braking where ``brake`` is set.
+    U = np.clip(U, -ctx.box, ctx.box)
+    for i in np.flatnonzero(brake).tolist():
+        U[i] = braking_fallback(ctx.V[i], ctx.accel[i])
+    return U
 
 
-def _solve_decentralized(
-    ctx: SimContext, u_nominal: list[np.ndarray], violated: set[int], P: np.ndarray
-) -> tuple[list[np.ndarray], list[str], list[tuple[int, int]]]:
-    dt = ctx.scenario.dt
-    u_applied = []
-    statuses = []
-    row_pairs: list[tuple[int, int]] = []
-    neighbor_ids: list[list[int]] = [[] for _ in range(ctx.n)]
-    for i, j in zip(*(idx.tolist() for idx in np.nonzero(_neighbor_mask(ctx, P)))):
-        neighbor_ids[i].append(j)  # row-major order keeps each list ascending
-    for i in range(ctx.n):
-        if i in violated:
-            u_applied.append(braking_fallback(ctx.states[i], ctx.params[i].accel_limit))
-            statuses.append(qp.INFEASIBLE)
-            continue
-        # Rows against braking (violated-pair) agents stay in force: any pair
-        # involving a non-violated agent is still outside its safety distance.
-        rows = _agent_barrier_rows(ctx, i, neighbor_ids[i])
-        row_pairs.extend(row.pair for row in rows)
-        rows += _speed_rows(i, ctx.states[i], ctx.params[i], dt)
-        problem = qp.QpProblem(
-            u_nominal[i], rows, np.full(2, ctx.params[i].accel_limit)
-        )
-        sol = qp.solve(problem, warm_start=ctx.warm_starts[i])
+# The per-agent row bound of each decentralized mode, over directed pairs.
+_BOUNDS = {
+    "decentralized_A": barrier.rate_split_bounds,
+    "decentralized_B": barrier.bound_split_bounds,
+    "decentralized_C": barrier.hybrid_bounds,
+    "decentralized_C_estimated": barrier.hybrid_bounds,
+}
+
+
+def _agent_rows(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
+    """Every non-violated agent's QP rows, as one (R, 2) array A and (R,) b.
+
+    Agent i's rows are ``A[lo:hi]`` with ``(lo, hi) = blocks[i]``: its
+    barrier rows against each neighbour in ascending order, then its four
+    speed rows. Rows against braking (violated-pair) agents stay in force:
+    any pair involving a non-violated agent is still outside its safety
+    distance. Also returns the (owner, other) pair of each barrier row.
+    """
+    P, V = ctx.P, ctx.V
+    own, oth = np.nonzero(_neighbor_mask(ctx, P) & ~violated[:, None])  # row-major
+    # p_own - p_oth afresh, not a negated pair dp: a zero must keep its sign.
+    dp = P[own] - P[oth]
+    dist = dist[ctx.pair_index[own, oth]]
+    ds = ctx.safety_dist[own, oth]
+    barrier.guard_pairs(own, oth, dist, ds)
+    if ctx.estimators is None:
+        accel_other = ctx.accel[oth]
+    else:  # column oth - (oth > own) of estimators[own], whose ids skip own
+        accel_other = np.stack([e._est for e in ctx.estimators])[own, oth - (oth > own)]
+    counts = np.bincount(own, minlength=ctx.n) + 4
+    ends = np.cumsum(counts)
+    A = np.empty((ends[-1], 2))
+    b = np.empty(ends[-1])
+    at = np.arange(own.size) + 4 * own
+    A[at] = -dp
+    b[at] = _BOUNDS[ctx.scenario.mode](dp, dist, V[own] - V[oth], V[own], ctx.accel[own],
+                                       accel_other, ctx.gain[own], ds, ctx.cfg.epsilon)
+    at = (ends - 4)[:, None] + np.arange(4)
+    A[at], b[at] = _SPEED_A, _speed_bounds(ctx.speed, V, ctx.scenario.dt)
+    blocks = list(zip((ends - counts).tolist(), ends.tolist()))
+    return A, b, blocks, list(zip(own.tolist(), oth.tolist()))
+
+
+def _solve_decentralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarray,
+                         dp: np.ndarray, dist: np.ndarray):
+    A, b, blocks, row_pairs = _agent_rows(ctx, violated, dist)
+    U = np.zeros((ctx.n, 2))
+    statuses = [qp.INFEASIBLE] * ctx.n
+    brake = violated.copy()
+    for i in np.flatnonzero(~violated).tolist():
+        lo, hi = blocks[i]
+        sol = qp.solve(qp.QpProblem(U_nom[i], A[lo:hi], b[lo:hi], ctx.box[i]),
+                       warm_start=ctx.warm_starts[i])
         ctx.warm_starts[i] = sol.active_set
+        statuses[i] = sol.status
         if sol.status == qp.OPTIMAL:
-            u_applied.append(np.clip(sol.u_star, -ctx.params[i].accel_limit,
-                                     ctx.params[i].accel_limit))
+            U[i] = sol.u_star
         else:
-            u_applied.append(braking_fallback(ctx.states[i], ctx.params[i].accel_limit))
-        statuses.append(sol.status)
-    return u_applied, statuses, row_pairs
+            brake[i] = True
+    return _apply(ctx, U, brake), statuses, row_pairs
 
 
-def _solve_centralized(
-    ctx: SimContext, u_nominal: list[np.ndarray], violated: set[int]
-) -> tuple[list[np.ndarray], list[str], list[tuple[int, int]]]:
-    dt = ctx.scenario.dt
-    n = ctx.n
-    free = [i for i in range(n) if i not in violated]
-    u_brake = {
-        i: braking_fallback(ctx.states[i], ctx.params[i].accel_limit) for i in violated
-    }
-    col = {agent: idx for idx, agent in enumerate(free)}
-    rows: list[HalfspaceRow] = []
-    row_pairs: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if i in violated and j in violated:
-                continue
-            full = barrier.centralized_row(i, j, ctx.states, ctx.params, ctx.cfg)
-            row_pairs.append((i, j))
-            a = np.zeros(2 * len(free))
-            b = full.b
-            for agent in (i, j):
-                block = full.a[2 * agent : 2 * agent + 2]
-                if agent in col:
-                    a[2 * col[agent] : 2 * col[agent] + 2] = block
-                else:
-                    b -= float(block @ u_brake[agent])  # fixed braking control
-            rows.append(HalfspaceRow(a, b, (i, j)))
-    for i in free:
-        for srow in _speed_rows(i, ctx.states[i], ctx.params[i], dt):
-            a = np.zeros(2 * len(free))
-            a[2 * col[i] : 2 * col[i] + 2] = srow.a
-            rows.append(HalfspaceRow(a, srow.b, srow.pair))
-    if not free:
-        return ([u_brake[i] for i in range(n)], [qp.INFEASIBLE] * n, row_pairs)
-    u_hat = np.concatenate([u_nominal[i] for i in free])
-    box = np.concatenate([np.full(2, ctx.params[i].accel_limit) for i in free])
-    sol = qp.solve(qp.QpProblem(u_hat, rows, box), warm_start=ctx.ensemble_warm)
+def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: np.ndarray):
+    """The ensemble QP's rows over the stacked controls of the free agents.
+
+    One row per pair that is not braking at both ends, in ``pair_keys``
+    order, then each free agent's four speed rows. Free agent c owns
+    columns 2c and 2c + 1; a braking agent's control is fixed, so its block
+    times its braking control moves into b. Also returns the row pairs.
+    """
+    V = ctx.V
+    keep = ~(violated[ctx.pair_i] & violated[ctx.pair_j])
+    i, j, dp, ds = ctx.pair_i[keep], ctx.pair_j[keep], dp[keep], ctx.pair_ds[keep]
+    barrier.guard_pairs(i, j, dist[keep], ds)
+    b = barrier.centralized_bounds(dp, dist[keep], V[i] - V[j], ctx.pair_accel_sum[keep],
+                                   ctx.gain[i], ds, ctx.cfg.epsilon)
+    brake_i, brake_j = violated[i], violated[j]
+    if violated.any():
+        U_brake = _apply(ctx, np.zeros((ctx.n, 2)), violated)
+        b[brake_i] -= row_dot(-dp[brake_i], U_brake[i[brake_i]])
+        b[brake_j] -= row_dot(dp[brake_j], U_brake[j[brake_j]])
+    free = np.flatnonzero(~violated)
+    col = np.cumsum(~violated) - 1
+    k, f = np.arange(i.size)[:, None], np.arange(free.size)
+    A = np.zeros((i.size + 4 * free.size, 2 * free.size))
+    A[k[~brake_i], 2 * col[i[~brake_i], None] + [0, 1]] = -dp[~brake_i]
+    A[k[~brake_j], 2 * col[j[~brake_j], None] + [0, 1]] = dp[~brake_j]
+    A[i.size + 4 * f[:, None, None] + np.arange(4)[:, None],
+      2 * f[:, None, None] + np.arange(2)] = _SPEED_A
+    b = np.concatenate((b, _speed_bounds(ctx.speed[free], V[free], ctx.scenario.dt).ravel()))
+    return A, b, list(zip(i.tolist(), j.tolist()))
+
+
+def _solve_centralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarray,
+                       dp: np.ndarray, dist: np.ndarray):
+    A, b, row_pairs = _ensemble_rows(ctx, violated, dp, dist)
+    free = np.flatnonzero(~violated)
+    if not free.size:
+        return _apply(ctx, np.zeros((ctx.n, 2)), violated), [qp.INFEASIBLE] * ctx.n, row_pairs
+    sol = qp.solve(qp.QpProblem(U_nom[free].ravel(), A, b, ctx.box[free].ravel()),
+                   warm_start=ctx.ensemble_warm)
     ctx.ensemble_warm = sol.active_set
-    u_applied = []
-    statuses = []
-    for i in range(n):
-        if i in violated:
-            u_applied.append(u_brake[i])
-            statuses.append(qp.INFEASIBLE)
-        elif sol.status == qp.OPTIMAL:
-            u = sol.u_star[2 * col[i] : 2 * col[i] + 2]
-            limit = ctx.params[i].accel_limit
-            u_applied.append(np.clip(u, -limit, limit))
-            statuses.append(qp.OPTIMAL)
-        else:
-            u_applied.append(braking_fallback(ctx.states[i], ctx.params[i].accel_limit))
-            statuses.append(qp.INFEASIBLE)
-    return u_applied, statuses, row_pairs
+    optimal = sol.status == qp.OPTIMAL
+    U = np.zeros((ctx.n, 2))
+    if optimal:
+        U[free] = sol.u_star.reshape(-1, 2)
+    statuses = [qp.OPTIMAL if optimal and not v else qp.INFEASIBLE for v in violated.tolist()]
+    return _apply(ctx, U, violated | (not optimal)), statuses, row_pairs
+
+
+_SOLVERS = {mode: _solve_decentralized for mode in _BOUNDS}
+_SOLVERS["centralized"] = _solve_centralized
 
 
 def step_once(ctx: SimContext) -> StepRecord:
     """Advance the world by one step and return the post-step record."""
     scn = ctx.scenario
-    P = np.array([s.p for s in ctx.states])
-    V = np.array([s.v for s in ctx.states])
+    P, V = ctx.P, ctx.V
     finite = np.isfinite(P).all(axis=1) & np.isfinite(V).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
         raise RuntimeError(
             f"non-finite state for agent {ctx.params[i].id} at t={ctx.t:.6g}"
         )
-    u_nominal = [
-        goal_controller(ctx.states[i], ctx.goals[i], scn.k1, scn.k2,
-                        ctx.params[i].accel_limit)
-        for i in range(ctx.n)
-    ]
-    _, dist = _pair_dist(ctx, P)
-    violated = _violated(ctx, dist)
-    if scn.mode == "centralized":
-        u_applied, statuses, row_pairs = _solve_centralized(ctx, u_nominal, violated)
-    else:
-        u_applied, statuses, row_pairs = _solve_decentralized(ctx, u_nominal, violated, P)
+    U_nom = goal_controller(P, V, ctx.goals, scn.k1, scn.k2, ctx.box)
+    dp, dist = _pair_dist(ctx, P)
+    _require_apart(dist)
+    U, statuses, row_pairs = _SOLVERS[scn.mode](ctx, U_nom, _violated(ctx, dist), dp, dist)
 
     if ctx.estimators is not None:
         for est in ctx.estimators:
             est.observe(V[est.ids], scn.dt)
             est.update(scn.dt)
 
-    ctx.states = [step(ctx.states[i], u_applied[i], scn.dt) for i in range(ctx.n)]
+    ctx.P, ctx.V = step(P, V, U, scn.dt)
     ctx.t += scn.dt
 
-    P = np.array([s.p for s in ctx.states])
-    V = np.array([s.v for s in ctx.states])
-    dp, dist = _pair_dist(ctx, P)
-    h = _pair_h(ctx, dist, _pair_vbar(ctx, dp, dist, V))
+    dp, dist = _pair_dist(ctx, ctx.P)
+    _require_apart(dist)
+    h = _pair_h(ctx, dist, _pair_vbar(ctx, dp, dist, ctx.V))
     return StepRecord(
         t=ctx.t,
-        p=P,
-        v=V,
-        u_applied=np.array(u_applied),
-        u_nominal=np.array(u_nominal),
+        p=ctx.P,
+        v=ctx.V,
+        u_applied=U,
+        u_nominal=U_nom,
         qp_status=statuses,
         pair_h=dict(zip(ctx.pair_keys, h.tolist())),
         min_pair_dist=float(dist.min()) if dist.size else math.inf,
@@ -493,49 +497,26 @@ def detect_deadlock(
     return onset is not None, onset
 
 
-def _final_positions(log: TrajectoryLog) -> np.ndarray:
-    if log.records:
-        return log.records[-1].p
-    return np.array([a.state0.p for a in log.scenario.agents])
-
-
 def compute_metrics(log: TrajectoryLog) -> RunMetrics:
     """Summarize a run. Covers the initial state plus every recorded step."""
     scn = log.scenario
-    n = len(scn.agents)
-    params = [a.params for a in scn.agents]
-    cfg = scn.barrier_cfg
-    states0 = [a.state0 for a in scn.agents]
-
-    min_dist = math.inf
-    min_h = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            rel = relative_state(states0[i], states0[j])
-            min_dist = min(min_dist, rel.dist)
-            h, _ = barrier.pair_barrier(
-                rel,
-                params[i].accel_limit + params[j].accel_limit,
-                cfg.safety_distance(params[i], params[j]),
-            )
-            min_h = min(min_h, h)
+    positions = np.array([[a.state0.p for a in scn.agents]] + [rec.p for rec in log.records])
+    pairs = _Pairs([a.params for a in scn.agents], scn.barrier_cfg)
+    dp, dist = _pair_dist(pairs, positions[0])
+    h = _pair_h(pairs, dist, _pair_vbar(pairs, dp, dist,
+                                        np.array([a.state0.v for a in scn.agents])))
+    min_dist = float(np.min(dist, initial=math.inf))
+    min_h = float(np.min(h, initial=math.inf))
     for rec in log.records:
         min_dist = min(min_dist, rec.min_pair_dist)
         if rec.pair_h:
             min_h = min(min_h, min(rec.pair_h.values()))
 
-    final_p = _final_positions(log)
     goal_errors = {
-        a.params.id: float(np.linalg.norm(final_p[i] - a.goal))
+        a.params.id: float(np.linalg.norm(positions[-1, i] - a.goal))
         for i, a in enumerate(scn.agents)
     }
-    positions = [np.array([a.state0.p for a in scn.agents])]
-    positions += [rec.p for rec in log.records]
-    hops = [
-        np.linalg.norm(positions[k + 1] - positions[k], axis=1)
-        for k in range(len(positions) - 1)
-    ]
-    total = np.sum(hops, axis=0) if hops else np.zeros(n)
+    total = np.linalg.norm(np.diff(positions, axis=0), axis=2).sum(axis=0)
     path_lengths = {a.params.id: float(total[i]) for i, a in enumerate(scn.agents)}
     infeasible = sum(
         status == qp.INFEASIBLE for rec in log.records for status in rec.qp_status
@@ -559,13 +540,11 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
     records: list[StepRecord] = []
     n_steps = int(round(scenario.t_end / scenario.dt))
     for _ in range(n_steps):
-        rec = step_once(ctx)
-        records.append(rec)
-        goal_dist = max(
-            float(np.linalg.norm(ctx.states[i].p - ctx.goals[i])) for i in range(ctx.n)
-        )
-        top_speed = max(float(np.max(np.abs(s.v))) for s in ctx.states)
-        if goal_dist <= GOAL_STOP_TOL and top_speed <= GOAL_STOP_SPEED:
+        records.append(step_once(ctx))
+        # Goal distances round like np.linalg.norm.
+        to_goal = ctx.P - ctx.goals
+        if (np.sqrt(row_dot(to_goal, to_goal)).max() <= GOAL_STOP_TOL
+                and np.abs(ctx.V).max() <= GOAL_STOP_SPEED):
             break
     log = TrajectoryLog(scenario, records)
     return log, compute_metrics(log)

@@ -33,6 +33,13 @@ def random_safe_pair(rng, safety_dist=0.6, equal_gamma=True, margin=0.05):
             return states, params
 
 
+def as_ensemble(row, n_agents):
+    """Embed a per-agent row's coefficients into the stacked control space."""
+    a = np.zeros(2 * n_agents)
+    a[2 * row.pair[0] : 2 * row.pair[0] + 2] = row.a
+    return a
+
+
 @pytest.fixture(scope="session")
 def circle6_run():
     """The heterogeneous circle-exchange preset, run once per session."""

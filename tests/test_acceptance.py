@@ -13,7 +13,6 @@ from safeswarm import (
     AgentParams,
     AgentState,
     LimitEstimator,
-    as_ensemble,
     brute_force_oracle,
     centralized_row,
     solve,
@@ -28,7 +27,7 @@ from safeswarm.presets import headon2, rect4
 from safeswarm.qp import OPTIMAL, expanded_constraints
 from safeswarm.sim import AgentSetup, Scenario, run
 
-from conftest import random_safe_pair
+from conftest import as_ensemble, random_safe_pair
 from test_qp import random_problem
 
 CFG = BarrierConfig(ds_mode="fixed", ds=0.6)

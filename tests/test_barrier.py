@@ -10,7 +10,6 @@ from safeswarm import (
     AgentState,
     AlreadyViolatedError,
     BarrierConfig,
-    as_ensemble,
     centralized_row,
     neighbor_radius,
     neighbors,
@@ -22,7 +21,7 @@ from safeswarm import (
 )
 from safeswarm.barrier import NeighborInfo, centralized_bound
 
-from conftest import random_safe_pair
+from conftest import as_ensemble, random_safe_pair
 
 CFG = BarrierConfig(ds_mode="fixed", ds=0.6)
 
@@ -239,13 +238,13 @@ class TestNeighbors:
         assert neighbor_radius(fast, 0.6, 0.6, 0.6) >= neighbor_radius(slow, 0.6, 0.6, 0.6)
 
     def test_empty_when_all_far(self):
-        info = NeighborInfo(neighbor_radius=2.0, min_other_accel=0.6, max_other_speed=0.6)
+        info = NeighborInfo(neighbor_radius=2.0)
         states = [AgentState([0, 0], [0, 0]), AgentState([5, 0], [0, 0]),
                   AgentState([0, 9], [0, 0])]
         assert neighbors(0, states, info) == set()
 
     def test_boundary_distance_is_included(self):
-        info = NeighborInfo(neighbor_radius=2.0, min_other_accel=0.6, max_other_speed=0.6)
+        info = NeighborInfo(neighbor_radius=2.0)
         states = [AgentState([0, 0], [0, 0]), AgentState([2.0, 0], [0, 0])]
         assert neighbors(0, states, info) == {1}
 
@@ -260,8 +259,8 @@ class TestNeighbors:
         dist = (r_a + r_b) / 2
         assert min(r_a, r_b) < dist < max(r_a, r_b)
         states = [AgentState([0, 0], [0, 0]), AgentState([dist, 0], [0, 0])]
-        info_a = NeighborInfo(r_a, 0.4, 1.0)
-        info_b = NeighborInfo(r_b, 2.0, 0.3)
+        info_a = NeighborInfo(r_a)
+        info_b = NeighborInfo(r_b)
         sees = {0: 1 in neighbors(0, states, info_a), 1: 0 in neighbors(1, states, info_b)}
         assert sees[0] != sees[1]
 

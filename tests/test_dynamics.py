@@ -67,32 +67,40 @@ class TestRelativeState:
 
 class TestStep:
     def test_zero_input_zero_velocity(self):
-        s = step(state(0, 0, 0, 0), np.zeros(2), 0.02)
-        assert np.all(s.p == 0) and np.all(s.v == 0)
+        p, v = step(np.zeros(2), np.zeros(2), np.zeros(2), 0.02)
+        assert np.all(p == 0) and np.all(v == 0)
 
     def test_constant_velocity(self):
-        s = step(state(0, 0, 1, 0), np.zeros(2), 0.1)
-        assert np.allclose(s.p, [0.1, 0]) and np.allclose(s.v, [1, 0])
+        p, v = step(np.zeros(2), np.array([1.0, 0.0]), np.zeros(2), 0.1)
+        assert np.allclose(p, [0.1, 0]) and np.allclose(v, [1, 0])
 
     def test_velocity_updates_before_position(self):
-        s = step(state(0, 0, 0, 0), np.array([1.0, 0.0]), 0.1)
-        assert np.allclose(s.v, [0.1, 0])
-        assert np.allclose(s.p, [0.01, 0])  # new velocity moves the position
+        p, v = step(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]), 0.1)
+        assert np.allclose(v, [0.1, 0])
+        assert np.allclose(p, [0.01, 0])  # new velocity moves the position
 
     def test_deterministic(self):
-        a = step(state(0.1, -0.2, 0.3, 0.7), np.array([0.31, -0.13]), 0.02)
-        b = step(state(0.1, -0.2, 0.3, 0.7), np.array([0.31, -0.13]), 0.02)
-        assert np.array_equal(a.p, b.p) and np.array_equal(a.v, b.v)
+        a = step(np.array([0.1, -0.2]), np.array([0.3, 0.7]), np.array([0.31, -0.13]), 0.02)
+        b = step(np.array([0.1, -0.2]), np.array([0.3, 0.7]), np.array([0.31, -0.13]), 0.02)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     @given(finite, finite, st.floats(1e-4, 1.0))
     def test_zero_input_conserves_speed_exactly(self, vx, vy, dt):
-        before = state(0, 0, vx, vy)
-        after = step(before, np.zeros(2), dt)
-        assert np.array_equal(after.v, before.v)
+        before = np.array([vx, vy])
+        _, after = step(np.zeros(2), before, np.zeros(2), dt)
+        assert np.array_equal(after, before)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            step(state(0, 0, 0, 0), np.zeros(2), 0.0)
+            step(np.zeros(2), np.zeros(2), np.zeros(2), 0.0)
+
+    def test_broadcasts_over_agents_like_one_agent_at_a_time(self):
+        rng = np.random.default_rng(3)
+        P, V, U = (rng.uniform(-2.0, 2.0, (5, 2)) for _ in range(3))
+        P1, V1 = step(P, V, U, 0.02)
+        for k in range(5):
+            p, v = step(P[k], V[k], U[k], 0.02)
+            assert P1[k].tobytes() == p.tobytes() and V1[k].tobytes() == v.tobytes()
 
 
 class TestSaturateBox:

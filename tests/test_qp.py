@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from safeswarm import (
     INFEASIBLE,
     OPTIMAL,
-    HalfspaceRow,
     QpProblem,
     brute_force_oracle,
     solve,
@@ -20,66 +19,69 @@ from conftest import random_safe_pair
 CFG = BarrierConfig(ds_mode="fixed", ds=0.6)
 
 
-def row(ax, ay, b):
-    return HalfspaceRow(np.array([ax, ay], dtype=float), float(b), (0, 1))
+def rows(*abc):
+    """A and b of the rows a . u <= b given as (ax, ay, b) triples."""
+    table = np.array(abc, dtype=float).reshape(-1, 3)
+    return table[:, :2], table[:, 2]
 
 
 def random_problem(rng):
     """A 2-variable projection problem with rows built from random safe
     two-agent states, plus a box of random size."""
     box = rng.uniform(0.05, 2.0)
-    rows = []
+    built = []
     for _ in range(int(rng.integers(0, 4))):
         states, params = random_safe_pair(rng)
-        rows.append(strategy_c_row(0, 1, states, params[0], params[1].accel_limit, CFG))
+        built.append(strategy_c_row(0, 1, states, params[0], params[1].accel_limit, CFG))
     u_hat = rng.uniform(-1.5 * box, 1.5 * box, 2)
-    return QpProblem(u_hat, rows, np.full(2, box))
+    return QpProblem(u_hat, np.array([r.a for r in built]).reshape(-1, 2),
+                     np.array([r.b for r in built]), np.full(2, box))
 
 
 class TestSolveExamples:
     def test_unconstrained_returns_nominal(self):
-        sol = solve(QpProblem(np.array([0.3, -0.4]), [], np.ones(2)))
+        sol = solve(QpProblem(np.array([0.3, -0.4]), *rows(), np.ones(2)))
         assert sol.status == OPTIMAL
         assert np.allclose(sol.u_star, [0.3, -0.4])
         assert sol.objective == 0.0
         assert sol.active_set == ()
 
     def test_projection_onto_halfspace(self):
-        sol = solve(QpProblem(np.array([1.0, 0.0]), [row(1, 0, 0)], np.full(2, 2.0)))
+        sol = solve(QpProblem(np.array([1.0, 0.0]), *rows((1, 0, 0)), np.full(2, 2.0)))
         assert sol.status == OPTIMAL
         assert np.allclose(sol.u_star, [0.0, 0.0], atol=1e-12)
         assert sol.objective == pytest.approx(1.0, abs=1e-12)
 
     def test_contradictory_rows_infeasible(self):
         problem = QpProblem(
-            np.zeros(2), [row(1, 0, -1), row(-1, 0, -1)], np.full(2, 100.0)
+            np.zeros(2), *rows((1, 0, -1), (-1, 0, -1)), np.full(2, 100.0)
         )
         assert solve(problem).status == INFEASIBLE
 
     def test_box_only_clipping(self):
-        sol = solve(QpProblem(np.array([5.0, -0.2]), [], np.ones(2)))
+        sol = solve(QpProblem(np.array([5.0, -0.2]), *rows(), np.ones(2)))
         assert np.allclose(sol.u_star, [1.0, -0.2], atol=1e-12)
 
     def test_zero_row_with_negative_bound_infeasible(self):
-        assert solve(QpProblem(np.zeros(2), [row(0, 0, -1)], np.ones(2))).status == INFEASIBLE
+        assert solve(QpProblem(np.zeros(2), *rows((0, 0, -1)), np.ones(2))).status == INFEASIBLE
 
 
 class TestOracleExamples:
     def test_agrees_on_projection_example(self):
-        problem = QpProblem(np.array([1.0, 0.0]), [row(1, 0, 0)], np.full(2, 2.0))
+        problem = QpProblem(np.array([1.0, 0.0]), *rows((1, 0, 0)), np.full(2, 2.0))
         ref = brute_force_oracle(problem, grid_step=0.1)
         assert ref.status == OPTIMAL
         assert ref.objective == pytest.approx(1.0, abs=1e-9)
 
     def test_reports_empty_polytope(self):
         problem = QpProblem(
-            np.zeros(2), [row(1, 0, -1), row(-1, 0, -1)], np.full(2, 100.0)
+            np.zeros(2), *rows((1, 0, -1), (-1, 0, -1)), np.full(2, 100.0)
         )
         assert brute_force_oracle(problem, grid_step=1.0).status == INFEASIBLE
 
     def test_rejects_high_dimension(self):
         with pytest.raises(ValueError):
-            brute_force_oracle(QpProblem(np.zeros(5), [], np.ones(5)), 0.1)
+            brute_force_oracle(QpProblem(np.zeros(5), np.zeros((0, 5)), np.zeros(0), np.ones(5)), 0.1)
 
 
 class TestSolveAgainstOracle:
@@ -144,14 +146,12 @@ class TestDeterminismAndScaling:
         rng = np.random.default_rng(46)
         for _ in range(50):
             problem = random_problem(rng)
-            if not problem.rows:
+            if not problem.b.size:
                 continue
             sol = solve(problem)
-            scaled_rows = [
-                HalfspaceRow(r.a * 7.5, r.b * 7.5, r.pair) if k == 0 else r
-                for k, r in enumerate(problem.rows)
-            ]
-            scaled = solve(QpProblem(problem.u_hat, scaled_rows, problem.box))
+            A, b = problem.A.copy(), problem.b.copy()
+            A[0], b[0] = A[0] * 7.5, b[0] * 7.5
+            scaled = solve(QpProblem(problem.u_hat, A, b, problem.box))
             assert scaled.status == sol.status
             if sol.status == OPTIMAL:
                 assert np.allclose(scaled.u_star, sol.u_star, atol=1e-9)
@@ -170,13 +170,30 @@ class TestDeterminismAndScaling:
 class TestProblemValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            QpProblem(np.zeros(2), [], np.ones(3))
+            QpProblem(np.zeros(2), *rows(), np.ones(3))
+
+    def test_rows_of_the_wrong_shape(self):
+        with pytest.raises(ValueError):
+            QpProblem(np.zeros(2), np.ones((2, 3)), np.ones(2), np.ones(2))
+        with pytest.raises(ValueError):
+            QpProblem(np.zeros(2), np.ones((2, 2)), np.ones(3), np.ones(2))
 
     def test_nonpositive_box(self):
         with pytest.raises(ValueError):
-            QpProblem(np.zeros(2), [], np.array([1.0, 0.0]))
+            QpProblem(np.zeros(2), *rows(), np.array([1.0, 0.0]))
+
+    def test_rows_view_reads_A_and_b(self):
+        problem = QpProblem(np.zeros(2), *rows((3, 4, 5), (6, 7, 8)), np.ones(2))
+        assert len(problem.rows) == 2
+        assert [(r.a.tolist(), r.b) for r in problem.rows] == [([3.0, 4.0], 5.0), ([6.0, 7.0], 8.0)]
+
+    def test_box_faces_follow_the_rows_with_positive_zeros(self):
+        A, b = expanded_constraints(QpProblem(np.zeros(2), *rows((3, 4, 5)), np.array([1.0, 2.0])))
+        faces = np.array([[3.0, 4.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        assert A.tobytes() == faces.tobytes()
+        assert b.tobytes() == np.array([5.0, 1.0, 1.0, 2.0, 2.0]).tobytes()
 
     @given(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9))
     def test_interior_nominal_with_no_rows_is_fixed_point(self, ux, uy):
-        sol = solve(QpProblem(np.array([ux, uy]), [], np.ones(2)))
+        sol = solve(QpProblem(np.array([ux, uy]), *rows(), np.ones(2)))
         assert np.array_equal(sol.u_star, np.array([ux, uy]))

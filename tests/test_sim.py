@@ -46,31 +46,40 @@ def two_agent_headon(mode="decentralized_C", t_end=20.0, offset=0.04):
 
 class TestGoalController:
     def test_at_goal_at_rest_is_zero(self):
-        u = goal_controller(AgentState([1, 2], [0, 0]), np.array([1.0, 2.0]), 1.0, 2.0, 1.2)
+        u = goal_controller(np.array([1.0, 2.0]), np.zeros(2), np.array([1.0, 2.0]), 1.0, 2.0, 1.2)
         assert np.allclose(u, 0.0)
 
     def test_pd_formula_before_saturation(self):
-        u = goal_controller(AgentState([1, 0], [0.5, 0]), np.zeros(2), 1.0, 2.0, 5.0)
+        u = goal_controller(np.array([1.0, 0.0]), np.array([0.5, 0.0]), np.zeros(2), 1.0, 2.0, 5.0)
         assert np.allclose(u, [-2.0, 0.0])
 
     def test_far_goal_saturates_to_box(self):
-        u = goal_controller(AgentState([0, 0], [0, 0]), np.array([100.0, -100.0]), 1.0, 2.0, 1.2)
+        u = goal_controller(np.zeros(2), np.zeros(2), np.array([100.0, -100.0]), 1.0, 2.0, 1.2)
         assert np.allclose(np.abs(u), 1.2)
+
+    def test_broadcasts_over_agents_like_one_agent_at_a_time(self):
+        rng = np.random.default_rng(5)
+        P, V, G = (rng.uniform(-3.0, 3.0, (6, 2)) for _ in range(3))
+        limit = rng.uniform(0.3, 2.0, (6, 1))
+        U = goal_controller(P, V, G, 1.0, 2.0, limit)
+        for k in range(6):
+            u = goal_controller(P[k], V[k], G[k], 1.0, 2.0, float(limit[k, 0]))
+            assert U[k].tobytes() == u.tobytes()
 
 
 class TestBrakingFallback:
     def test_full_deceleration_along_velocity(self):
-        u = braking_fallback(AgentState([0, 0], [1.0, 0.0]), 1.2)
+        u = braking_fallback(np.array([1.0, 0.0]), 1.2)
         assert np.allclose(u, [-1.2, 0.0])
 
     def test_zero_velocity_gives_zero(self):
-        assert np.allclose(braking_fallback(AgentState([0, 0], [0, 0]), 1.2), 0.0)
+        assert np.allclose(braking_fallback(np.zeros(2), 1.2), 0.0)
 
     def test_always_inside_box(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            s = AgentState(np.zeros(2), rng.uniform(-3, 3, 2))
-            assert np.max(np.abs(braking_fallback(s, 0.9))) <= 0.9 + 1e-12
+            v = rng.uniform(-3, 3, 2)
+            assert np.max(np.abs(braking_fallback(v, 0.9))) <= 0.9 + 1e-12
 
 
 def synthetic_log(positions, velocities, goals, dt=0.1):
@@ -143,6 +152,15 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="barrier"):
             scn.validate()
 
+    def test_first_failing_pair_is_named_and_coincident_starts_rejected(self):
+        fast = [agent(2, (0, 0), (1, 0), v0=(0.6, 0.0), accel=0.1),
+                agent(3, (0.5, 0), (0, 0), v0=(-0.6, 0.0), accel=0.1)]
+        twins = [agent(1, (5, 5), (1, 0)), agent(4, (5, 5), (0, 0))]
+        with pytest.raises(ScenarioError, match="agents 2 and 3 .*barrier"):
+            Scenario(agents=fast + twins).validate()
+        with pytest.raises(ScenarioError, match="agents 1 and 4 start 0 m apart"):
+            Scenario(agents=twins[:1] + fast + twins[1:]).validate()
+
     def test_unknown_mode_rejected(self):
         scn = Scenario(agents=[agent(1, (0, 0), (1, 0))], mode="centralised")
         with pytest.raises(ScenarioError, match="mode"):
@@ -176,7 +194,7 @@ class TestStepOnce:
     def test_nonfinite_state_aborts_with_diagnostic(self):
         scn = Scenario(agents=[agent(1, (0, 0), (1, 0))])
         ctx = SimContext(scn)
-        ctx.states[0].p[0] = np.nan
+        ctx.P[0, 0] = np.nan
         with pytest.raises(RuntimeError, match="non-finite"):
             step_once(ctx)
 
@@ -194,12 +212,12 @@ class TestRun:
         # neighbors the filter must then be the identity, bit for bit
         scn = Scenario(agents=[agent(1, (0, 0), (2.0, 1.0), speed=5.0)], t_end=6.0)
         log, metrics = run(scn)
-        s = scn.agents[0].state0.copy()
+        p, v = scn.agents[0].state0.p, scn.agents[0].state0.v
         for rec in log.records:
-            u = goal_controller(s, scn.agents[0].goal, scn.k1, scn.k2, 1.2)
-            s = step(s, u, scn.dt)
-            assert np.array_equal(rec.p[0], s.p)
-            assert np.array_equal(rec.v[0], s.v)
+            u = goal_controller(p, v, scn.agents[0].goal, scn.k1, scn.k2, 1.2)
+            p, v = step(p, v, u, scn.dt)
+            assert np.array_equal(rec.p[0], p)
+            assert np.array_equal(rec.v[0], v)
         assert metrics.qp_infeasible_count == 0
 
     @pytest.mark.parametrize(
@@ -230,31 +248,33 @@ class TestRun:
     def test_minimal_invasiveness_whenever_nominal_is_feasible(self):
         from safeswarm import strategy_c_row
         from safeswarm.qp import QpProblem, expanded_constraints
-        from safeswarm.sim import _speed_rows
+        from safeswarm.sim import _SPEED_A, _speed_bounds
 
         scn = two_agent_headon()
         log, _ = run(scn)
         # replay each step from its pre-step snapshot: whenever the nominal
         # control satisfied every row, the filter must have passed it through
-        states = [a.state0.copy() for a in scn.agents]
+        P = np.array([a.state0.p for a in scn.agents])
+        V = np.array([a.state0.v for a in scn.agents])
         params = [a.params for a in scn.agents]
+        speed = np.array([p.speed_limit for p in params])
         quiet = 0
         for rec in log.records:
+            states = [AgentState(P[k], V[k]) for k in range(2)]
+            speed_b = _speed_bounds(speed, V, scn.dt)
             for i in range(2):
                 j = 1 - i
-                rows = [
-                    strategy_c_row(
-                        i, j, states, params[i], params[j].accel_limit,
-                        scn.barrier_cfg, safety_dist=0.4,
-                    )
-                ]
-                rows += _speed_rows(i, states[i], params[i], scn.dt)
-                problem = QpProblem(rec.u_nominal[i], rows, np.full(2, 1.2))
+                row = strategy_c_row(
+                    i, j, states, params[i], params[j].accel_limit,
+                    scn.barrier_cfg, safety_dist=0.4,
+                )
+                problem = QpProblem(rec.u_nominal[i], np.vstack([row.a, _SPEED_A]),
+                                    np.concatenate([[row.b], speed_b[i]]), np.full(2, 1.2))
                 A, b = expanded_constraints(problem)
                 if np.all(A @ rec.u_nominal[i] <= b + 1e-12):
                     assert np.linalg.norm(rec.u_applied[i] - rec.u_nominal[i]) <= 1e-8
                     quiet += 1
-            states = [AgentState(rec.p[k], rec.v[k]) for k in range(2)]
+            P, V = rec.p, rec.v
         assert quiet > len(log.records)  # most of the run is interference-free
 
     def test_estimated_mode_is_more_cautious_than_true_parameters(self):

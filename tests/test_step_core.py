@@ -3,8 +3,11 @@
 Every array the step computes must equal, bit for bit, what the scalar
 reference computes on the same states: ``relative_state`` for dist and
 vbar, ``pair_barrier`` for h, ``barrier.neighbors`` for the neighbour mask
-and the ``dist <= Ds`` test for the violated set. ``LimitEstimator`` must
-equal a plain-Python transcription of its law.
+and the ``dist <= Ds`` test for the violated set. The barrier, speed and
+ensemble rows every mode hands to its QPs must equal a plain-Python
+transcription of the scalar row formulas, compared by ``tobytes`` so that
+signed zeros count. ``LimitEstimator`` must equal a plain-Python
+transcription of its law.
 """
 
 import math
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 from safeswarm import (
     AgentParams,
     AgentState,
+    AlreadyViolatedError,
     BarrierConfig,
     DegenerateGeometryError,
     LimitEstimator,
@@ -24,19 +28,22 @@ from safeswarm import (
     pair_barrier,
     relative_state,
 )
-from safeswarm import sim
+from safeswarm import barrier, sim
 from safeswarm.sim import MODES, AgentSetup, Scenario, SimContext, step_once
 
 # Relative offsets from a critical distance: just inside, on it (up to the
 # rounding of the placement) and just outside.
 EDGE_OFFSETS = (-1e-9, -1e-15, 0.0, 1e-15, 1e-12, 1e-9)
+DECENTRALIZED = tuple(m for m in MODES if m != "centralized")
 
 
 @st.composite
-def ensembles(draw):
+def ensembles(draw, modes=MODES, inside=False):
     """A context over 2..12 heterogeneous agents whose states were then
-    replaced by arbitrary ones, some pairs placed on the edge of Ds or of
-    the owner's neighbour radius."""
+    replaced by arbitrary ones, some pairs placed on the edge of Ds, of the
+    epsilon floor of dist - Ds or of the owner's neighbour radius, some
+    along an axis so that one coordinate of their dp is zero. With
+    ``inside`` the first pair sits just inside Ds."""
     n = draw(st.integers(2, 12))
     params = [
         AgentParams(
@@ -53,27 +60,42 @@ def ensembles(draw):
         AgentSetup(p, AgentState((10.0 * k, 0.0), (0.0, 0.0)), (10.0 * k, 1.0))
         for k, p in enumerate(params)
     ]
-    ctx = SimContext(Scenario(agents, mode=draw(st.sampled_from(MODES)), barrier_cfg=cfg))
+    ctx = SimContext(Scenario(agents, mode=draw(st.sampled_from(modes)), barrier_cfg=cfg))
 
     coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
     P = np.array([[draw(coord), draw(coord)] for _ in range(n)])
     V = np.array([[draw(coord), draw(coord)] for _ in range(n)])
     for j in range(1, n):
-        edge = draw(st.sampled_from(["free", "ds", "radius"]))
+        edge = "ds" if inside and j == 1 else draw(st.sampled_from(["free", "ds", "eps", "radius"]))
         if edge == "free":
             continue
         i = draw(st.integers(0, j - 1))
-        d = ctx.safety_dist[i, j] if edge == "ds" else ctx.neighbor_radius[i]
-        d *= 1.0 + draw(st.sampled_from(EDGE_OFFSETS))
-        theta = draw(st.floats(0.0, 2.0 * math.pi))
-        P[j] = P[i] + d * np.array([math.cos(theta), math.sin(theta)])
+        offset = -1e-9 if inside and j == 1 else draw(st.sampled_from(EDGE_OFFSETS))
+        if edge == "eps":
+            d = ctx.safety_dist[i, j] + cfg.epsilon * (1.0 + offset * 1e6)
+        else:
+            d = ctx.safety_dist[i, j] if edge == "ds" else ctx.neighbor_radius[i]
+            d *= 1.0 + offset
+        unit = draw(st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+                    | st.floats(0.0, 2.0 * math.pi).map(lambda t: (math.cos(t), math.sin(t))))
+        P[j] = P[i] + d * np.array(unit)
     assume(len({tuple(p) for p in P.tolist()}) == n)
-    ctx.states = [AgentState(P[k], V[k]) for k in range(n)]
+    ctx.P, ctx.V = P, V
+    if ctx.estimators is not None:  # move the estimates off their floor
+        for est in ctx.estimators:
+            for V_seen in (V, V + draw(st.floats(-0.05, 0.05))):
+                est.observe(V_seen[est.ids], 0.02)
+                est.update(0.02)
     return ctx, P, V
 
 
+def _states(P, V):
+    return [AgentState(p, v) for p, v in zip(P, V)]
+
+
 def _reference(ctx):
-    return [relative_state(ctx.states[i], ctx.states[j]) for i, j in ctx.pair_keys]
+    states = _states(ctx.P, ctx.V)
+    return [relative_state(states[i], states[j]) for i, j in ctx.pair_keys]
 
 
 @settings(max_examples=150, deadline=None)
@@ -110,17 +132,152 @@ def test_violated_set_matches_scalar_test(case):
     for (i, j), rel in zip(ctx.pair_keys, _reference(ctx)):
         if rel.dist <= ctx.safety_dist[i, j]:
             ref |= {i, j}
-    assert sim._violated(ctx, sim._pair_dist(ctx, P)[1]) == ref
+    assert set(np.flatnonzero(sim._violated(ctx, sim._pair_dist(ctx, P)[1]))) == ref
 
 
 @settings(max_examples=150, deadline=None)
 @given(ensembles())
 def test_neighbor_mask_matches_neighbors(case):
-    ctx, P, _ = case
+    ctx, P, V = case
     mask = sim._neighbor_mask(ctx, P)
     for i in range(ctx.n):
-        ref = sorted(neighbors(i, ctx.states, ctx.neighbor_info[i]))
+        ref = sorted(neighbors(i, _states(P, V), ctx.neighbor_info[i]))
         assert np.flatnonzero(mask[i]).tolist() == ref
+
+
+# Today's scalar formulas, transcribed in Python floats; dot products are
+# numpy 2-vector ``@`` as in the scalar builders.
+
+
+def _rel(P, V, i, j):
+    dp, dv = P[i] - P[j], V[i] - V[j]
+    dist = math.hypot(dp[0], dp[1])
+    return dp, dv, dist, float(dp @ dv) / dist
+
+
+def _h(dist, vbar, accel_sum, ds):
+    return float(np.sqrt(2.0 * accel_sum * max(dist - ds, 0.0)) + vbar)
+
+
+def _centralized_b(dp, dv, dist, vbar, accel_sum, gamma, ds, eps):
+    h = _h(dist, vbar, accel_sum, ds)
+    dpdv = float(dp @ dv)
+    denom = np.sqrt(2.0 * accel_sum * max(dist - ds, eps))
+    return float(gamma * h**3 * dist - dpdv**2 / dist**2 + dv @ dv + accel_sum * dpdv / denom)
+
+
+def _agent_b(mode, dp, dv, dist, vbar, v_self, a_self, a_other, gamma, ds, eps):
+    accel_sum = a_self + a_other
+    if mode == "decentralized_B":
+        return (a_self / accel_sum) * _centralized_b(dp, dv, dist, vbar, accel_sum, gamma, ds, eps)
+    h = _h(dist, vbar, accel_sum, ds)
+    dpdv, dpv = float(dp @ dv), float(dp @ v_self)
+    if mode == "decentralized_A":
+        denom = np.sqrt(2.0 * accel_sum * max(dist - ds, eps))
+        return float((a_self / accel_sum) * gamma * h**3 * dist + dv @ v_self
+                     - dpdv * dpv / dist**2 + accel_sum * dpv / denom)
+    denom = np.sqrt(2.0 * max(dist - ds, eps))
+    return float(-dpdv * dpv / dist**2 + dv @ v_self
+                 + (a_self / accel_sum) * (gamma * h**3 * dist + np.sqrt(accel_sum) * dpdv / denom))
+
+
+def _speed_rows(speed, v, dt):
+    rows = []
+    for c in range(2):
+        e = np.zeros(2)
+        e[c] = 1.0
+        rows += [(e, (speed - v[c]) / dt), (-e, (speed + v[c]) / dt)]
+    return rows
+
+
+def _brake(v, limit):
+    peak = float(np.max(np.abs(v)))
+    if peak < 1e-12:
+        return np.zeros(2)
+    return np.clip(-limit * v / peak, -limit, limit)
+
+
+def _violated_ref(ctx, P, V):
+    inside = [False] * ctx.n
+    for i, j in ctx.pair_keys:
+        if _rel(P, V, i, j)[2] <= ctx.safety_dist[i, j]:
+            inside[i] = inside[j] = True
+    return inside
+
+
+def _same_bytes(rows, A, b):
+    ref_A = np.array([a for a, _ in rows]).reshape(A.shape)
+    assert A.tobytes() == ref_A.tobytes()
+    assert b.tobytes() == np.array([bound for _, bound in rows], dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ensembles(DECENTRALIZED))
+def test_agent_rows_match_scalar_formulas(case):
+    ctx, P, V = case
+    scn, params = ctx.scenario, ctx.params
+    violated = _violated_ref(ctx, P, V)
+    A, b, blocks, row_pairs = sim._agent_rows(
+        ctx, np.array(violated), sim._pair_dist(ctx, P)[1])
+    pairs = []
+    for i in range(ctx.n):
+        if violated[i]:
+            continue
+        rows = []
+        for j in sorted(neighbors(i, _states(P, V), ctx.neighbor_info[i])):
+            dp, dv, dist, vbar = _rel(P, V, i, j)
+            other = (ctx.estimators[i].estimates[j] if ctx.estimators is not None
+                     else params[j].accel_limit)
+            rows.append((-dp, _agent_b(scn.mode, dp, dv, dist, vbar, V[i], params[i].accel_limit,
+                                       other, params[i].barrier_gain, ctx.safety_dist[i, j],
+                                       ctx.cfg.epsilon)))
+            pairs.append((i, j))
+        rows += _speed_rows(params[i].speed_limit, V[i], scn.dt)
+        lo, hi = blocks[i]
+        _same_bytes(rows, A[lo:hi], b[lo:hi])
+    assert row_pairs == pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(ensembles(("centralized",)) | ensembles(("centralized",), inside=True))
+def test_ensemble_rows_match_scalar_formulas(case):
+    ctx, P, V = case
+    params, dt = ctx.params, ctx.scenario.dt
+    violated = _violated_ref(ctx, P, V)
+    free = [k for k in range(ctx.n) if not violated[k]]
+    col = {agent: c for c, agent in enumerate(free)}
+    rows, pairs = [], []
+    for i, j in ctx.pair_keys:
+        if violated[i] and violated[j]:
+            continue
+        dp, dv, dist, vbar = _rel(P, V, i, j)
+        bound = _centralized_b(dp, dv, dist, vbar, params[i].accel_limit + params[j].accel_limit,
+                               params[i].barrier_gain, ctx.safety_dist[i, j], ctx.cfg.epsilon)
+        a = np.zeros(2 * len(free))
+        for agent, block in ((i, -dp), (j, dp)):
+            if agent in col:
+                a[2 * col[agent] : 2 * col[agent] + 2] = block
+            else:  # a braking agent's fixed control moves into the bound
+                bound -= float(block @ _brake(V[agent], params[agent].accel_limit))
+        rows.append((a, bound))
+        pairs.append((i, j))
+    for i in free:
+        for normal, bound in _speed_rows(params[i].speed_limit, V[i], dt):
+            a = np.zeros(2 * len(free))
+            a[2 * col[i] : 2 * col[i] + 2] = normal
+            rows.append((a, bound))
+    dp, dist = sim._pair_dist(ctx, P)
+    A, b, row_pairs = sim._ensemble_rows(ctx, np.array(violated), dp, dist)
+    _same_bytes(rows, A, b)
+    assert row_pairs == pairs
+
+
+def test_guard_names_the_first_pair_inside_its_safety_distance():
+    with pytest.raises(AlreadyViolatedError) as err:
+        barrier.guard_pairs(np.array([0, 2, 3]), np.array([1, 0, 1]),
+                            np.array([1.0, 0.4, 0.3]), np.array([0.5, 0.4, 0.5]))
+    assert err.value.pair == (2, 0) and err.value.dist == 0.4
+    barrier.guard_pairs(np.array([0]), np.array([1]), np.array([0.6]), 0.5)
 
 
 def _headon(mode="decentralized_C"):
@@ -138,7 +295,7 @@ def _headon(mode="decentralized_C"):
 @pytest.mark.parametrize("mode", MODES)
 def test_coincident_pair_raises(mode):
     ctx = SimContext(_headon(mode))
-    ctx.states[1] = AgentState(ctx.states[0].p.copy(), np.zeros(2))
+    ctx.P[1], ctx.V[1] = ctx.P[0], 0.0
     with pytest.raises(DegenerateGeometryError):
         step_once(ctx)
 
