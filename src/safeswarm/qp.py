@@ -20,6 +20,30 @@ multiplier sign checks use 1e-8. Tie-breaking is by row index, so equal
 problems produce identical solutions and active sets. The iteration limit
 is 10x the (expanded) row count; hitting it is treated as infeasible and
 logged distinctly.
+
+``solve`` takes one problem of any dimension; the simulator's centralized
+mode hands it the single ensemble QP. ``solve_batch`` runs the same method
+on K independent 2-variable problems in lockstep, one per agent in the
+decentralized modes: their rows arrive as one (R, 2) array with per-problem
+counts, and each pass makes one selection or one dual step for every
+unfinished problem, with the same pivots, tie-breaks (largest residual,
+then lowest index, warm rows first), iteration limits and warnings as
+``solve``.
+Its answers, statuses and active sets equal ``solve``'s bit for bit, which
+fixes how each quantity is computed:
+
+* Residuals only choose rows, so one ``row_dot`` pass over all rows
+  serves every problem; ``A @ u`` rounds differently and by row count, but
+  no step value is computed from them.
+* Working sets of 0 or 1 rows use closed forms that round like
+  ``_dual_coeffs``: ``r = row_dot(a1, a_p) / row_dot(a1, a1)`` (the 1x1
+  ``np.linalg.solve``) and ``z = a_p - a1 * r``.
+* Working sets of k >= 2 rows use stacked ``matmul`` and
+  ``np.linalg.solve`` over (G, k, 2), grouped by k, which equal the
+  per-problem calls; a closed-form 2x2 does not. The dependency test has a
+  tolerance, so a working set can hold more than 2 rows. A singular Gram
+  matrix in a group sends that group through ``_dual_coeffs`` one problem
+  at a time, as in ``solve``.
 """
 
 from __future__ import annotations
@@ -31,6 +55,8 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
+
+from .dynamics import row_dot
 
 logger = logging.getLogger(__name__)
 
@@ -229,6 +255,167 @@ def _dual_step(
     for k in range(len(lam)):
         lam[k] -= t * r[k]
     return u - 0.5 * t * z, lam_p + t
+
+
+@dataclass
+class BatchSolution:
+    """``solve_batch`` output: row k of u_star, status[k], active_set[k]
+    and iterations[k] are what ``solve`` returns for problem k."""
+
+    u_star: np.ndarray  # (K, 2)
+    status: list[str]
+    active_set: list[tuple[int, ...]]
+    iterations: np.ndarray  # (K,)
+
+
+def solve_batch(u_hat: np.ndarray, A: np.ndarray, b: np.ndarray, counts: np.ndarray,
+                box: np.ndarray, warm_starts=None) -> BatchSolution:
+    """``solve`` on K independent 2-variable problems at once.
+
+    Problem k is ``QpProblem(u_hat[k], A[lo:hi], b[lo:hi], box[k])``, where
+    rows ``lo:hi`` are the k-th block of ``counts`` rows of the (R, 2) array
+    A; warm_starts[k] is its warm start. Shapes and ``box > 0`` are checked
+    once per call.
+    """
+    u_hat = np.asarray(u_hat, dtype=float)
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    counts, box = np.asarray(counts, dtype=int), np.asarray(box, dtype=float)
+    K = counts.size
+    if (counts.ndim != 1 or (K and counts.min() < 0) or u_hat.shape != (K, 2)
+            or box.shape != (K, 2) or A.shape != (counts.sum(), 2) or b.shape != (len(A),)):
+        raise ValueError(f"{K} problems: u_hat {u_hat.shape}, rows {A.shape}, "
+                         f"bounds {b.shape}, box {box.shape}")
+    if not (box > 0).all():
+        raise ValueError("box bounds must be positive")
+    if warm_starts is not None and len(warm_starts) != K:
+        raise ValueError(f"{len(warm_starts)} warm starts for {K} problems")
+    if not K:
+        return BatchSolution(np.zeros((0, 2)), [], [], np.zeros(0, dtype=int))
+
+    # Problem k's expanded rows (its rows, then its box faces) are row k of
+    # the (K, M, 2) array AA; padding rows are zero with an infinite bound,
+    # so they are never violated. Row indices below are local to a problem.
+    m = counts + 4
+    cols = np.arange(m.max())
+    AA, bb = np.zeros((K, cols.size, 2)), np.full((K, cols.size), np.inf)
+    user = cols < counts[:, None]
+    AA[user], bb[user] = A, b
+    faces = (np.arange(K)[:, None], counts[:, None] + np.arange(4))
+    AA[faces], bb[faces] = _box_faces(2), box.repeat(2, axis=1)
+    warm = np.zeros(bb.shape, dtype=bool)
+    if warm_starts is not None:
+        lens = [len(w) for w in warm_starts]
+        rows = np.fromiter(itertools.chain.from_iterable(warm_starts), int, sum(lens))
+        owner = np.arange(K).repeat(lens)
+        ok = (rows >= 0) & (rows < m[owner])
+        warm[owner[ok], rows[ok]] = True
+
+    # A row is in its problem's working set at most once, so M columns hold
+    # any working set; work lists the rows in the order they were added.
+    work, lam = np.zeros(bb.shape, dtype=int), np.zeros(bb.shape)
+    nw = np.zeros(K, dtype=int)
+    in_work = np.zeros(bb.shape, dtype=bool)
+    u = u_hat.copy()
+    p, lam_p = np.zeros(K, dtype=int), np.zeros(K)
+    iters, max_iter = np.zeros(K, dtype=int), np.maximum(10 * m, 50)
+    stepping, done, optimal = (np.zeros(K, dtype=bool) for _ in range(3))
+
+    while True:
+        pick = ~(done | stepping)
+        if pick.any():
+            # The largest violated residual, warm rows first, lowest index on ties.
+            resid = row_dot(AA, u[:, None, :]) - bb
+            viol = (resid > _SELECT_TOL) & ~in_work & pick[:, None]
+            cand = viol & (warm | ~(viol & warm).any(axis=1)[:, None])
+            first = np.where(cand, resid, -np.inf).argmax(axis=1)
+            found = cand[np.arange(K), first]
+            done |= pick & ~found
+            optimal |= pick & ~found
+            p[found], lam_p[found], stepping[found] = first[found], 0.0, True
+        live = stepping.nonzero()[0]
+        if not live.size:
+            break
+
+        iters[live] += 1
+        a_p, b_p = AA[live, p[live]], bb[live, p[live]]
+        nk = nw[live]
+        z = a_p.copy()
+        k_max = nk.max()
+        t_block, k_block = np.full(live.size, np.inf), np.zeros(live.size, dtype=int)
+        unblocked = np.ones(live.size, dtype=bool)  # no r > _DUAL_TOL
+        if k_max:
+            r = np.zeros((live.size, k_max))
+            one = (nk == 1).nonzero()[0]
+            if one.size:
+                a1 = AA[live[one], work[live[one], 0]]
+                r1 = row_dot(a1, a_p[one]) / row_dot(a1, a1)
+                r[one, 0], z[one] = r1, a_p[one] - a1 * r1[:, None]
+            for k in range(2, k_max + 1):
+                g = (nk == k).nonzero()[0]
+                if g.size:
+                    r[g, :k], z[g] = _stacked_dual_coeffs(
+                        AA[live[g, None], work[live[g], :k]], a_p[g])
+            pos = r > _DUAL_TOL
+            unblocked = ~pos.any(axis=1)
+            # The largest multiplier step before a working multiplier hits zero.
+            ratio = np.divide(lam[live, :k_max], r, out=np.full(r.shape, np.inf), where=pos)
+            k_block = ratio.argmin(axis=1)
+            t_block = ratio[np.arange(live.size), k_block]
+        zz = row_dot(z, z)
+        dep = zz <= _DEP_TOL * np.maximum(1.0, row_dot(a_p, a_p))  # a_p in the active span
+        cert = dep & unblocked  # nonnegative certificate of an empty polytope
+        t_full = 2.0 * (row_dot(a_p, u[live]) - b_p) / np.where(dep, 1.0, zz)
+        drop = dep | (t_block < t_full)
+        t = np.where(drop, t_block, t_full)[~cert]
+        z[dep] = 0.0
+        moved = live[~cert]
+        u[moved] = u[moved] - 0.5 * t[:, None] * z[~cert]
+        lam_p[moved] += t
+        if k_max:
+            lam[moved, :k_max] = lam[moved, :k_max] - t[:, None] * r[~cert]
+
+        out = drop & ~cert
+        if out.any():  # the blocking row leaves the working set
+            gone, k_out = live[out], k_block[out]
+            in_work[gone, work[gone, k_out]] = False
+            src = np.minimum(cols + (cols >= k_out[:, None]), cols.size - 1)
+            work[gone], lam[gone] = work[gone[:, None], src], lam[gone[:, None], src]
+            nw[gone] -= 1
+        added = live[~drop]  # a_p joins the working set
+        work[added, nw[added]], lam[added, nw[added]] = p[added], lam_p[added]
+        nw[added] += 1
+        in_work[added, p[added]] = True
+        stepping[added] = False
+        done[live[cert]] = True
+        stepping[live[cert]] = False
+
+        spent = (iters >= max_iter) & ~done
+        if spent.any():
+            for k in spent.nonzero()[0].tolist():
+                logger.warning(
+                    "iteration limit (%d) hit on a %d-row problem; reporting infeasible",
+                    max_iter[k], m[k],
+                )
+            done |= spent
+            stepping &= ~spent
+
+    return BatchSolution(
+        u,
+        [OPTIMAL if ok else INFEASIBLE for ok in optimal.tolist()],
+        [tuple(sorted(row[:c])) for row, c in zip(work.tolist(), nw.tolist())],
+        iters,
+    )
+
+
+def _stacked_dual_coeffs(active: np.ndarray, a_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_dual_coeffs`` for a (G, k, 2) stack of working sets and (G, 2) a_new."""
+    active_t = active.transpose(0, 2, 1)
+    try:
+        r = np.linalg.solve(active @ active_t, active @ a_new[:, :, None])[..., 0]
+    except np.linalg.LinAlgError:  # a singular Gram matrix in the stack
+        r, z = zip(*map(_dual_coeffs, active, a_new))
+        return np.array(r), np.array(z)
+    return r, a_new - (active_t @ r[:, :, None])[..., 0]
 
 
 def brute_force_oracle(problem: QpProblem, grid_step: float) -> QpSolution:

@@ -11,10 +11,14 @@ The run state is the (N, 2) arrays ``SimContext.P`` and ``V``; a step runs
 on per-step arrays. Pair geometry runs over the pairs i < j in ``pair_keys``
 order, the neighbour sets are an (N, N) mask, and the mode's bound function
 in ``barrier`` builds the rows of all directed pairs (owner, other) in one
-call. Each agent's QP reads its rows, speed rows included, as one slice of
-one array; the centralized QP embeds them in one dense array. Every value is
-bit-identical to what the scalar functions (``relative_state``,
-``pair_barrier``, ``barrier.neighbors`` and the row builders) give.
+call. In the decentralized modes every free agent's rows, speed rows
+included, are one block of one array, and ``qp.solve_batch`` solves all the
+agents' QPs in one lockstep call; the centralized QP embeds the rows in one
+dense array and goes to ``qp.solve``. In the estimated mode one
+``LimitEstimator`` serves every agent. Every value is bit-identical to what
+the scalar functions (``relative_state``, ``pair_barrier``,
+``barrier.neighbors``, the row builders, a ``qp.solve`` per agent and one
+estimator per agent) give.
 
 Modes
 -----
@@ -202,7 +206,16 @@ class _Pairs:
 class SimContext(_Pairs):
     """Mutable run state: the (N, 2) positions ``P`` and velocities ``V``,
     estimators and warm starts, plus the per-pair and per-agent constants
-    the array step reads."""
+    the array step reads.
+
+    In the estimated mode ``estimators[i]`` is agent i's estimator of the
+    others' limits. Every agent observes every other agent with the same
+    law, floor, gain and smoothing, so one estimator over all ids serves
+    them all and ``estimators`` holds it N times; the step observes and
+    updates it once. Observing only the agents in each one's interaction
+    radius (ROADMAP item 4) would bring back per-agent state, as one
+    (N, N) array.
+    """
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
@@ -225,13 +238,9 @@ class SimContext(_Pairs):
         self.pair_index[self.pair_j, self.pair_i] = np.arange(self.pair_i.size)
         self.estimators: list[LimitEstimator] | None = None
         if scenario.mode == "decentralized_C_estimated":
-            floor = scenario.resolved_alpha_floor()
-            self.estimators = [
-                LimitEstimator(
-                    [j for j in range(self.n) if j != i], floor, scenario.estimator_gain
-                )
-                for i in range(self.n)
-            ]
+            shared = LimitEstimator(range(self.n), scenario.resolved_alpha_floor(),
+                                    scenario.estimator_gain)
+            self.estimators = [shared] * self.n
         self.warm_starts: list[tuple[int, ...]] = [() for _ in range(self.n)]
         self.ensemble_warm: tuple[int, ...] = ()
 
@@ -324,11 +333,12 @@ _BOUNDS = {
 def _agent_rows(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
     """Every non-violated agent's QP rows, as one (R, 2) array A and (R,) b.
 
-    Agent i's rows are ``A[lo:hi]`` with ``(lo, hi) = blocks[i]``: its
+    Agent i's ``counts[i]`` rows follow those of the agents before it: its
     barrier rows against each neighbour in ascending order, then its four
-    speed rows. Rows against braking (violated-pair) agents stay in force:
-    any pair involving a non-violated agent is still outside its safety
-    distance. Also returns the (owner, other) pair of each barrier row.
+    speed rows. A violated agent has none. Rows against braking
+    (violated-pair) agents stay in force: any pair involving a non-violated
+    agent is still outside its safety distance. Also returns the (owner,
+    other) pair of each barrier row.
     """
     P, V = ctx.P, ctx.V
     own, oth = np.nonzero(_neighbor_mask(ctx, P) & ~violated[:, None])  # row-major
@@ -337,40 +347,36 @@ def _agent_rows(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
     dist = dist[ctx.pair_index[own, oth]]
     ds = ctx.safety_dist[own, oth]
     barrier.guard_pairs(own, oth, dist, ds)
-    if ctx.estimators is None:
-        accel_other = ctx.accel[oth]
-    else:  # column oth - (oth > own) of estimators[own], whose ids skip own
-        accel_other = np.stack([e._est for e in ctx.estimators])[own, oth - (oth > own)]
-    counts = np.bincount(own, minlength=ctx.n) + 4
+    accel_other = ctx.accel[oth] if ctx.estimators is None else ctx.estimators[0]._est[oth]
+    free = ~violated
+    counts = np.bincount(own, minlength=ctx.n) + 4 * free
     ends = np.cumsum(counts)
     A = np.empty((ends[-1], 2))
     b = np.empty(ends[-1])
-    at = np.arange(own.size) + 4 * own
+    at = np.arange(own.size) + 4 * (np.cumsum(free) - 1)[own]
     A[at] = -dp
     b[at] = _BOUNDS[ctx.scenario.mode](dp, dist, V[own] - V[oth], V[own], ctx.accel[own],
                                        accel_other, ctx.gain[own], ds, ctx.cfg.epsilon)
-    at = (ends - 4)[:, None] + np.arange(4)
-    A[at], b[at] = _SPEED_A, _speed_bounds(ctx.speed, V, ctx.scenario.dt)
-    blocks = list(zip((ends - counts).tolist(), ends.tolist()))
-    return A, b, blocks, list(zip(own.tolist(), oth.tolist()))
+    at = (ends[free] - 4)[:, None] + np.arange(4)
+    A[at], b[at] = _SPEED_A, _speed_bounds(ctx.speed[free], V[free], ctx.scenario.dt)
+    return A, b, counts, list(zip(own.tolist(), oth.tolist()))
 
 
 def _solve_decentralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarray,
                          dp: np.ndarray, dist: np.ndarray):
-    A, b, blocks, row_pairs = _agent_rows(ctx, violated, dist)
-    U = np.zeros((ctx.n, 2))
+    A, b, counts, row_pairs = _agent_rows(ctx, violated, dist)
+    free = np.flatnonzero(~violated)
+    sol = qp.solve_batch(U_nom[free], A, b, counts[free], ctx.box[free],
+                         [ctx.warm_starts[i] for i in free.tolist()])
     statuses = [qp.INFEASIBLE] * ctx.n
+    for i, status, active in zip(free.tolist(), sol.status, sol.active_set):
+        ctx.warm_starts[i] = active
+        statuses[i] = status
+    optimal = np.array([status == qp.OPTIMAL for status in sol.status], dtype=bool)
+    U = np.zeros((ctx.n, 2))
+    U[free[optimal]] = sol.u_star[optimal]
     brake = violated.copy()
-    for i in np.flatnonzero(~violated).tolist():
-        lo, hi = blocks[i]
-        sol = qp.solve(qp.QpProblem(U_nom[i], A[lo:hi], b[lo:hi], ctx.box[i]),
-                       warm_start=ctx.warm_starts[i])
-        ctx.warm_starts[i] = sol.active_set
-        statuses[i] = sol.status
-        if sol.status == qp.OPTIMAL:
-            U[i] = sol.u_star
-        else:
-            brake[i] = True
+    brake[free[~optimal]] = True
     return _apply(ctx, U, brake), statuses, row_pairs
 
 
@@ -441,10 +447,9 @@ def step_once(ctx: SimContext) -> StepRecord:
     _require_apart(dist)
     U, statuses, row_pairs = _SOLVERS[scn.mode](ctx, U_nom, _violated(ctx, dist), dp, dist)
 
-    if ctx.estimators is not None:
-        for est in ctx.estimators:
-            est.observe(V[est.ids], scn.dt)
-            est.update(scn.dt)
+    if ctx.estimators is not None:  # one estimator shared by every agent
+        ctx.estimators[0].observe(V, scn.dt)
+        ctx.estimators[0].update(scn.dt)
 
     ctx.P, ctx.V = step(P, V, U, scn.dt)
     ctx.t += scn.dt

@@ -28,7 +28,7 @@ from safeswarm.qp import OPTIMAL, expanded_constraints
 from safeswarm.sim import AgentSetup, Scenario, run
 
 from conftest import as_ensemble, random_safe_pair
-from test_qp import random_problem
+from test_qp import batch_of, random_problem
 
 CFG = BarrierConfig(ds_mode="fixed", ds=0.6)
 
@@ -142,18 +142,21 @@ def test_criterion_5_qp_against_oracle():
     verdicts_agree = True
     nominal_kept = True
     infeasible_seen = 0
-    for _ in range(200):
-        problem = random_problem(rng)
-        sol = solve(problem)
+    problems = [random_problem(rng) for _ in range(200)]
+    batch = batch_of(problems)  # the decentralized modes' lockstep solver
+    for k, problem in enumerate(problems):
         ref = brute_force_oracle(problem, grid_step=float(problem.box[0]) / 20)
-        verdicts_agree &= sol.status == ref.status
-        if sol.status != OPTIMAL:
-            infeasible_seen += 1
-            continue
-        worst_obj = max(worst_obj, abs(sol.objective - ref.objective))
-        A, b = expanded_constraints(problem)
-        if np.all(A @ problem.u_hat <= b + 1e-12):
-            nominal_kept &= bool(np.linalg.norm(sol.u_star - problem.u_hat) <= 1e-10)
+        sol = solve(problem)
+        for status, u in ((sol.status, sol.u_star), (batch.status[k], batch.u_star[k])):
+            verdicts_agree &= status == ref.status
+            if status != OPTIMAL:
+                continue
+            worst_obj = max(worst_obj, abs(float((u - problem.u_hat) @ (u - problem.u_hat))
+                                           - ref.objective))
+            A, b = expanded_constraints(problem)
+            if np.all(A @ problem.u_hat <= b + 1e-12):
+                nominal_kept &= bool(np.linalg.norm(u - problem.u_hat) <= 1e-10)
+        infeasible_seen += sol.status != OPTIMAL
     ok = verdicts_agree and worst_obj <= 1e-4 and nominal_kept
     _report(
         5, "QP matches brute-force oracle", ok,

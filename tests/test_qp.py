@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safeswarm import (
@@ -12,7 +12,8 @@ from safeswarm import (
     strategy_c_row,
 )
 from safeswarm.barrier import BarrierConfig
-from safeswarm.qp import expanded_constraints
+from safeswarm import qp
+from safeswarm.qp import expanded_constraints, solve_batch
 
 from conftest import random_safe_pair
 
@@ -36,6 +37,173 @@ def random_problem(rng):
     u_hat = rng.uniform(-1.5 * box, 1.5 * box, 2)
     return QpProblem(u_hat, np.array([r.a for r in built]).reshape(-1, 2),
                      np.array([r.b for r in built]), np.full(2, box))
+
+
+def random_batch_problem(rng):
+    """Like ``random_problem``, with 0-12 rows: barrier rows of random safe
+    pairs, random rows, near-parallel copies of a row and contradictory
+    pairs. About a fifth keep u_hat feasible."""
+    box = rng.uniform(0.05, 2.0)
+    u_hat = rng.uniform(-1.5 * box, 1.5 * box, 2)
+    m = int(rng.integers(0, 13))
+    A, b = rng.normal(size=(m, 2)), rng.normal(size=m) * box
+    for k in range(m):
+        kind = rng.random()
+        if kind < 0.3:
+            states, params = random_safe_pair(rng)
+            row = strategy_c_row(0, 1, states, params[0], params[1].accel_limit, CFG)
+            A[k], b[k] = row.a, row.b
+        elif kind < 0.45 and k:
+            A[k] = A[k - 1] + rng.normal(size=2) * 10.0 ** rng.uniform(-7, -3)
+            b[k] = b[k - 1] + rng.normal() * 10.0 ** rng.uniform(-7, -1)
+        elif kind < 0.5 and k:
+            A[k], b[k] = -A[k - 1], -b[k - 1] - rng.uniform(0.0, 1.0)
+    if rng.random() < 0.2:
+        u_hat = rng.uniform(-box, box, 2)
+        b = A @ u_hat + rng.uniform(0.0, 1.0, m)
+    return QpProblem(u_hat, A, b, np.full(2, box))
+
+
+def batch_of(problems, warm_starts=None):
+    """``solve_batch`` over a list of 2-variable problems."""
+    return solve_batch(np.array([p.u_hat for p in problems]).reshape(-1, 2),
+                       np.concatenate([p.A for p in problems]).reshape(-1, 2),
+                       np.concatenate([p.b for p in problems]),
+                       [p.b.size for p in problems],
+                       np.array([p.box for p in problems]).reshape(-1, 2), warm_starts)
+
+
+def assert_batch_equals_solve(problems, warm_starts):
+    batch = batch_of(problems, warm_starts)
+    for k, (problem, warm) in enumerate(zip(problems, warm_starts)):
+        sol = solve(problem, warm_start=warm)
+        assert batch.u_star[k].tobytes() == sol.u_star.tobytes()
+        assert batch.status[k] == sol.status
+        assert batch.active_set[k] == sol.active_set
+        assert batch.iterations[k] == sol.iterations
+    return batch
+
+
+@pytest.fixture
+def stacked_widths(monkeypatch):
+    """Working-set widths the batch handed to its stacked Gram solve."""
+    widths = []
+    inner = qp._stacked_dual_coeffs
+
+    def spy(active, a_new):
+        widths.append(active.shape[1])
+        return inner(active, a_new)
+
+    monkeypatch.setattr(qp, "_stacked_dual_coeffs", spy)
+    return widths
+
+
+# Three near-parallel rows among five: the dependency test's tolerance lets
+# a third row into the working set. The first problem then cycles to the
+# iteration limit; the second certifies an empty polytope.
+NEAR_PARALLEL = [
+    QpProblem(np.array([1.631457786829392, -1.4269444359211565]),
+              np.array([[0.4385568613629694, 0.7450146863564727],
+                        [0.43855656335527177, 0.7450142233666904],
+                        [0.43855793639811297, 0.7450148368151224],
+                        [1.0388416731468217, -0.3804893476214842],
+                        [-0.781843938167805, 0.2863477620315308]]),
+              np.array([0.15678627876376852, -0.04872716251374884, 0.0568768520768734,
+                        0.044185369154383786, -0.12272814136324646]),
+              np.full(2, 3.01171641586196)),
+    QpProblem(np.array([-0.6982436901351937, 0.09394111560844291]),
+              np.array([[-0.6939801481263196, 0.17943366654935747],
+                        [-0.693979038084957, 0.17943493659818016],
+                        [-0.6939797935378971, 0.1794334646328081],
+                        [-0.6292217992466123, 0.16616061624080047],
+                        [0.9970685679491758, -0.2577886502665384]]),
+              np.array([-0.10205850475513396, 0.204503641945779, 0.02573936423560327,
+                        -0.08941368416019913, -0.1513931887676518]),
+              np.full(2, 1.6342203963626487)),
+]
+
+
+class TestSolveBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
+    def test_equals_solve_on_each_problem(self, seed, k):
+        rng = np.random.default_rng(seed)
+        problems = [random_batch_problem(rng) for _ in range(k)]
+        warm = [tuple(int(j) for j in rng.integers(-3, 20, int(rng.integers(0, 4))))
+                for _ in problems]
+        assert_batch_equals_solve(problems, warm)
+
+    def test_covers_every_kind_of_answer(self):
+        rng = np.random.default_rng(48)
+        problems = [random_batch_problem(rng) for _ in range(400)]
+        batch = assert_batch_equals_solve(problems, [()] * len(problems))
+        moved = [not np.array_equal(u, p.u_hat) for u, p in zip(batch.u_star, problems)]
+        optimal = [s == OPTIMAL for s in batch.status]
+        assert sum(o and not m for o, m in zip(optimal, moved)) > 20  # feasible nominal
+        assert sum(o and m for o, m in zip(optimal, moved)) > 100
+        assert optimal.count(False) > 20
+        assert max(map(len, batch.active_set)) >= 2
+
+    def test_two_row_working_set(self, stacked_widths):
+        # Both axis rows join; the diagonal row then lies in their span and
+        # replaces them.
+        problem = QpProblem(np.array([2.0, 2.0]), *rows((1, 0, 0), (0, 1, 0), (0.25, 0.25, -0.125)),
+                            np.full(2, 3.0))
+        batch = assert_batch_equals_solve([problem], [()])
+        assert batch.status == [OPTIMAL] and batch.active_set == [(2,)]
+        assert 2 in stacked_widths
+
+    def test_three_row_working_sets(self, stacked_widths, caplog):
+        batch = assert_batch_equals_solve(NEAR_PARALLEL, [(), ()])
+        assert batch.status == [INFEASIBLE, INFEASIBLE]
+        assert max(stacked_widths) >= 3
+        assert [r.getMessage() for r in caplog.records] == [
+            "iteration limit (90) hit on a 9-row problem; reporting infeasible"] * 2
+
+    def test_empty_polytope_certificate(self, caplog):
+        problem = QpProblem(np.zeros(2), *rows((1, 0, -1), (-1, 0, -1)), np.full(2, 100.0))
+        batch = assert_batch_equals_solve([problem, problem], [(), (1,)])
+        assert batch.status == [INFEASIBLE, INFEASIBLE]
+        assert not caplog.records  # a certificate, not the iteration limit
+
+    def test_singular_gram_falls_back_like_solve(self):
+        # (1, 0), (0, 1) and (1, 1) give an exactly singular 3x3 Gram matrix.
+        active = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                           [[2.0, 1.0], [1.0, 3.0], [0.5, -1.0]]])
+        a_new = np.array([[0.3, -0.7], [1.5, 0.25]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(active[0] @ active[0].T, active[0] @ a_new[0])
+        r, z = qp._stacked_dual_coeffs(active, a_new)
+        for k in range(2):
+            ref_r, ref_z = qp._dual_coeffs(active[k], a_new[k])
+            assert r[k].tobytes() == ref_r.tobytes() and z[k].tobytes() == ref_z.tobytes()
+
+    def test_stacked_gram_solve_equals_one_at_a_time(self):
+        rng = np.random.default_rng(49)
+        active = rng.normal(size=(200, 2, 2))
+        active[:, 1] = active[:, 0] + rng.normal(size=(200, 2)) * 1e-3
+        a_new = rng.normal(size=(200, 2))
+        r, z = qp._stacked_dual_coeffs(active, a_new)
+        for k in range(200):
+            ref_r, ref_z = qp._dual_coeffs(active[k], a_new[k])
+            assert r[k].tobytes() == ref_r.tobytes() and z[k].tobytes() == ref_z.tobytes()
+
+    def test_no_problems(self):
+        batch = solve_batch(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), [], np.zeros((0, 2)))
+        assert batch.u_star.shape == (0, 2) and batch.status == [] and batch.active_set == []
+
+    def test_rejects_malformed_batches(self):
+        ok = (np.zeros((2, 2)), np.ones((3, 2)), np.ones(3), [1, 2], np.ones((2, 2)))
+        for k, bad in ((1, np.ones((3, 3))), (2, np.ones(4)), (3, [2, 2]), (3, [4, -1]),
+                       (4, np.ones((2, 3))), (0, np.zeros((3, 2)))):
+            args = list(ok)
+            args[k] = bad
+            with pytest.raises(ValueError):
+                solve_batch(*args)
+        with pytest.raises(ValueError):
+            solve_batch(*ok[:4], np.array([[1.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError):
+            solve_batch(*ok, warm_starts=[()])
 
 
 class TestSolveExamples:

@@ -29,6 +29,7 @@ from safeswarm import (
     relative_state,
 )
 from safeswarm import barrier, sim
+from safeswarm.presets import circle6
 from safeswarm.sim import MODES, AgentSetup, Scenario, SimContext, step_once
 
 # Relative offsets from a critical distance: just inside, on it (up to the
@@ -81,11 +82,10 @@ def ensembles(draw, modes=MODES, inside=False):
         P[j] = P[i] + d * np.array(unit)
     assume(len({tuple(p) for p in P.tolist()}) == n)
     ctx.P, ctx.V = P, V
-    if ctx.estimators is not None:  # move the estimates off their floor
-        for est in ctx.estimators:
-            for V_seen in (V, V + draw(st.floats(-0.05, 0.05))):
-                est.observe(V_seen[est.ids], 0.02)
-                est.update(0.02)
+    if ctx.estimators is not None:  # move the estimates off their floor, one step at a time
+        for V_seen in (V, V + draw(st.floats(-0.05, 0.05))):
+            ctx.estimators[0].observe(V_seen, 0.02)
+            ctx.estimators[0].update(0.02)
     return ctx, P, V
 
 
@@ -217,11 +217,13 @@ def test_agent_rows_match_scalar_formulas(case):
     ctx, P, V = case
     scn, params = ctx.scenario, ctx.params
     violated = _violated_ref(ctx, P, V)
-    A, b, blocks, row_pairs = sim._agent_rows(
+    A, b, counts, row_pairs = sim._agent_rows(
         ctx, np.array(violated), sim._pair_dist(ctx, P)[1])
+    ends = np.cumsum(counts)
     pairs = []
     for i in range(ctx.n):
         if violated[i]:
+            assert counts[i] == 0
             continue
         rows = []
         for j in sorted(neighbors(i, _states(P, V), ctx.neighbor_info[i])):
@@ -233,9 +235,9 @@ def test_agent_rows_match_scalar_formulas(case):
                                        ctx.cfg.epsilon)))
             pairs.append((i, j))
         rows += _speed_rows(params[i].speed_limit, V[i], scn.dt)
-        lo, hi = blocks[i]
-        _same_bytes(rows, A[lo:hi], b[lo:hi])
+        _same_bytes(rows, A[ends[i] - counts[i]:ends[i]], b[ends[i] - counts[i]:ends[i]])
     assert row_pairs == pairs
+    assert len(A) == ends[-1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -306,6 +308,29 @@ def test_step_record_reuses_the_context_pair_keys():
         rec = step_once(ctx)
         assert list(rec.pair_h) == ctx.pair_keys
         assert all(a is b for a, b in zip(rec.pair_h, ctx.pair_keys))
+
+
+def test_shared_estimator_matches_one_estimator_per_agent():
+    """The estimated mode's one shared estimator holds, for every agent i
+    and other agent j, the same estimate as an estimator of agent i's own
+    over the others, observed on the same pre-step velocities."""
+    scn = circle6(mode="decentralized_C_estimated")
+    ctx = SimContext(scn)
+    assert all(e is ctx.estimators[0] for e in ctx.estimators)
+    others = [[j for j in range(ctx.n) if j != i] for i in range(ctx.n)]
+    own = [LimitEstimator(ids, scn.resolved_alpha_floor(), scn.estimator_gain) for ids in others]
+    moved = False
+    for _ in range(400):
+        V = ctx.V.copy()
+        step_once(ctx)
+        for est, ids in zip(own, others):
+            est.observe(V[ids], scn.dt)
+            est.update(scn.dt)
+        for i, ids in enumerate(others):
+            shared = np.array([ctx.estimators[i].estimates[j] for j in ids])
+            assert shared.tobytes() == np.array([own[i].estimates[j] for j in ids]).tobytes()
+        moved |= max(own[0].estimates.values()) > scn.resolved_alpha_floor()
+    assert moved  # the estimates left their floor
 
 
 class ScalarLaw:
