@@ -38,7 +38,7 @@ def main():
         rec = step_once(ctx)
         if step % 50 == 0:
             dist = rec.min_pair_dist
-            h = min(rec.pair_h.values())
+            h = rec.min_h
             print(
                 f"{rec.t:6.2f} {dist:7.3f} {h:+7.3f} "
                 f"{ctx.estimators[0].estimates[1]:14.4f} "

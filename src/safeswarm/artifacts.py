@@ -28,35 +28,31 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _csv_chunks(log: TrajectoryLog):
+    """The CSV header line, then each record's rows as one string."""
+    ids = [a.params.id for a in log.scenario.agents]
+    yield CSV_HEADER + "\n"
+    for rec in log.records:
+        t = _fmt(rec.t)
+        yield "".join(
+            ",".join([t, str(aid), _fmt(rec.p[i, 0]), _fmt(rec.p[i, 1]), _fmt(rec.v[i, 0]),
+                      _fmt(rec.v[i, 1]), _fmt(rec.u_applied[i, 0]), _fmt(rec.u_applied[i, 1]),
+                      _fmt(rec.u_nominal[i, 0]), _fmt(rec.u_nominal[i, 1]), rec.qp_status[i]])
+            + "\n"
+            for i, aid in enumerate(ids)
+        )
+
+
 def trajectory_csv_text(log: TrajectoryLog) -> str:
     """Render the log as CSV: one row per agent per step, post-step state
     plus the controls that produced it."""
-    ids = [a.params.id for a in log.scenario.agents]
-    lines = [CSV_HEADER]
-    for rec in log.records:
-        for i, aid in enumerate(ids):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(rec.t),
-                        str(aid),
-                        _fmt(rec.p[i, 0]),
-                        _fmt(rec.p[i, 1]),
-                        _fmt(rec.v[i, 0]),
-                        _fmt(rec.v[i, 1]),
-                        _fmt(rec.u_applied[i, 0]),
-                        _fmt(rec.u_applied[i, 1]),
-                        _fmt(rec.u_nominal[i, 0]),
-                        _fmt(rec.u_nominal[i, 1]),
-                        rec.qp_status[i],
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(log))
 
 
 def write_trajectory_csv(log: TrajectoryLog, path) -> None:
-    Path(path).write_text(trajectory_csv_text(log))
+    """Write ``trajectory_csv_text(log)`` to path, one record at a time."""
+    with Path(path).open("w") as f:
+        f.writelines(_csv_chunks(log))
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:

@@ -141,7 +141,8 @@ def _pow(x: np.ndarray, y: float) -> np.ndarray:
 
 
 def centralized_bounds(dp, dist, dv, accel_sum, gamma, safety_dist, epsilon):
-    """Ensemble bounds: the pair keeps -dh/dt <= gamma * h^3, scaled by dist."""
+    """Ensemble bounds: the pair keeps -dh/dt <= gamma * h^3, scaled by dist.
+    Centralized mode passes the gain of the pair's lower-indexed agent i."""
     dpdv = row_dot(dp, dv)
     h = barrier_values(dist, dpdv / dist, accel_sum, safety_dist)
     denom = np.sqrt(2.0 * accel_sum * np.maximum(dist - safety_dist, epsilon))

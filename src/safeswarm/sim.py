@@ -103,6 +103,10 @@ class Scenario:
             raise ScenarioError("scenario has no agents")
         if not self.dt > 0:
             raise ScenarioError(f"dt must be positive, got {self.dt!r}")
+        if not self.estimator_gain > 0:
+            raise ScenarioError(f"estimator gain k must be positive, got {self.estimator_gain!r}")
+        if self.alpha_floor is not None and not self.alpha_floor > 0:
+            raise ScenarioError(f"alpha_floor must be positive, got {self.alpha_floor!r}")
         if self.t_end < 0:
             raise ScenarioError(f"t_end must be nonnegative, got {self.t_end!r}")
         if self.mode not in MODES:
@@ -144,7 +148,9 @@ class Scenario:
 @dataclass
 class StepRecord:
     """Snapshot after one step: post-step states, the controls that
-    produced them, and per-pair safety data on the post-step states."""
+    produced them, the (owner, other) pair of each barrier row the step
+    built, and the minimum h and distance over all pairs on the post-step
+    states. Per-pair h is not kept, so a record is O(N + rows)."""
 
     t: float
     p: np.ndarray  # (N, 2)
@@ -152,9 +158,9 @@ class StepRecord:
     u_applied: np.ndarray  # (N, 2)
     u_nominal: np.ndarray  # (N, 2)
     qp_status: list[str]
-    pair_h: dict[tuple[int, int], float]  # keyed by SimContext.pair_keys
-    min_pair_dist: float
-    row_pairs: tuple[tuple[int, int], ...]  # barrier rows built this step
+    min_h: float  # inf without pairs
+    min_pair_dist: float  # inf without pairs
+    row_pairs: np.ndarray  # (E, 2) int, in row order
 
 
 @dataclass
@@ -338,7 +344,7 @@ def _agent_rows(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
     speed rows. A violated agent has none. Rows against braking
     (violated-pair) agents stay in force: any pair involving a non-violated
     agent is still outside its safety distance. Also returns the (owner,
-    other) pair of each barrier row.
+    other) pair of each barrier row, as an (E, 2) array.
     """
     P, V = ctx.P, ctx.V
     own, oth = np.nonzero(_neighbor_mask(ctx, P) & ~violated[:, None])  # row-major
@@ -359,7 +365,7 @@ def _agent_rows(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
                                        accel_other, ctx.gain[own], ds, ctx.cfg.epsilon)
     at = (ends[free] - 4)[:, None] + np.arange(4)
     A[at], b[at] = _SPEED_A, _speed_bounds(ctx.speed[free], V[free], ctx.scenario.dt)
-    return A, b, counts, list(zip(own.tolist(), oth.tolist()))
+    return A, b, counts, np.array((own, oth)).T
 
 
 def _solve_decentralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarray,
@@ -386,7 +392,7 @@ def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: 
     One row per pair that is not braking at both ends, in ``pair_keys``
     order, then each free agent's four speed rows. Free agent c owns
     columns 2c and 2c + 1; a braking agent's control is fixed, so its block
-    times its braking control moves into b. Also returns the row pairs.
+    times its braking control moves into b. Also returns the (E, 2) row pairs.
     """
     V = ctx.V
     keep = ~(violated[ctx.pair_i] & violated[ctx.pair_j])
@@ -408,7 +414,7 @@ def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: 
     A[i.size + 4 * f[:, None, None] + np.arange(4)[:, None],
       2 * f[:, None, None] + np.arange(2)] = _SPEED_A
     b = np.concatenate((b, _speed_bounds(ctx.speed[free], V[free], ctx.scenario.dt).ravel()))
-    return A, b, list(zip(i.tolist(), j.tolist()))
+    return A, b, np.array((i, j)).T
 
 
 def _solve_centralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarray,
@@ -464,9 +470,9 @@ def step_once(ctx: SimContext) -> StepRecord:
         u_applied=U,
         u_nominal=U_nom,
         qp_status=statuses,
-        pair_h=dict(zip(ctx.pair_keys, h.tolist())),
+        min_h=float(h[h.argmin()]) if h.size else math.inf,  # the first minimum, as min()
         min_pair_dist=float(dist.min()) if dist.size else math.inf,
-        row_pairs=tuple(row_pairs),
+        row_pairs=row_pairs,
     )
 
 
@@ -488,18 +494,13 @@ def detect_deadlock(
     dt = log.scenario.dt
     span = max(1, int(round(window / dt)))
     goals = np.array([a.goal for a in log.scenario.agents])
-    speeds = np.array([np.linalg.norm(r.v, axis=1) for r in records])  # (T, N)
-    goal_dist = np.array([np.linalg.norm(r.p - goals, axis=1) for r in records])
+    speeds = np.linalg.norm(np.array([r.v for r in records]), axis=2)  # (T, N)
+    goal_dist = np.linalg.norm(np.array([r.p for r in records]) - goals, axis=2)
     stuck = (speeds < speed_eps) & (goal_dist > goal_eps)
-    T = stuck.shape[0]
-    if T < span:
-        return False, None
-    onset = None
-    for start in range(0, T - span + 1):
-        if np.any(np.all(stuck[start : start + span], axis=0)):
-            onset = records[start].t
-            break
-    return onset is not None, onset
+    # Stuck steps of each agent in every window [start, start + span).
+    counts = np.cumsum(np.vstack((np.zeros_like(stuck[:1], dtype=int), stuck)), axis=0)
+    starts = np.flatnonzero((counts[span:] - counts[:-span] == span).any(axis=1))
+    return (True, records[starts[0]].t) if starts.size else (False, None)
 
 
 def compute_metrics(log: TrajectoryLog) -> RunMetrics:
@@ -514,8 +515,7 @@ def compute_metrics(log: TrajectoryLog) -> RunMetrics:
     min_h = float(np.min(h, initial=math.inf))
     for rec in log.records:
         min_dist = min(min_dist, rec.min_pair_dist)
-        if rec.pair_h:
-            min_h = min(min_h, min(rec.pair_h.values()))
+        min_h = min(min_h, rec.min_h)
 
     goal_errors = {
         a.params.id: float(np.linalg.norm(positions[-1, i] - a.goal))

@@ -120,6 +120,22 @@ class TestRunCommand:
         assert run_command(["--scenario", str(path)]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("estimator", [{"k": -1}, {"k": 0}, {"alpha_floor": 0},
+                                           {"alpha_floor": -0.5}])
+    @pytest.mark.parametrize("override", [False, True])
+    def test_bad_estimator_settings_exit_1(self, tmp_path, capsys, estimator, override):
+        doc = dict(two_agent_doc(), estimator=estimator)
+        doc["mode"] = "decentralized_C" if override else "decentralized_C_estimated"
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        argv = ["--scenario", str(path), "--out-dir", str(tmp_path / "out")]
+        code = run_command(argv + ["--mode", "decentralized_C_estimated"] * override)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: " in err and "must be positive" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_file_scenario_writes_artifacts(self, tmp_path, capsys):
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(two_agent_doc()))
@@ -212,6 +228,7 @@ class TestCsvArtifacts:
         scn, log, _ = short_run
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(log, path)
+        assert path.read_text() == trajectory_csv_text(log)  # one formatting path
         cols = read_trajectory_csv(path)
         n = len(scn.agents)
         assert cols["t"].size == n * len(log.records)

@@ -1,5 +1,11 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safeswarm import (
     AgentParams,
@@ -11,6 +17,7 @@ from safeswarm import (
     saturate_box,
     step,
 )
+from safeswarm.cli import scenario_from_dict
 from safeswarm.sim import (
     AgentSetup,
     Scenario,
@@ -98,9 +105,9 @@ def synthetic_log(positions, velocities, goals, dt=0.1):
                 u_applied=np.zeros((n, 2)),
                 u_nominal=np.zeros((n, 2)),
                 qp_status=["optimal"] * n,
-                pair_h={},
+                min_h=np.inf,
                 min_pair_dist=np.inf,
-                row_pairs=(),
+                row_pairs=np.empty((0, 2), dtype=int),
             )
         )
     return TrajectoryLog(scn, records)
@@ -129,6 +136,27 @@ class TestDeadlockDetector:
         vel = [[(0.02, 0.0)]] * (steps + 1)  # above the 0.01 m/s threshold
         log = synthetic_log(pos, vel, goals=[(3.0, 0.0)])
         assert detect_deadlock(log, window=5.0, speed_eps=0.01) == (False, None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_window_sums_match_the_sliding_window_loop(self, data):
+        """detect_deadlock finds the same onset as a loop that tests every
+        window of ``span`` steps for an agent stuck throughout."""
+        n = data.draw(st.integers(1, 4))
+        steps = data.draw(st.integers(1, 40))
+        stuck = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                            min_size=steps, max_size=steps)))
+        span = data.draw(st.integers(1, steps + 2))
+        dt = 0.1
+        # A stuck agent sits still away from its goal; the others move.
+        vel = [[(0.0, 0.0)] * n] + [[(0.0 if s else 1.0, 0.0) for s in row] for row in stuck]
+        log = synthetic_log([[(0.0, 0.0)] * n] * (steps + 1), vel, goals=[(3.0, 0.0)] * n, dt=dt)
+        onset = None
+        for start in range(0, steps - span + 1):
+            if np.any(np.all(stuck[start : start + span], axis=0)):
+                onset = log.records[start].t
+                break
+        assert detect_deadlock(log, window=span * dt) == (onset is not None, onset)
 
 
 class TestScenarioValidation:
@@ -176,7 +204,7 @@ class TestStepOnce:
         ctx = SimContext(scn)
         rec = step_once(ctx)
         assert np.allclose(rec.u_applied, rec.u_nominal)
-        assert rec.row_pairs == ()  # out of each other's interaction range
+        assert rec.row_pairs.shape == (0, 2)  # out of each other's interaction range
 
     def test_close_headon_filter_interferes_and_stays_safe(self):
         scn = Scenario(
@@ -189,7 +217,7 @@ class TestStepOnce:
         ctx = SimContext(scn)
         rec = step_once(ctx)
         assert not np.allclose(rec.u_applied, rec.u_nominal)
-        assert min(rec.pair_h.values()) >= 0.0
+        assert rec.min_h >= 0.0
 
     def test_nonfinite_state_aborts_with_diagnostic(self):
         scn = Scenario(agents=[agent(1, (0, 0), (1, 0))])
@@ -364,3 +392,41 @@ class TestMetrics:
         again = compute_metrics(log)
         assert again.min_pair_dist == metrics.min_pair_dist
         assert again.goal_errors == metrics.goal_errors
+
+
+def lanes_tiles(tiles=3, spacing=8.0):
+    """tiles x tiles copies of scenarios/crossing_lanes.json, spacing m apart,
+    under decentralized_C_estimated."""
+    doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios"
+                      / "crossing_lanes.json").read_text())
+    base = doc.pop("agents")
+    doc["mode"] = "decentralized_C_estimated"
+    doc["agents"] = [
+        dict(a, id=len(base) * k + a["id"],
+             p0=[a["p0"][0] + spacing * (k % tiles), a["p0"][1] + spacing * (k // tiles)],
+             goal=[a["goal"][0] + spacing * (k % tiles), a["goal"][1] + spacing * (k // tiles)])
+        for k in range(tiles * tiles) for a in base
+    ]
+    return scenario_from_dict(doc)
+
+
+def test_log_bytes_per_step_are_linear_in_n():
+    """A record holds the post-step states, controls and statuses (72 B per
+    agent), 16 B per barrier row and about 1 kB of fixed overhead; no value
+    per pair. On 27 agents in 3x3 crossing_lanes tiles, about 1.3 rows per
+    agent, the log grows by about 3.8 kB per step. The bound, 1 kB + 192 B
+    per agent (6.2 kB), doubles the per-agent part. A log with one h per pair (351
+    pairs) holds about 32 kB per step here."""
+    ctx = SimContext(lanes_tiles())
+    steps = 100
+    records = []
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(steps):
+            records.append(step_once(ctx))
+        per_step = (tracemalloc.get_traced_memory()[0] - before) / steps
+    finally:
+        tracemalloc.stop()
+    assert sum(len(rec.row_pairs) for rec in records) > steps * ctx.n  # rows are logged
+    assert per_step <= 1024 + 192 * ctx.n

@@ -233,10 +233,10 @@ def test_agent_rows_match_scalar_formulas(case):
             rows.append((-dp, _agent_b(scn.mode, dp, dv, dist, vbar, V[i], params[i].accel_limit,
                                        other, params[i].barrier_gain, ctx.safety_dist[i, j],
                                        ctx.cfg.epsilon)))
-            pairs.append((i, j))
+            pairs.append([i, j])
         rows += _speed_rows(params[i].speed_limit, V[i], scn.dt)
         _same_bytes(rows, A[ends[i] - counts[i]:ends[i]], b[ends[i] - counts[i]:ends[i]])
-    assert row_pairs == pairs
+    assert row_pairs.shape == (len(pairs), 2) and row_pairs.tolist() == pairs
     assert len(A) == ends[-1]
 
 
@@ -262,7 +262,7 @@ def test_ensemble_rows_match_scalar_formulas(case):
             else:  # a braking agent's fixed control moves into the bound
                 bound -= float(block @ _brake(V[agent], params[agent].accel_limit))
         rows.append((a, bound))
-        pairs.append((i, j))
+        pairs.append([i, j])
     for i in free:
         for normal, bound in _speed_rows(params[i].speed_limit, V[i], dt):
             a = np.zeros(2 * len(free))
@@ -271,7 +271,7 @@ def test_ensemble_rows_match_scalar_formulas(case):
     dp, dist = sim._pair_dist(ctx, P)
     A, b, row_pairs = sim._ensemble_rows(ctx, np.array(violated), dp, dist)
     _same_bytes(rows, A, b)
-    assert row_pairs == pairs
+    assert row_pairs.shape == (len(pairs), 2) and row_pairs.tolist() == pairs
 
 
 def test_guard_names_the_first_pair_inside_its_safety_distance():
@@ -302,12 +302,19 @@ def test_coincident_pair_raises(mode):
         step_once(ctx)
 
 
-def test_step_record_reuses_the_context_pair_keys():
-    ctx = SimContext(_headon())
-    for _ in range(3):
-        rec = step_once(ctx)
-        assert list(rec.pair_h) == ctx.pair_keys
-        assert all(a is b for a, b in zip(rec.pair_h, ctx.pair_keys))
+def test_step_record_min_h_is_the_scalar_minimum():
+    """Every record's min_h is, bit for bit, min() over ``pair_barrier``
+    of every pair on the post-step states; inf when there is no pair."""
+    for mode in MODES:
+        ctx = SimContext(circle6(mode))
+        for _ in range(120):
+            rec = step_once(ctx)
+            ref = [pair_barrier(rel, ctx.params[i].accel_limit + ctx.params[j].accel_limit,
+                                ctx.safety_dist[i, j])[0]
+                   for (i, j), rel in zip(ctx.pair_keys, _reference(ctx))]
+            assert rec.min_h.hex() == min(ref).hex()
+    lone = Scenario(_headon().agents[:1])
+    assert step_once(SimContext(lone)).min_h == math.inf
 
 
 def test_shared_estimator_matches_one_estimator_per_agent():
