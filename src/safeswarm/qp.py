@@ -19,18 +19,26 @@ Tolerances: reported optima satisfy rows to 1e-8 and box bounds to 1e-10;
 multiplier sign checks use 1e-8. Tie-breaking is by row index, so equal
 problems produce identical solutions and active sets. The iteration limit
 is 10x the (expanded) row count; hitting it is treated as infeasible and
-logged distinctly.
+logged distinctly. So is an iterate or working multiplier that overflows to
+a non-finite value, which near-parallel contradictory rows can cause; the
+solve stops at that step instead of pivoting on NaN.
 
 ``solve`` takes one problem of any dimension; the simulator's centralized
-mode hands it the single ensemble QP. ``solve_batch`` runs the same method
-on K independent 2-variable problems in lockstep, one per agent in the
-decentralized modes: their rows arrive as one (R, 2) array with per-problem
-counts, and each pass makes one selection or one dual step for every
-unfinished problem, with the same pivots, tie-breaks (largest residual,
-then lowest index, warm rows first), iteration limits and warnings as
-``solve``.
-Its answers, statuses and active sets equal ``solve``'s bit for bit, which
-fixes how each quantity is computed:
+mode hands it the single ensemble QP. ``solve_padded``, the lockstep
+kernel, runs the same method on K independent 2-variable problems, one per
+agent in the decentralized modes, laid out as (K, M, 2) rows and (K, M)
+bounds: problem k's rows, then its four box faces, then zero rows with an
+infinite bound up to the widest problem's M. Warm starts go in, and final
+working sets come out, as (K, M) bool masks. Each pass makes one selection
+or one dual step for every unfinished problem, with the same pivots,
+tie-breaks (largest residual, then lowest index, warm rows first),
+iteration limits and warnings as ``solve``. ``pad_rows`` builds the layout
+from rows given as one (R, 2) array with per-problem counts, and
+``solve_batch`` is ``pad_rows`` plus the kernel behind ``solve``'s
+argument and answer types (warm-start and active-set tuples); the
+simulator builds its layout itself and calls the kernel.
+The kernel's answers, statuses and active sets equal ``solve``'s bit for
+bit, which fixes how each quantity is computed:
 
 * Residuals only choose rows, so one ``row_dot`` pass over all rows
   serves every problem; ``A @ u`` rounds differently and by row count, but
@@ -202,28 +210,29 @@ def solve(problem: QpProblem, warm_start: tuple[int, ...] = ()) -> QpSolution:
             active = A[work] if work else np.zeros((0, n))
             r, z = _dual_coeffs(active, a_p)
             zz = float(z @ z)
-            if zz <= _DEP_TOL * max(1.0, float(a_p @ a_p)):
-                # a_p lies in the span of the active normals.
-                if not np.any(r > _DUAL_TOL):
-                    # Nonnegative certificate of an empty polytope.
-                    return QpSolution(
-                        u, INFEASIBLE, tuple(sorted(work)), float("nan"),
-                        np.zeros(0), iters,
-                    )
-                t_block, k_block = _blocking_step(lam, r)
-                u, lam_p = _dual_step(u, lam, r, np.zeros(n), t_block, lam_p)
-                del work[k_block], lam[k_block]
-                continue
-            t_full = 2.0 * float(a_p @ u - b[p]) / zz
+            dep = zz <= _DEP_TOL * max(1.0, float(a_p @ a_p))  # a_p in the active span
+            if dep and not np.any(r > _DUAL_TOL):
+                # Nonnegative certificate of an empty polytope.
+                return QpSolution(
+                    u, INFEASIBLE, tuple(sorted(work)), float("nan"),
+                    np.zeros(0), iters,
+                )
+            t_full = np.inf if dep else 2.0 * float(a_p @ u - b[p]) / zz
             t_block, k_block = _blocking_step(lam, r)
-            if t_block < t_full:
-                u, lam_p = _dual_step(u, lam, r, z, t_block, lam_p)
+            drop = dep or t_block < t_full  # the blocking row leaves the working set
+            u, lam_p = _dual_step(u, lam, r, np.zeros(n) if dep else z,
+                                  t_block if drop else t_full, lam_p)
+            if drop:
                 del work[k_block], lam[k_block]
-                continue
-            u, lam_p = _dual_step(u, lam, r, z, t_full, lam_p)
-            work.append(p)
-            lam.append(lam_p)
-            break
+            else:
+                work.append(p)
+                lam.append(lam_p)
+            if not (np.isfinite(u).all() and np.isfinite(lam_p) and np.isfinite(lam).all()):
+                logger.warning("non-finite iterate on a %d-row problem; reporting infeasible", m)
+                return QpSolution(u, INFEASIBLE, tuple(sorted(work)), float("nan"),
+                                  np.zeros(0), iters)
+            if not drop:
+                break
 
     logger.warning(
         "iteration limit (%d) hit on a %d-row problem; reporting infeasible",
@@ -275,7 +284,8 @@ def solve_batch(u_hat: np.ndarray, A: np.ndarray, b: np.ndarray, counts: np.ndar
     Problem k is ``QpProblem(u_hat[k], A[lo:hi], b[lo:hi], box[k])``, where
     rows ``lo:hi`` are the k-th block of ``counts`` rows of the (R, 2) array
     A; warm_starts[k] is its warm start. Shapes and ``box > 0`` are checked
-    once per call.
+    once per call; the problems then go through ``pad_rows`` and
+    ``solve_padded``.
     """
     u_hat = np.asarray(u_hat, dtype=float)
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
@@ -289,19 +299,8 @@ def solve_batch(u_hat: np.ndarray, A: np.ndarray, b: np.ndarray, counts: np.ndar
         raise ValueError("box bounds must be positive")
     if warm_starts is not None and len(warm_starts) != K:
         raise ValueError(f"{len(warm_starts)} warm starts for {K} problems")
-    if not K:
-        return BatchSolution(np.zeros((0, 2)), [], [], np.zeros(0, dtype=int))
 
-    # Problem k's expanded rows (its rows, then its box faces) are row k of
-    # the (K, M, 2) array AA; padding rows are zero with an infinite bound,
-    # so they are never violated. Row indices below are local to a problem.
-    m = counts + 4
-    cols = np.arange(m.max())
-    AA, bb = np.zeros((K, cols.size, 2)), np.full((K, cols.size), np.inf)
-    user = cols < counts[:, None]
-    AA[user], bb[user] = A, b
-    faces = (np.arange(K)[:, None], counts[:, None] + np.arange(4))
-    AA[faces], bb[faces] = _box_faces(2), box.repeat(2, axis=1)
+    AA, bb, m = pad_rows(A, b, counts, box)
     warm = np.zeros(bb.shape, dtype=bool)
     if warm_starts is not None:
         lens = [len(w) for w in warm_starts]
@@ -309,7 +308,49 @@ def solve_batch(u_hat: np.ndarray, A: np.ndarray, b: np.ndarray, counts: np.ndar
         owner = np.arange(K).repeat(lens)
         ok = (rows >= 0) & (rows < m[owner])
         warm[owner[ok], rows[ok]] = True
+    u, optimal, in_work, iters = solve_padded(u_hat, AA, bb, m, warm)
+    return BatchSolution(
+        u,
+        [OPTIMAL if ok else INFEASIBLE for ok in optimal.tolist()],
+        [tuple(np.flatnonzero(row).tolist()) for row in in_work],
+        iters,
+    )
 
+
+def pad_rows(A: np.ndarray, b: np.ndarray, counts: np.ndarray,
+             box: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The padded layout of K 2-variable problems given as in ``solve_batch``.
+
+    Returns the (K, M, 2) rows AA, the (K, M) bounds bb and the (K,) row
+    counts m = counts + 4. Row k of AA holds problem k's expanded rows: its
+    ``counts[k]`` rows, then its box faces (+e_0, -e_0, +e_1, -e_1, bounded
+    by box[k]), then zero rows with an infinite bound, which are never
+    violated. M is the largest m. A's rows land on the slots
+    ``np.flatnonzero(np.arange(M) < counts[:, None])`` of ``AA.reshape(-1, 2)``,
+    in order.
+    """
+    K = counts.size
+    m = counts + 4
+    cols = np.arange(m.max(initial=0))
+    AA, bb = np.zeros((K, cols.size, 2)), np.full((K, cols.size), np.inf)
+    user = cols < counts[:, None]
+    AA[user], bb[user] = A, b
+    faces = (np.arange(K)[:, None], counts[:, None] + np.arange(4))
+    AA[faces], bb[faces] = _box_faces(2), box.repeat(2, axis=1)
+    return AA, bb, m
+
+
+def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray, m: np.ndarray,
+                 warm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lockstep kernel: ``solve`` on the K problems of a ``pad_rows`` layout.
+
+    ``warm`` is a (K, M) bool mask of each problem's warm rows; bits on
+    padding rows are ignored, since those rows are never violated. Returns
+    the (K, 2) answers, the (K,) mask of optimal answers, the (K, M) mask
+    of each problem's final working set (its active set, as a mask) and the
+    (K,) iteration counts. Row indices below are local to a problem.
+    """
+    K, cols = m.size, np.arange(bb.shape[1])
     # A row is in its problem's working set at most once, so M columns hold
     # any working set; work lists the rows in the order they were added.
     work, lam = np.zeros(bb.shape, dtype=int), np.zeros(bb.shape)
@@ -389,6 +430,15 @@ def solve_batch(u_hat: np.ndarray, A: np.ndarray, b: np.ndarray, counts: np.ndar
         done[live[cert]] = True
         stepping[live[cert]] = False
 
+        # A multiplier or iterate that overflowed stops its problem, as in solve.
+        finite = (np.isfinite(u[live]).all(axis=1) & np.isfinite(lam_p[live])
+                  & (np.isfinite(lam[live]) | (cols >= nw[live, None])).all(axis=1))
+        if not finite.all():
+            for k in live[~finite].tolist():
+                logger.warning("non-finite iterate on a %d-row problem; reporting infeasible",
+                               m[k])
+            done[live[~finite]] = True
+            stepping[live[~finite]] = False
         spent = (iters >= max_iter) & ~done
         if spent.any():
             for k in spent.nonzero()[0].tolist():
@@ -399,12 +449,7 @@ def solve_batch(u_hat: np.ndarray, A: np.ndarray, b: np.ndarray, counts: np.ndar
             done |= spent
             stepping &= ~spent
 
-    return BatchSolution(
-        u,
-        [OPTIMAL if ok else INFEASIBLE for ok in optimal.tolist()],
-        [tuple(sorted(row[:c])) for row, c in zip(work.tolist(), nw.tolist())],
-        iters,
-    )
+    return u, optimal, in_work, iters
 
 
 def _stacked_dual_coeffs(active: np.ndarray, a_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,16 +9,28 @@ deterministic for a given scenario.
 
 The run state is the (N, 2) arrays ``SimContext.P`` and ``V``; a step runs
 on per-step arrays. Pair geometry runs over the pairs i < j in ``pair_keys``
-order, the neighbour sets are an (N, N) mask, and the mode's bound function
-in ``barrier`` builds the rows of all directed pairs (owner, other) in one
-call. In the decentralized modes every free agent's rows, speed rows
-included, are one block of one array, and ``qp.solve_batch`` solves all the
-agents' QPs in one lockstep call; the centralized QP embeds the rows in one
-dense array and goes to ``qp.solve``. In the estimated mode one
-``LimitEstimator`` serves every agent. Every value is bit-identical to what
-the scalar functions (``relative_state``, ``pair_barrier``,
-``barrier.neighbors``, the row builders, a ``qp.solve`` per agent and one
-estimator per agent) give.
+order. A step's post-step dp and dist are carried over as the next step's
+pre-step values (``SimContext.geometry``, keyed by the identity of ``P``;
+reassign ``P`` rather than editing it in place), so each step computes them
+once. The neighbour sets are an (N, N) mask built from the pair norms, and
+the mode's bound function in ``barrier`` builds the rows of all directed
+pairs (owner, other) in one call.
+
+In the decentralized modes every free agent's QP is one row of the padded
+layout that ``qp.solve_padded`` takes: (K, M, 2) rows and (K, M) bounds,
+in the order barrier rows, four speed rows, four box faces, padding. What
+fixes that layout, the slots of the barrier and speed rows, templates
+holding the speed normals, box faces and padding, the row pairs and the
+per-row lookups, depends only on the (neighbour mask, violated mask) pair;
+it is cached on ``SimContext.layout`` while that pair is unchanged, and
+each step writes its barrier rows and bounds into copies of the templates.
+Warm starts are one (N, W) bool mask, ``SimContext.warm``, sliced into the
+kernel and written back from its final working sets. The centralized QP
+embeds the rows in one dense array and goes to ``qp.solve``. In the
+estimated mode one ``LimitEstimator`` serves every agent. Every value is
+bit-identical to what the scalar functions (``relative_state``,
+``pair_barrier``, ``barrier.neighbors``, the row builders, a ``qp.solve``
+per agent and one estimator per agent) give.
 
 Modes
 -----
@@ -36,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,8 +125,9 @@ class Scenario:
         if self.mode not in MODES:
             raise ScenarioError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         ids = [a.params.id for a in self.agents]
+        counts = Counter(ids)
         for aid in ids:
-            if ids.count(aid) > 1:
+            if counts[aid] > 1:
                 raise ScenarioError(f"duplicate agent id {aid}")
         for a in self.agents:
             values = np.concatenate([a.state0.p, a.state0.v, a.goal])
@@ -212,7 +226,8 @@ class _Pairs:
 class SimContext(_Pairs):
     """Mutable run state: the (N, 2) positions ``P`` and velocities ``V``,
     estimators and warm starts, plus the per-pair and per-agent constants
-    the array step reads.
+    the array step reads, the cached decentralized ``layout`` and the
+    carried pair ``geometry``, both set by the first step.
 
     In the estimated mode ``estimators[i]`` is agent i's estimator of the
     others' limits. Every agent observes every other agent with the same
@@ -247,8 +262,10 @@ class SimContext(_Pairs):
             shared = LimitEstimator(range(self.n), scenario.resolved_alpha_floor(),
                                     scenario.estimator_gain)
             self.estimators = [shared] * self.n
-        self.warm_starts: list[tuple[int, ...]] = [() for _ in range(self.n)]
+        self.warm = np.zeros((self.n, 0), dtype=bool)  # (N, W), grown as layouts widen
         self.ensemble_warm: tuple[int, ...] = ()
+        self.layout: _Layout | None = None
+        self.geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # (P, dp, dist)
 
     def _neighbor_info(self, i: int) -> NeighborInfo:
         others = [p for k, p in enumerate(self.params) if k != i]
@@ -310,11 +327,14 @@ def _violated(ctx: SimContext, dist: np.ndarray) -> np.ndarray:
     return violated
 
 
-def _neighbor_mask(ctx: SimContext, P: np.ndarray) -> np.ndarray:
+def _neighbor_mask(ctx: SimContext, dp: np.ndarray) -> np.ndarray:
     """(N, N) mask of ``barrier.neighbors``: row i holds agent i's neighbours.
-    The norm is sqrt of a (1, 2) by (2, 1) matmul, as np.linalg.norm rounds."""
-    dP = P[:, None, :] - P[None, :, :]
-    mask = np.sqrt(row_dot(dP, dP)) <= ctx.neighbor_radius[:, None]
+    The norm is sqrt of a (1, 2) by (2, 1) matmul, as np.linalg.norm rounds,
+    of each pair's dp, set at (i, j) and (j, i): p_j - p_i is -(p_i - p_j)
+    bit for bit, and so is its norm."""
+    norm = np.zeros((ctx.n, ctx.n))
+    norm[ctx.pair_i, ctx.pair_j] = norm[ctx.pair_j, ctx.pair_i] = np.sqrt(row_dot(dp, dp))
+    mask = norm <= ctx.neighbor_radius[:, None]
     np.fill_diagonal(mask, False)
     return mask
 
@@ -336,54 +356,84 @@ _BOUNDS = {
 }
 
 
-def _agent_rows(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
-    """Every non-violated agent's QP rows, as one (R, 2) array A and (R,) b.
+class _Layout:
+    """The fixed part of a decentralized step's QPs, in ``qp.pad_rows``'s
+    padded layout, for one (neighbour mask, violated mask) pair.
 
-    Agent i's ``counts[i]`` rows follow those of the agents before it: its
-    barrier rows against each neighbour in ascending order, then its four
-    speed rows. A violated agent has none. Rows against braking
+    Free agent ``free[k]`` owns problem k: its barrier rows against each
+    neighbour in ascending order, its four speed rows, its four box faces,
+    then padding. A violated agent has no problem. Rows against braking
     (violated-pair) agents stay in force: any pair involving a non-violated
-    agent is still outside its safety distance. Also returns the (owner,
-    other) pair of each barrier row, as an (E, 2) array.
+    agent is still outside its safety distance. ``A`` and ``b`` hold the
+    speed normals, box faces, face bounds and padding; the step writes the
+    barrier rows and all bounds that move into copies of them at the flat
+    slots ``bar`` and ``speed``. ``own``, ``oth``, ``pair``, ``ds``,
+    ``accel``, ``accel_other`` and ``gain`` are per barrier row, and
+    ``row_pairs`` is their (E, 2) (owner, other) array. Every array a step
+    record or template shares is read-only.
     """
-    P, V = ctx.P, ctx.V
-    own, oth = np.nonzero(_neighbor_mask(ctx, P) & ~violated[:, None])  # row-major
+
+    def __init__(self, ctx: SimContext, near: np.ndarray, violated: np.ndarray):
+        self.near, self.violated = near, violated
+        self.own, self.oth = own, oth = np.nonzero(near & ~violated[:, None])  # row-major
+        self.free = np.flatnonzero(~violated)
+        counts = np.bincount(own, minlength=ctx.n)[self.free] + 4
+        rows = np.zeros((counts.sum(), 2))
+        speed = np.zeros(len(rows), dtype=bool)
+        speed[(np.cumsum(counts) - 4)[:, None] + np.arange(4)] = True
+        rows[speed] = np.tile(_SPEED_A, (self.free.size, 1))
+        self.A, self.b, self.m = qp.pad_rows(rows, np.zeros(len(rows)), counts,
+                                             ctx.box[self.free])
+        slots = np.flatnonzero(np.arange(self.A.shape[1]) < counts[:, None])
+        self.bar, self.speed = slots[~speed], slots[speed]
+        self.pair = ctx.pair_index[own, oth]
+        self.ds = ctx.safety_dist[own, oth]
+        self.accel, self.accel_other, self.gain = ctx.accel[own], ctx.accel[oth], ctx.gain[own]
+        self.row_pairs = np.array((own, oth)).T
+        for shared in (self.A, self.b, self.row_pairs):
+            shared.flags.writeable = False
+
+    def holds(self, near: np.ndarray, violated: np.ndarray) -> bool:
+        return np.array_equal(near, self.near) and np.array_equal(violated, self.violated)
+
+
+def _agent_qps(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: np.ndarray):
+    """The step's layout, cached on ``ctx`` while its key holds, and the
+    (K, M, 2) rows and (K, M) bounds of every free agent's QP in it. Widens
+    ``ctx.warm`` to at least M columns."""
+    near = _neighbor_mask(ctx, dp)
+    lay = ctx.layout
+    if lay is None or not lay.holds(near, violated):
+        lay = ctx.layout = _Layout(ctx, near, violated)
+        if ctx.warm.shape[1] < lay.A.shape[1]:
+            ctx.warm = np.pad(ctx.warm, ((0, 0), (0, lay.A.shape[1] - ctx.warm.shape[1])))
+    P, V, own, oth = ctx.P, ctx.V, lay.own, lay.oth
     # p_own - p_oth afresh, not a negated pair dp: a zero must keep its sign.
     dp = P[own] - P[oth]
-    dist = dist[ctx.pair_index[own, oth]]
-    ds = ctx.safety_dist[own, oth]
-    barrier.guard_pairs(own, oth, dist, ds)
-    accel_other = ctx.accel[oth] if ctx.estimators is None else ctx.estimators[0]._est[oth]
-    free = ~violated
-    counts = np.bincount(own, minlength=ctx.n) + 4 * free
-    ends = np.cumsum(counts)
-    A = np.empty((ends[-1], 2))
-    b = np.empty(ends[-1])
-    at = np.arange(own.size) + 4 * (np.cumsum(free) - 1)[own]
-    A[at] = -dp
-    b[at] = _BOUNDS[ctx.scenario.mode](dp, dist, V[own] - V[oth], V[own], ctx.accel[own],
-                                       accel_other, ctx.gain[own], ds, ctx.cfg.epsilon)
-    at = (ends[free] - 4)[:, None] + np.arange(4)
-    A[at], b[at] = _SPEED_A, _speed_bounds(ctx.speed[free], V[free], ctx.scenario.dt)
-    return A, b, counts, np.array((own, oth)).T
+    dist = dist[lay.pair]
+    barrier.guard_pairs(own, oth, dist, lay.ds)
+    accel_other = lay.accel_other if ctx.estimators is None else ctx.estimators[0]._est[oth]
+    A, b = lay.A.copy(), lay.b.copy()
+    A.reshape(-1, 2)[lay.bar] = -dp
+    flat = b.reshape(-1)
+    flat[lay.bar] = _BOUNDS[ctx.scenario.mode](dp, dist, V[own] - V[oth], V[own], lay.accel,
+                                               accel_other, lay.gain, lay.ds, ctx.cfg.epsilon)
+    flat[lay.speed] = _speed_bounds(ctx.speed[lay.free], V[lay.free], ctx.scenario.dt).ravel()
+    return lay, A, b
 
 
 def _solve_decentralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarray,
                          dp: np.ndarray, dist: np.ndarray):
-    A, b, counts, row_pairs = _agent_rows(ctx, violated, dist)
-    free = np.flatnonzero(~violated)
-    sol = qp.solve_batch(U_nom[free], A, b, counts[free], ctx.box[free],
-                         [ctx.warm_starts[i] for i in free.tolist()])
-    statuses = [qp.INFEASIBLE] * ctx.n
-    for i, status, active in zip(free.tolist(), sol.status, sol.active_set):
-        ctx.warm_starts[i] = active
-        statuses[i] = status
-    optimal = np.array([status == qp.OPTIMAL for status in sol.status], dtype=bool)
+    lay, A, b = _agent_qps(ctx, violated, dp, dist)
+    free, width = lay.free, b.shape[1]
+    u, optimal, active, _ = qp.solve_padded(U_nom[free], A, b, lay.m, ctx.warm[free, :width])
+    ctx.warm[free, :width], ctx.warm[free, width:] = active, False
     U = np.zeros((ctx.n, 2))
-    U[free[optimal]] = sol.u_star[optimal]
+    U[free[optimal]] = u[optimal]
     brake = violated.copy()
     brake[free[~optimal]] = True
-    return _apply(ctx, U, brake), statuses, row_pairs
+    statuses = [qp.INFEASIBLE if x else qp.OPTIMAL for x in brake.tolist()]
+    return _apply(ctx, U, brake), statuses, lay.row_pairs
 
 
 def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: np.ndarray):
@@ -449,7 +499,8 @@ def step_once(ctx: SimContext) -> StepRecord:
             f"non-finite state for agent {ctx.params[i].id} at t={ctx.t:.6g}"
         )
     U_nom = goal_controller(P, V, ctx.goals, scn.k1, scn.k2, ctx.box)
-    dp, dist = _pair_dist(ctx, P)
+    carried = ctx.geometry  # the last step's post-step geometry, while P is its positions
+    dp, dist = carried[1:] if carried is not None and carried[0] is P else _pair_dist(ctx, P)
     _require_apart(dist)
     U, statuses, row_pairs = _SOLVERS[scn.mode](ctx, U_nom, _violated(ctx, dist), dp, dist)
 
@@ -462,6 +513,7 @@ def step_once(ctx: SimContext) -> StepRecord:
 
     dp, dist = _pair_dist(ctx, ctx.P)
     _require_apart(dist)
+    ctx.geometry = (ctx.P, dp, dist)
     h = _pair_h(ctx, dist, _pair_vbar(ctx, dp, dist, ctx.V))
     return StepRecord(
         t=ctx.t,

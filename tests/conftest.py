@@ -1,11 +1,14 @@
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from safeswarm import AgentParams, AgentState, pair_barrier, relative_state
+from safeswarm.cli import scenario_from_dict
 from safeswarm.presets import circle6
-from safeswarm.sim import run
+from safeswarm.sim import AgentSetup, Scenario, run
 
 
 def random_safe_pair(rng, safety_dist=0.6, equal_gamma=True, margin=0.05):
@@ -48,3 +51,34 @@ def circle6_run():
     log, metrics = run(scenario)
     wall = time.perf_counter() - start
     return scenario, log, metrics, wall
+
+
+def lanes_tiles(tiles=3, spacing=8.0):
+    """tiles x tiles copies of scenarios/crossing_lanes.json, spacing m apart,
+    under decentralized_C_estimated."""
+    doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios"
+                      / "crossing_lanes.json").read_text())
+    base = doc.pop("agents")
+    doc["mode"] = "decentralized_C_estimated"
+    doc["agents"] = [
+        dict(a, id=len(base) * k + a["id"],
+             p0=[a["p0"][0] + spacing * (k % tiles), a["p0"][1] + spacing * (k // tiles)],
+             goal=[a["goal"][0] + spacing * (k % tiles), a["goal"][1] + spacing * (k // tiles)])
+        for k in range(tiles * tiles) for a in base
+    ]
+    return scenario_from_dict(doc)
+
+
+def ring_swap(n, radius, stagger_deg, mode):
+    """n agents on a ring of the given radius swapping with their antipodes,
+    from rest, each turned off the even spacing by its stagger in degrees;
+    circle6's mix: every sixth agent, from the first, is the large,
+    cumbersome one."""
+    agents = []
+    for k in range(n):
+        angle = 2.0 * np.pi * k / n + np.deg2rad(stagger_deg[k])
+        p0 = radius * np.array([np.cos(angle), np.sin(angle)])
+        large = k % 6 == 0
+        params = AgentParams(k + 1, 0.6 if large else 1.2, 0.6, 1.0, 0.4 if large else 0.2)
+        agents.append(AgentSetup(params, AgentState(p0, np.zeros(2)), -p0))
+    return Scenario(agents, dt=0.02, t_end=60.0, mode=mode)

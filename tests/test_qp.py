@@ -123,6 +123,30 @@ NEAR_PARALLEL = [
 ]
 
 
+# Contradictory and near-parallel rows whose dual steps overflow the
+# multipliers after about 130 iterations; from a hypothesis run of
+# test_equals_solve_on_each_problem. Stepping on from there, solve reported
+# OPTIMAL with a NaN answer and the batch ended on another active set.
+OVERFLOWING = QpProblem(
+    np.array([0.7165702615536316, 0.8091691487442596]),
+    np.array([[-1.5271407361203257, 0.16365290753863082],
+              [0.9096690464532401, -2.725984204670823],
+              [0.9096500654667931, -2.7259488811666057],
+              [-0.9096500654667931, 2.7259488811666057],
+              [0.9184889289738676, 0.9536194892174403],
+              [-0.3578183633391514, 0.5873077296548912],
+              [0.3578183633391514, -0.5873077296548912],
+              [1.937176011643798, -1.1188113320353765],
+              [-0.771999855365656, 0.644753552489867],
+              [0.4425736312208781, -1.1946144645395447],
+              [-0.34504054625882774, -2.072543533983312]]),
+    np.array([10.547411617591827, 83.551487879958, 83.55148803405395, -83.84563555144756,
+              -0.4271047322006988, 0.28444830662199905, -0.7136852326325542,
+              223.66125224422825, -2.1484132719121787, 105.5604055614673,
+              21.084715556589636]),
+    np.full(2, 0.6753492917389613))
+
+
 class TestSolveBatch:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
@@ -132,6 +156,39 @@ class TestSolveBatch:
         warm = [tuple(int(j) for j in rng.integers(-3, 20, int(rng.integers(0, 4))))
                 for _ in problems]
         assert_batch_equals_solve(problems, warm)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
+    def test_pad_rows_and_kernel_equal_solve_batch(self, seed, k):
+        """``solve_batch`` is ``pad_rows`` plus ``solve_padded``: each
+        problem's rows, box faces and padding sit in its row of the layout,
+        and the kernel, given the warm starts as a mask with stray bits on
+        padding rows, returns the batch's answers, statuses, active sets
+        and iterations."""
+        rng = np.random.default_rng(seed)
+        problems = [random_batch_problem(rng) for _ in range(k)]
+        warm = [tuple(int(j) for j in rng.integers(-3, 20, int(rng.integers(0, 4))))
+                for _ in problems]
+        batch = batch_of(problems, warm)
+        counts = np.array([p.b.size for p in problems])
+        AA, bb, m = qp.pad_rows(np.concatenate([p.A for p in problems]).reshape(-1, 2),
+                                np.concatenate([p.b for p in problems]), counts,
+                                np.array([p.box for p in problems]))
+        assert m.tolist() == (counts + 4).tolist() and AA.shape == (k, m.max(), 2)
+        mask = rng.random(bb.shape) < 0.3  # stray bits, kept only on padding rows
+        mask[np.arange(m.max()) < m[:, None]] = False
+        for row, (problem, rows) in enumerate(zip(problems, warm)):
+            A, b = expanded_constraints(problem)
+            assert AA[row, :m[row]].tobytes() == A.tobytes()
+            assert bb[row, :m[row]].tobytes() == b.tobytes()
+            assert not AA[row, m[row]:].any() and np.isinf(bb[row, m[row]:]).all()
+            mask[row, [j for j in rows if 0 <= j < m[row]]] = True
+        u, optimal, in_work, iters = qp.solve_padded(
+            np.array([p.u_hat for p in problems]), AA, bb, m, mask)
+        assert u.tobytes() == batch.u_star.tobytes()
+        assert [OPTIMAL if ok else INFEASIBLE for ok in optimal] == batch.status
+        assert [tuple(np.flatnonzero(row)) for row in in_work] == batch.active_set
+        assert iters.tobytes() == batch.iterations.tobytes()
 
     def test_covers_every_kind_of_answer(self):
         rng = np.random.default_rng(48)
@@ -159,6 +216,13 @@ class TestSolveBatch:
         assert max(stacked_widths) >= 3
         assert [r.getMessage() for r in caplog.records] == [
             "iteration limit (90) hit on a 9-row problem; reporting infeasible"] * 2
+
+    def test_overflowing_iterate_stops_as_infeasible(self, caplog):
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = assert_batch_equals_solve([OVERFLOWING], [(1,)])
+        assert batch.status == [INFEASIBLE] and batch.iterations.tolist() == [129]
+        assert [r.getMessage() for r in caplog.records] == [
+            "non-finite iterate on a 15-row problem; reporting infeasible"] * 2
 
     def test_empty_polytope_certificate(self, caplog):
         problem = QpProblem(np.zeros(2), *rows((1, 0, -1), (-1, 0, -1)), np.full(2, 100.0))

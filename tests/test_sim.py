@@ -1,6 +1,4 @@
-import json
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from safeswarm import (
     saturate_box,
     step,
 )
-from safeswarm.cli import scenario_from_dict
 from safeswarm.sim import (
     AgentSetup,
     Scenario,
@@ -30,6 +27,8 @@ from safeswarm.sim import (
     run,
     step_once,
 )
+
+from conftest import lanes_tiles
 
 
 def agent(aid, p0, goal, accel=1.2, speed=0.6, gain=1.0, radius=0.2, v0=(0.0, 0.0)):
@@ -163,6 +162,13 @@ class TestScenarioValidation:
     def test_duplicate_ids_rejected(self):
         scn = Scenario(agents=[agent(1, (0, 0), (1, 0)), agent(1, (3, 0), (0, 0))])
         with pytest.raises(ScenarioError, match="duplicate"):
+            scn.validate()
+
+    @pytest.mark.parametrize("ids, reported", [([1, 2, 2, 1], 1), ([3, 1, 2, 2], 2),
+                                               (list(range(999)) + [998], 998)])
+    def test_duplicate_id_reported_is_the_first_repeated_in_list_order(self, ids, reported):
+        scn = Scenario(agents=[agent(aid, (3.0 * k, 0), (3.0 * k, 1)) for k, aid in enumerate(ids)])
+        with pytest.raises(ScenarioError, match=f"^duplicate agent id {reported}$"):
             scn.validate()
 
     def test_overlapping_starts_rejected(self):
@@ -392,22 +398,6 @@ class TestMetrics:
         again = compute_metrics(log)
         assert again.min_pair_dist == metrics.min_pair_dist
         assert again.goal_errors == metrics.goal_errors
-
-
-def lanes_tiles(tiles=3, spacing=8.0):
-    """tiles x tiles copies of scenarios/crossing_lanes.json, spacing m apart,
-    under decentralized_C_estimated."""
-    doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios"
-                      / "crossing_lanes.json").read_text())
-    base = doc.pop("agents")
-    doc["mode"] = "decentralized_C_estimated"
-    doc["agents"] = [
-        dict(a, id=len(base) * k + a["id"],
-             p0=[a["p0"][0] + spacing * (k % tiles), a["p0"][1] + spacing * (k // tiles)],
-             goal=[a["goal"][0] + spacing * (k % tiles), a["goal"][1] + spacing * (k // tiles)])
-        for k in range(tiles * tiles) for a in base
-    ]
-    return scenario_from_dict(doc)
 
 
 def test_log_bytes_per_step_are_linear_in_n():

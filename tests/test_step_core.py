@@ -22,6 +22,7 @@ from safeswarm import (
     AgentState,
     AlreadyViolatedError,
     BarrierConfig,
+    INFEASIBLE,
     DegenerateGeometryError,
     LimitEstimator,
     neighbors,
@@ -31,6 +32,8 @@ from safeswarm import (
 from safeswarm import barrier, sim
 from safeswarm.presets import circle6
 from safeswarm.sim import MODES, AgentSetup, Scenario, SimContext, step_once
+
+from conftest import lanes_tiles, ring_swap
 
 # Relative offsets from a critical distance: just inside, on it (up to the
 # rounding of the placement) and just outside.
@@ -139,7 +142,7 @@ def test_violated_set_matches_scalar_test(case):
 @given(ensembles())
 def test_neighbor_mask_matches_neighbors(case):
     ctx, P, V = case
-    mask = sim._neighbor_mask(ctx, P)
+    mask = sim._neighbor_mask(ctx, sim._pair_dist(ctx, P)[0])
     for i in range(ctx.n):
         ref = sorted(neighbors(i, _states(P, V), ctx.neighbor_info[i]))
         assert np.flatnonzero(mask[i]).tolist() == ref
@@ -205,6 +208,10 @@ def _violated_ref(ctx, P, V):
     return inside
 
 
+def _box_rows(limit):
+    return [(np.array(face), limit) for face in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0])]
+
+
 def _same_bytes(rows, A, b):
     ref_A = np.array([a for a, _ in rows]).reshape(A.shape)
     assert A.tobytes() == ref_A.tobytes()
@@ -214,17 +221,16 @@ def _same_bytes(rows, A, b):
 @settings(max_examples=150, deadline=None)
 @given(ensembles(DECENTRALIZED))
 def test_agent_rows_match_scalar_formulas(case):
+    """Problem k of the padded layout is free agent k's barrier rows, speed
+    rows and box faces, then zero rows with an infinite bound."""
     ctx, P, V = case
     scn, params = ctx.scenario, ctx.params
     violated = _violated_ref(ctx, P, V)
-    A, b, counts, row_pairs = sim._agent_rows(
-        ctx, np.array(violated), sim._pair_dist(ctx, P)[1])
-    ends = np.cumsum(counts)
+    lay, A, b = sim._agent_qps(ctx, np.array(violated), *sim._pair_dist(ctx, P))
+    free = [i for i in range(ctx.n) if not violated[i]]
+    assert lay.free.tolist() == free and A.shape[0] == b.shape[0] == len(free)
     pairs = []
-    for i in range(ctx.n):
-        if violated[i]:
-            assert counts[i] == 0
-            continue
+    for k, i in enumerate(free):
         rows = []
         for j in sorted(neighbors(i, _states(P, V), ctx.neighbor_info[i])):
             dp, dv, dist, vbar = _rel(P, V, i, j)
@@ -234,10 +240,12 @@ def test_agent_rows_match_scalar_formulas(case):
                                        other, params[i].barrier_gain, ctx.safety_dist[i, j],
                                        ctx.cfg.epsilon)))
             pairs.append([i, j])
-        rows += _speed_rows(params[i].speed_limit, V[i], scn.dt)
-        _same_bytes(rows, A[ends[i] - counts[i]:ends[i]], b[ends[i] - counts[i]:ends[i]])
-    assert row_pairs.shape == (len(pairs), 2) and row_pairs.tolist() == pairs
-    assert len(A) == ends[-1]
+        rows += _speed_rows(params[i].speed_limit, V[i], scn.dt) + _box_rows(params[i].accel_limit)
+        assert lay.m[k] == len(rows)
+        rows += [(np.zeros(2), math.inf)] * (A.shape[1] - len(rows))
+        _same_bytes(rows, A[k], b[k])
+    assert A.shape[1] == max(lay.m, default=0)
+    assert lay.row_pairs.shape == (len(pairs), 2) and lay.row_pairs.tolist() == pairs
 
 
 @settings(max_examples=150, deadline=None)
@@ -315,6 +323,95 @@ def test_step_record_min_h_is_the_scalar_minimum():
             assert rec.min_h.hex() == min(ref).hex()
     lone = Scenario(_headon().agents[:1])
     assert step_once(SimContext(lone)).min_h == math.inf
+
+
+def _step_against_cold_layout(ctx, steps):
+    """Step ``ctx``, checking at every step that the cached layout gives
+    the same padded rows, bounds, m, row pairs and answers, by bytes, as a
+    layout rebuilt with the cache cleared; that the carried (dp, dist) are
+    the post-step ``_pair_dist``; and that each free agent's warm row is the
+    active set a ``qp.solve`` replay of its problem ends on, from its last
+    warm row. Returns the number of steps whose layout came from the cache
+    and the number of free agents whose QP went infeasible."""
+    scn, hits, infeasible = ctx.scenario, 0, 0
+    for _ in range(steps):
+        dp, dist = sim._pair_dist(ctx, ctx.P)
+        violated = sim._violated(ctx, dist)
+        cached = ctx.layout
+        lay, A, b = sim._agent_qps(ctx, violated, dp, dist)
+        warm = ctx.warm.copy()
+        hits += lay is cached
+        ctx.layout = None
+        cold, A0, b0 = sim._agent_qps(ctx, violated, dp, dist)
+        assert cold is not lay
+        for x, y in ((A, A0), (b, b0), (lay.m, cold.m), (lay.row_pairs, cold.row_pairs)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        width = b.shape[1]
+        U_nom = sim.goal_controller(ctx.P, ctx.V, ctx.goals, scn.k1, scn.k2, ctx.box)
+        hot = sim.qp.solve_padded(U_nom[lay.free], A, b, lay.m, warm[lay.free, :width])
+        for x, y in zip(hot, sim.qp.solve_padded(U_nom[cold.free], A0, b0, cold.m,
+                                                 warm[cold.free, :width])):
+            assert x.tobytes() == y.tobytes()
+        ctx.layout = cached  # the step itself takes the cached path
+        rec = step_once(ctx)
+        assert rec.row_pairs is ctx.layout.row_pairs
+        assert ctx.geometry[0] is ctx.P
+        for x, y in zip(ctx.geometry[1:], sim._pair_dist(ctx, ctx.P)):
+            assert x.tobytes() == y.tobytes()
+        for k, i in enumerate(lay.free.tolist()):
+            rows = lay.m[k] - 4
+            sol = sim.qp.solve(sim.qp.QpProblem(U_nom[i], A0[k, :rows], b0[k, :rows], ctx.box[i]),
+                               warm_start=tuple(np.flatnonzero(warm[i]).tolist()))
+            assert tuple(np.flatnonzero(ctx.warm[i]).tolist()) == sol.active_set
+            assert rec.qp_status[i] == sol.status and hot[0][k].tobytes() == sol.u_star.tobytes()
+            infeasible += sol.status == INFEASIBLE
+        assert ctx.warm[violated].tobytes() == warm[violated].tobytes()
+    return hits, infeasible
+
+
+@pytest.mark.parametrize("mode", DECENTRALIZED)
+def test_cached_layout_equals_cold_layout_on_circle6(mode):
+    ctx = SimContext(circle6(mode))
+    assert _step_against_cold_layout(ctx, 300)[0] > 150
+
+
+def test_cached_layout_equals_cold_layout_on_lanes_tiles():
+    ctx = SimContext(lanes_tiles())
+    assert _step_against_cold_layout(ctx, 150)[0] > 75
+
+
+def test_cached_layout_equals_cold_layout_while_braking():
+    """The ring8 swap with a +-3 degree stagger under strategy B: QPs go
+    infeasible from step 66 and pairs fall inside their safety distance
+    from step 124, so the violated set changes under the cache."""
+    ctx = SimContext(ring_swap(8, 1.75, [3.0, -3.0] * 4, "decentralized_B"))
+    hits, infeasible = _step_against_cold_layout(ctx, 130)
+    assert hits > 65 and infeasible and ctx.layout.violated.any()
+
+
+def test_cached_layout_for_a_lone_agent_and_for_no_free_agent():
+    lone = SimContext(Scenario(_headon().agents[:1]))
+    assert _step_against_cold_layout(lone, 20) == (19, 0)
+    assert lone.layout.A.shape == (1, 8, 2) and lone.layout.row_pairs.shape == (0, 2)
+    ctx = SimContext(_headon())
+    ctx.P = ctx.P.copy()
+    ctx.P[1] = ctx.P[0] + [ctx.safety_dist[0, 1] * 0.9, 0.0]  # a pair inside Ds
+    ctx.P[2] = ctx.P[0] - [0.0, ctx.safety_dist[0, 2] * 0.9]
+    ctx.V[:] = [[0.1, 0.0], [0.0, -0.2], [0.3, 0.0]]
+    _step_against_cold_layout(ctx, 1)
+    assert ctx.layout.free.size == 0 and ctx.layout.A.shape == (0, 0, 2)
+    assert ctx.warm.shape == (3, 0)
+
+
+def test_layout_arrays_are_shared_and_read_only():
+    """Records stepped under one layout share its row_pairs; neither they
+    nor the layout's templates can be written."""
+    ctx = SimContext(circle6("decentralized_C"))
+    first, second = step_once(ctx), step_once(ctx)
+    assert second.row_pairs is first.row_pairs and len(first.row_pairs)
+    for shared in (first.row_pairs, ctx.layout.A, ctx.layout.b):
+        with pytest.raises(ValueError):
+            shared[0] = 0
 
 
 def test_shared_estimator_matches_one_estimator_per_agent():
