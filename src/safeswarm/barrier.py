@@ -97,13 +97,6 @@ class HalfspaceRow:
     pair: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class NeighborInfo:
-    """Interaction radius of one agent (see ``neighbor_radius``)."""
-
-    neighbor_radius: float  # m
-
-
 def barrier_values(dist, vbar, accel_sum, safety_dist):
     """h of each pair from its distance and line-of-sight speed; elementwise
     over arrays. Inside the safety disk the square-root term is zero."""
@@ -328,12 +321,12 @@ def neighbor_radius(
     return float(safety_dist + reach**2 / (2.0 * accel_sum))
 
 
-def neighbors(i: int, states: list[AgentState], info: NeighborInfo) -> set[int]:
+def neighbors(i: int, states: list[AgentState], radius: float) -> set[int]:
     """Indices of agents within agent i's interaction radius (inclusive)."""
     result = set()
     for j, sj in enumerate(states):
         if j == i:
             continue
-        if float(np.linalg.norm(states[i].p - sj.p)) <= info.neighbor_radius:
+        if float(np.linalg.norm(states[i].p - sj.p)) <= radius:
             result.add(j)
     return result

@@ -1,8 +1,8 @@
 """Command-line front end: load a scenario, run it, emit artifacts.
 
 Exit codes: 0 on a completed safe run, 1 on any input problem (bad flags,
-malformed scenario), 2 when the run aborted or finished with the safety
-margin violated.
+malformed scenario) or an output directory that cannot be created or
+written, 2 when the run aborted or finished with the safety margin violated.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .sim import MODES, AgentSetup, Scenario, ScenarioError, run
 
 SAFETY_SLACK = 1e-6  # m/s of tolerated barrier undershoot before exit 2
 
-_TOP_KEYS = {"dt", "t_end", "mode", "gains", "barrier", "estimator", "seed", "agents"}
+_TOP_KEYS = {"dt", "t_end", "mode", "gains", "barrier", "estimator", "agents"}
 _GAIN_KEYS = {"k1", "k2"}
 _BARRIER_KEYS = {"ds_mode", "ds", "epsilon"}
 _ESTIMATOR_KEYS = {"k", "alpha_floor"}
@@ -125,10 +125,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         state0 = AgentState(_vector(entry, "p0", where), _vector(entry, "v0", where))
         agents.append(AgentSetup(params, state0, _vector(entry, "goal", where)))
 
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ScenarioError("key 'seed' must be an integer")
-
     scenario = Scenario(
         agents=agents,
         dt=_number(doc, "dt", "scenario", default=0.02),
@@ -142,21 +138,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
             _number(est_doc, "alpha_floor", "estimator")
             if "alpha_floor" in est_doc else None
         ),
-        seed=seed,
     )
     scenario.validate()
     return scenario
 
 
 def parse_scenario(path) -> Scenario:
-    """Load, schema-check, and validate a scenario JSON file."""
+    """Load, schema-check, and validate a scenario JSON file (UTF-8)."""
     try:
-        text = Path(path).read_text()
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(doc)
 
@@ -191,6 +184,12 @@ def run_command(argv=None) -> int:
         if args.mode is not None:
             scenario.mode = args.mode
             scenario.validate()
+        out_dir = Path(args.out_dir)
+        try:
+            made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # leaf first
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ScenarioError(f"cannot create output directory {out_dir}: {exc}") from exc
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
@@ -199,15 +198,19 @@ def run_command(argv=None) -> int:
     try:
         log, metrics = run(scenario)
     except (RuntimeError, DegenerateGeometryError) as exc:
+        for d in made:  # an aborted run leaves no output behind
+            d.rmdir()
         print(f"run aborted: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(log, out_dir / "trajectory.csv")
-    write_metrics_json(metrics, out_dir / "metrics.json")
-    if args.svg:
-        (out_dir / "trajectory.svg").write_text(render_svg(log))
+    try:
+        write_trajectory_csv(log, out_dir / "trajectory.csv")
+        write_metrics_json(metrics, out_dir / "metrics.json")
+        if args.svg:
+            (out_dir / "trajectory.svg").write_text(render_svg(log))
+    except OSError as exc:
+        print(f"error: cannot write artifacts to {out_dir}: {exc}", file=sys.stderr)
+        return 1
 
     safe = metrics.min_h >= -SAFETY_SLACK
     if not args.quiet:

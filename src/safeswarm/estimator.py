@@ -1,8 +1,9 @@
 """Online, conservative estimation of neighbors' acceleration limits.
 
 Each agent watches its neighbors' velocities, finite-differences them into
-an observed acceleration magnitude, smooths that exponentially, and raises
-its per-neighbor limit estimate toward any observation that exceeds it:
+an observed acceleration magnitude, smooths that exponentially (each new
+sample enters with weight ``SMOOTHING``), and raises its per-neighbor limit
+estimate toward any observation that exceeds it:
 
     d(est)/dt = gain * (max(est, observed) - est)
 
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+SMOOTHING = 0.2  # weight of each new finite-difference sample in the observation
+
 
 class LimitEstimator:
     """Running estimates of other agents' acceleration limits.
@@ -34,33 +37,15 @@ class LimitEstimator:
         Global conservative lower bound on any agent's acceleration limit.
     gain:
         Adaptation rate (1/s) of the estimate toward large observations.
-    smoothing:
-        Fraction of each new finite-difference sample blended into the
-        smoothed observation; 1.0 disables smoothing.
-    obs_cap:
-        Optional hard cap on the smoothed observation, for scenarios where
-        measurement noise could otherwise push it past a true limit.
-        Disabled by default.
     """
 
-    def __init__(
-        self,
-        neighbor_ids,
-        accel_floor: float,
-        gain: float,
-        smoothing: float = 0.2,
-        obs_cap: float | None = None,
-    ):
+    def __init__(self, neighbor_ids, accel_floor: float, gain: float):
         if not accel_floor > 0:
             raise ValueError(f"accel_floor must be positive, got {accel_floor!r}")
         if not gain > 0:
             raise ValueError(f"gain must be positive, got {gain!r}")
-        if not 0 < smoothing <= 1:
-            raise ValueError(f"smoothing must be in (0, 1], got {smoothing!r}")
         self.accel_floor = float(accel_floor)
         self.gain = float(gain)
-        self.smoothing = float(smoothing)
-        self.obs_cap = None if obs_cap is None else float(obs_cap)
         self.ids = list(dict.fromkeys(int(j) for j in neighbor_ids))
         self.estimates: dict[int, float] = dict.fromkeys(self.ids, self.accel_floor)  # _est by id
         self._est = np.full(len(self.ids), self.accel_floor)
@@ -78,9 +63,7 @@ class LimitEstimator:
             raise ValueError(f"expected velocities of shape ({len(self.ids)}, 2), got {V.shape}")
         if self._last_v is not None:
             raw = np.abs(V - self._last_v).max(axis=1) / dt
-            if self.obs_cap is not None:
-                raw = np.minimum(raw, self.obs_cap)
-            self._obs = (1.0 - self.smoothing) * self._obs + self.smoothing * raw
+            self._obs = (1.0 - SMOOTHING) * self._obs + SMOOTHING * raw
         self._last_v = V
 
     def update(self, dt: float) -> None:

@@ -33,12 +33,11 @@ working sets come out, as (K, M) bool masks. Each pass makes one selection
 or one dual step for every unfinished problem, with the same pivots,
 tie-breaks (largest residual, then lowest index, warm rows first),
 iteration limits and warnings as ``solve``. ``pad_rows`` builds the layout
-from rows given as one (R, 2) array with per-problem counts, and
-``solve_batch`` is ``pad_rows`` plus the kernel behind ``solve``'s
-argument and answer types (warm-start and active-set tuples); the
-simulator builds its layout itself and calls the kernel.
-The kernel's answers, statuses and active sets equal ``solve``'s bit for
-bit, which fixes how each quantity is computed:
+from rows given as one (R, 2) array with per-problem counts; the simulator
+builds it once per neighbour and violated set and fills in each step's
+rows itself. The kernel's answers, optimal flags and working-set masks
+equal ``solve``'s answers, statuses and active sets bit for bit, which
+fixes how each quantity is computed:
 
 * Residuals only choose rows, so one ``row_dot`` pass over all rows
   serves every problem; ``A @ u`` rounds differently and by row count, but
@@ -266,63 +265,14 @@ def _dual_step(
     return u - 0.5 * t * z, lam_p + t
 
 
-@dataclass
-class BatchSolution:
-    """``solve_batch`` output: row k of u_star, status[k], active_set[k]
-    and iterations[k] are what ``solve`` returns for problem k."""
-
-    u_star: np.ndarray  # (K, 2)
-    status: list[str]
-    active_set: list[tuple[int, ...]]
-    iterations: np.ndarray  # (K,)
-
-
-def solve_batch(u_hat: np.ndarray, A: np.ndarray, b: np.ndarray, counts: np.ndarray,
-                box: np.ndarray, warm_starts=None) -> BatchSolution:
-    """``solve`` on K independent 2-variable problems at once.
-
-    Problem k is ``QpProblem(u_hat[k], A[lo:hi], b[lo:hi], box[k])``, where
-    rows ``lo:hi`` are the k-th block of ``counts`` rows of the (R, 2) array
-    A; warm_starts[k] is its warm start. Shapes and ``box > 0`` are checked
-    once per call; the problems then go through ``pad_rows`` and
-    ``solve_padded``.
-    """
-    u_hat = np.asarray(u_hat, dtype=float)
-    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
-    counts, box = np.asarray(counts, dtype=int), np.asarray(box, dtype=float)
-    K = counts.size
-    if (counts.ndim != 1 or (K and counts.min() < 0) or u_hat.shape != (K, 2)
-            or box.shape != (K, 2) or A.shape != (counts.sum(), 2) or b.shape != (len(A),)):
-        raise ValueError(f"{K} problems: u_hat {u_hat.shape}, rows {A.shape}, "
-                         f"bounds {b.shape}, box {box.shape}")
-    if not (box > 0).all():
-        raise ValueError("box bounds must be positive")
-    if warm_starts is not None and len(warm_starts) != K:
-        raise ValueError(f"{len(warm_starts)} warm starts for {K} problems")
-
-    AA, bb, m = pad_rows(A, b, counts, box)
-    warm = np.zeros(bb.shape, dtype=bool)
-    if warm_starts is not None:
-        lens = [len(w) for w in warm_starts]
-        rows = np.fromiter(itertools.chain.from_iterable(warm_starts), int, sum(lens))
-        owner = np.arange(K).repeat(lens)
-        ok = (rows >= 0) & (rows < m[owner])
-        warm[owner[ok], rows[ok]] = True
-    u, optimal, in_work, iters = solve_padded(u_hat, AA, bb, m, warm)
-    return BatchSolution(
-        u,
-        [OPTIMAL if ok else INFEASIBLE for ok in optimal.tolist()],
-        [tuple(np.flatnonzero(row).tolist()) for row in in_work],
-        iters,
-    )
-
-
 def pad_rows(A: np.ndarray, b: np.ndarray, counts: np.ndarray,
              box: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The padded layout of K 2-variable problems given as in ``solve_batch``.
+    """The padded layout of K 2-variable problems.
 
-    Returns the (K, M, 2) rows AA, the (K, M) bounds bb and the (K,) row
-    counts m = counts + 4. Row k of AA holds problem k's expanded rows: its
+    Problem k has the k-th block of ``counts[k]`` rows of the (R, 2) array
+    A, with bounds b, and the per-axis bounds ``box[k]``. Returns the
+    (K, M, 2) rows AA, the (K, M) bounds bb and the (K,) row counts
+    m = counts + 4. Row k of AA holds problem k's expanded rows: its
     ``counts[k]`` rows, then its box faces (+e_0, -e_0, +e_1, -e_1, bounded
     by box[k]), then zero rows with an infinite bound, which are never
     violated. M is the largest m. A's rows land on the slots

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import barrier, qp
-from .barrier import BarrierConfig, NeighborInfo
+from .barrier import BarrierConfig
 from .dynamics import (AgentParams, AgentState, DegenerateGeometryError, row_dot,
                        saturate_box, step)
 from .dynamics import relative_state  # noqa: F401  (perfbench/layers.py wraps sim.relative_state)
@@ -108,8 +108,6 @@ class Scenario:
     barrier_cfg: BarrierConfig = field(default_factory=BarrierConfig)
     estimator_gain: float = 1.0  # 1/s
     alpha_floor: float | None = None  # None: half the smallest accel limit
-    neighbor_bounds: tuple[float, float] | None = None  # (min accel, max speed)
-    seed: int = 0
 
     def validate(self) -> None:
         if not self.agents:
@@ -122,6 +120,8 @@ class Scenario:
             raise ScenarioError(f"alpha_floor must be positive, got {self.alpha_floor!r}")
         if self.t_end < 0:
             raise ScenarioError(f"t_end must be nonnegative, got {self.t_end!r}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ScenarioError(f"t_end / dt = {self.t_end / self.dt!r} steps is not finite")
         if self.mode not in MODES:
             raise ScenarioError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         ids = [a.params.id for a in self.agents]
@@ -231,7 +231,7 @@ class SimContext(_Pairs):
 
     In the estimated mode ``estimators[i]`` is agent i's estimator of the
     others' limits. Every agent observes every other agent with the same
-    law, floor, gain and smoothing, so one estimator over all ids serves
+    law, floor and gain, so one estimator over all ids serves
     them all and ``estimators`` holds it N times; the step observes and
     updates it once. Observing only the agents in each one's interaction
     radius (ROADMAP item 4) would bring back per-agent state, as one
@@ -252,8 +252,7 @@ class SimContext(_Pairs):
         self.box = np.repeat(self.accel[:, None], 2, axis=1)  # per-axis control bounds
         self.speed = np.array([p.speed_limit for p in self.params])
         self.gain = np.array([p.barrier_gain for p in self.params])
-        self.neighbor_info = [self._neighbor_info(i) for i in range(self.n)]
-        self.neighbor_radius = np.array([info.neighbor_radius for info in self.neighbor_info])
+        self.neighbor_radius = self._neighbor_radius()
         self.pair_index = np.zeros((self.n, self.n), dtype=int)  # of (i, j) and (j, i)
         self.pair_index[self.pair_i, self.pair_j] = np.arange(self.pair_i.size)
         self.pair_index[self.pair_j, self.pair_i] = np.arange(self.pair_i.size)
@@ -267,24 +266,20 @@ class SimContext(_Pairs):
         self.layout: _Layout | None = None
         self.geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # (P, dp, dist)
 
-    def _neighbor_info(self, i: int) -> NeighborInfo:
-        others = [p for k, p in enumerate(self.params) if k != i]
-        if self.scenario.neighbor_bounds is not None:
-            min_accel, max_speed = self.scenario.neighbor_bounds
-        elif others:
-            min_accel = min(p.accel_limit for p in others)
-            max_speed = max(p.speed_limit for p in others)
-        else:
-            min_accel = self.params[i].accel_limit
-            max_speed = self.params[i].speed_limit
-        if self.scenario.mode == "decentralized_C_estimated":
-            min_accel = min(min_accel, self.scenario.resolved_alpha_floor())
-        ds_worst = max(
-            (self.safety_dist[i, j] for j in range(self.n) if j != i),
-            default=2 * self.params[i].radius,
-        )
-        radius = barrier.neighbor_radius(self.params[i], min_accel, max_speed, ds_worst)
-        return NeighborInfo(radius)
+    def _neighbor_radius(self) -> np.ndarray:
+        """Each agent's ``barrier.neighbor_radius`` against the weakest
+        braking, the top speed and the widest safety distance among the
+        others; a lone agent's own limits and twice its radius stand in."""
+        scn, lone = self.scenario, self.n == 1
+        others = ~np.eye(self.n, dtype=bool) | lone
+        min_accel = np.where(others, self.accel, np.inf).min(axis=1)
+        max_speed = np.where(others, self.speed, -np.inf).max(axis=1)
+        ds_worst = (2 * np.array([p.radius for p in self.params]) if lone
+                    else np.where(others, self.safety_dist, -np.inf).max(axis=1))
+        if scn.mode == "decentralized_C_estimated":
+            min_accel = np.minimum(min_accel, scn.resolved_alpha_floor())
+        return np.array([barrier.neighbor_radius(*args) for args in zip(
+            self.params, min_accel.tolist(), max_speed.tolist(), ds_worst.tolist())])
 
 
 # Normals of each agent's four speed rows, +e_0, -e_0, +e_1, -e_1. The
@@ -528,13 +523,10 @@ def step_once(ctx: SimContext) -> StepRecord:
     )
 
 
-def detect_deadlock(
-    log: TrajectoryLog,
-    window: float = DEADLOCK_WINDOW,
-    speed_eps: float = DEADLOCK_SPEED_EPS,
-    goal_eps: float = DEADLOCK_GOAL_EPS,
-) -> tuple[bool, float | None]:
-    """Flag an agent sitting still away from its goal for a full window.
+def detect_deadlock(log: TrajectoryLog,
+                    window: float = DEADLOCK_WINDOW) -> tuple[bool, float | None]:
+    """Flag an agent sitting still (below ``DEADLOCK_SPEED_EPS``) away from
+    its goal (beyond ``DEADLOCK_GOAL_EPS``) for a full window.
 
     Returns the flag and the onset time (start of the first such window).
     """
@@ -548,7 +540,7 @@ def detect_deadlock(
     goals = np.array([a.goal for a in log.scenario.agents])
     speeds = np.linalg.norm(np.array([r.v for r in records]), axis=2)  # (T, N)
     goal_dist = np.linalg.norm(np.array([r.p for r in records]) - goals, axis=2)
-    stuck = (speeds < speed_eps) & (goal_dist > goal_eps)
+    stuck = (speeds < DEADLOCK_SPEED_EPS) & (goal_dist > DEADLOCK_GOAL_EPS)
     # Stuck steps of each agent in every window [start, start + span).
     counts = np.cumsum(np.vstack((np.zeros_like(stuck[:1], dtype=int), stuck)), axis=0)
     starts = np.flatnonzero((counts[span:] - counts[:-span] == span).any(axis=1))

@@ -19,7 +19,7 @@ from safeswarm import (
     strategy_b_rows,
     strategy_c_row,
 )
-from safeswarm.barrier import NeighborInfo, centralized_bound
+from safeswarm.barrier import centralized_bound
 
 from conftest import as_ensemble, random_safe_pair
 
@@ -238,15 +238,13 @@ class TestNeighbors:
         assert neighbor_radius(fast, 0.6, 0.6, 0.6) >= neighbor_radius(slow, 0.6, 0.6, 0.6)
 
     def test_empty_when_all_far(self):
-        info = NeighborInfo(neighbor_radius=2.0)
         states = [AgentState([0, 0], [0, 0]), AgentState([5, 0], [0, 0]),
                   AgentState([0, 9], [0, 0])]
-        assert neighbors(0, states, info) == set()
+        assert neighbors(0, states, 2.0) == set()
 
     def test_boundary_distance_is_included(self):
-        info = NeighborInfo(neighbor_radius=2.0)
         states = [AgentState([0, 0], [0, 0]), AgentState([2.0, 0], [0, 0])]
-        assert neighbors(0, states, info) == {1}
+        assert neighbors(0, states, 2.0) == {1}
 
     def test_asymmetric_disks(self):
         # A nimble, aggressive agent keeps a smaller neighbor disk than a
@@ -259,9 +257,7 @@ class TestNeighbors:
         dist = (r_a + r_b) / 2
         assert min(r_a, r_b) < dist < max(r_a, r_b)
         states = [AgentState([0, 0], [0, 0]), AgentState([dist, 0], [0, 0])]
-        info_a = NeighborInfo(r_a)
-        info_b = NeighborInfo(r_b)
-        sees = {0: 1 in neighbors(0, states, info_a), 1: 0 in neighbors(1, states, info_b)}
+        sees = {0: 1 in neighbors(0, states, r_a), 1: 0 in neighbors(1, states, r_b)}
         assert sees[0] != sees[1]
 
 

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import safeswarm
 from safeswarm import DegenerateGeometryError, cli, run
 from safeswarm.artifacts import (
     metrics_to_dict,
@@ -33,7 +37,6 @@ def two_agent_doc(t_end=16.0):
         "gains": {"k1": 1.0, "k2": 2.0},
         "barrier": {"ds_mode": "sum_of_radii", "epsilon": 1e-6},
         "estimator": {"k": 1.0, "alpha_floor": 0.5},
-        "seed": 3,
         "agents": [
             {"id": 1, "alpha": 1.2, "beta": 0.6, "gamma": 1.0, "radius": 0.2,
              "p0": [-1.2, 0.05], "v0": [0.0, 0.0], "goal": [1.2, 0.05]},
@@ -61,10 +64,11 @@ class TestParseScenario:
         assert scn.alpha_floor == 0.5
 
     def test_unknown_top_level_key_rejected(self):
-        doc = dict(two_agent_doc())
-        doc["extra"] = 1
-        with pytest.raises(ScenarioError, match="extra"):
-            scenario_from_dict(doc)
+        for key in ("extra", "seed"):  # seed was once a key that nothing read
+            doc = dict(two_agent_doc())
+            doc[key] = 1
+            with pytest.raises(ScenarioError, match=key):
+                scenario_from_dict(doc)
 
     def test_unknown_agent_key_rejected(self):
         doc = two_agent_doc()
@@ -98,9 +102,19 @@ class TestParseScenario:
 
     def test_bad_json_named(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ScenarioError, match="JSON"):
-            parse_scenario(path)
+        for text in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
+            path.write_bytes(text)
+            with pytest.raises(ScenarioError, match="JSON"):
+                parse_scenario(path)
+
+    def test_infinite_step_count_rejected(self, tmp_path, capsys):
+        doc = dict(two_agent_doc(), dt=1e-10, t_end=1e300)
+        with pytest.raises(ScenarioError, match="t_end / dt"):
+            scenario_from_dict(doc)
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        assert run_command(["--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -208,12 +222,35 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "run", collide)
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(two_agent_doc()))
-        code = run_command(["--scenario", str(path), "--out-dir", str(tmp_path / "out")])
+        (tmp_path / "kept").mkdir()
+        for out in (tmp_path / "out", tmp_path / "kept" / "a" / "b"):
+            code = run_command(["--scenario", str(path), "--out-dir", str(out)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert "run aborted: coincident agent positions" in err
+            assert "Traceback" not in err
+            # The output directories made for the run are removed again.
+            assert sorted(tmp_path.iterdir()) == [tmp_path / "kept", path]
+            assert not any((tmp_path / "kept").iterdir())
+
+    def test_out_dir_that_cannot_be_made_exits_1_before_the_run(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def never(scenario):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run", never)
+        (tmp_path / "file").write_text("")
+        for out in (tmp_path / "file", tmp_path / "file" / "out"):
+            assert run_command(["--preset", "headon2", "--out-dir", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "error: cannot create output directory" in err and "Traceback" not in err
+
+    def test_artifact_that_cannot_be_written_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "metrics.json").mkdir(parents=True)
+        assert run_command(["--preset", "headon2", "--out-dir", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert code == 2
-        assert "run aborted: coincident agent positions" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        assert "error: cannot write artifacts" in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -330,3 +367,13 @@ class TestSvg:
         doc = metrics_to_dict(metrics)
         json.dumps(doc)  # no pair exists, so the minima must serialize as null
         assert doc["min_pair_dist_m"] is None
+
+
+def test_import_leaves_scipy_out():
+    """The package imports no scipy; only the tests and the benchmark use it."""
+    src = str(Path(safeswarm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, safeswarm; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safeswarm import LimitEstimator
+from safeswarm.estimator import SMOOTHING
 
 
 class TestInit:
@@ -25,8 +26,6 @@ class TestInit:
             LimitEstimator([1], 0.0, 1.0)
         with pytest.raises(ValueError):
             LimitEstimator([1], 0.5, -1.0)
-        with pytest.raises(ValueError):
-            LimitEstimator([1], 0.5, 1.0, smoothing=0.0)
 
 
 class TestObserve:
@@ -36,38 +35,29 @@ class TestObserve:
         assert est.observed_accel(2) == 0.0
 
     def test_finite_difference_value(self):
-        est = LimitEstimator([2], 0.5, 1.0, smoothing=1.0)
-        est.observe(np.array([[0.0, 0.0]]), 0.1)
-        est.observe(np.array([[0.1, 0.0]]), 0.1)
-        assert est.observed_accel(2) == pytest.approx(1.0)
+        """A sample is the per-axis max of the velocity change over dt, and
+        the first one enters the observation with weight SMOOTHING."""
+        for dv, raw in (([0.1, 0.0], 1.0), ([0.0, 0.03], 0.3), ([-0.05, 0.02], 0.5)):
+            est = LimitEstimator([2], 0.5, 1.0)
+            est.observe(np.array([[0.0, 0.0]]), 0.1)
+            est.observe(np.array([dv]), 0.1)
+            assert est.observed_accel(2) == pytest.approx(SMOOTHING * raw)
 
     def test_constant_velocity_decays_observation(self):
-        est = LimitEstimator([2], 0.5, 1.0, smoothing=0.5)
+        est = LimitEstimator([2], 0.5, 1.0)
         est.observe(np.array([[0.0, 0.0]]), 0.1)
         est.observe(np.array([[0.2, 0.0]]), 0.1)
         high = est.observed_accel(2)
         for _ in range(10):
             est.observe(np.array([[0.2, 0.0]]), 0.1)
-        assert est.observed_accel(2) < high / 100
-
-    def test_smoothing_one_is_raw_finite_difference(self):
-        est = LimitEstimator([2], 0.5, 1.0, smoothing=1.0)
-        est.observe(np.zeros((1, 2)), 0.02)
-        est.observe(np.array([[0.0, 0.03]]), 0.02)
-        assert est.observed_accel(2) == pytest.approx(1.5)
-
-    def test_observation_cap(self):
-        est = LimitEstimator([2], 0.5, 1.0, smoothing=1.0, obs_cap=0.7)
-        est.observe(np.zeros((1, 2)), 0.1)
-        est.observe(np.array([[5.0, 0.0]]), 0.1)
-        assert est.observed_accel(2) == pytest.approx(0.7)
+        assert est.observed_accel(2) == pytest.approx(high * (1.0 - SMOOTHING) ** 10)
 
     def test_rows_follow_the_order_of_ids(self):
-        est = LimitEstimator([5, 3], 0.5, 1.0, smoothing=1.0)
+        est = LimitEstimator([5, 3], 0.5, 1.0)
         est.observe(np.zeros((2, 2)), 0.1)
         est.observe(np.array([[0.1, 0.0], [0.0, -0.3]]), 0.1)
-        assert est.observed_accel(5) == pytest.approx(1.0)
-        assert est.observed_accel(3) == pytest.approx(3.0)
+        assert est.observed_accel(5) == pytest.approx(SMOOTHING * 1.0)
+        assert est.observed_accel(3) == pytest.approx(SMOOTHING * 3.0)
 
     def test_rejects_velocities_of_the_wrong_shape(self):
         est = LimitEstimator([2, 3], 0.5, 1.0)
@@ -80,24 +70,25 @@ class TestObserve:
 
 class TestUpdate:
     def test_small_observation_leaves_estimate_unchanged(self):
-        est = LimitEstimator([2], 0.5, 1.0, smoothing=1.0)
+        est = LimitEstimator([2], 0.5, 1.0)
         est.observe(np.zeros((1, 2)), 0.1)
-        est.observe(np.array([[0.02, 0.0]]), 0.1)  # 0.2 m/s^2 < floor
+        est.observe(np.array([[0.1, 0.0]]), 0.1)  # 1 m/s^2, observed as 0.2 < floor
         est.update(0.1)
         assert est.estimates[2] == 0.5
 
     def test_single_euler_step(self):
-        est = LimitEstimator([2], 0.5, gain=1.0, smoothing=1.0)
+        est = LimitEstimator([2], 0.5, gain=1.0)
         est.observe(np.zeros((1, 2)), 0.1)
-        est.observe(np.array([[0.1, 0.0]]), 0.1)  # observation of 1.0 m/s^2
+        est.observe(np.array([[0.1 / SMOOTHING, 0.0]]), 0.1)  # observation of 1.0 m/s^2
+        assert est.observed_accel(2) == pytest.approx(1.0)
         est.update(0.1)
         assert est.estimates[2] == pytest.approx(0.55)
 
     def test_exponential_convergence_to_sustained_observation(self):
         gain, dt, target = 2.0, 0.01, 1.0
-        est = LimitEstimator([2], 0.5, gain=gain, smoothing=1.0)
+        est = LimitEstimator([2], 0.5, gain=gain)
         est.observe(np.zeros((1, 2)), dt)
-        est.observe(np.array([[target * dt, 0.0]]), dt)  # held from here on
+        est.observe(np.array([[target * dt / SMOOTHING, 0.0]]), dt)  # held from here on
         assert est.observed_accel(2) == pytest.approx(target)
         t = 0.0
         while t < 3.0 / gain:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from safeswarm import (
 )
 from safeswarm.barrier import BarrierConfig
 from safeswarm import qp
-from safeswarm.qp import expanded_constraints, solve_batch
+from safeswarm.qp import expanded_constraints
 
 from conftest import random_safe_pair
 
@@ -64,19 +66,41 @@ def random_batch_problem(rng):
     return QpProblem(u_hat, A, b, np.full(2, box))
 
 
-def batch_of(problems, warm_starts=None):
-    """``solve_batch`` over a list of 2-variable problems."""
-    return solve_batch(np.array([p.u_hat for p in problems]).reshape(-1, 2),
-                       np.concatenate([p.A for p in problems]).reshape(-1, 2),
-                       np.concatenate([p.b for p in problems]),
-                       [p.b.size for p in problems],
-                       np.array([p.box for p in problems]).reshape(-1, 2), warm_starts)
+def batch_of(problems, warm_starts=None, stray=None):
+    """``pad_rows`` plus ``solve_padded``, the decentralized step's solver,
+    over a list of 2-variable problems, with answers in ``solve``'s terms.
+
+    warm_starts[k] is problem k's warm start as in ``solve``; its indices
+    outside the problem's rows are dropped. ``stray`` (a random generator)
+    also sets random warm bits on padding rows, which the kernel ignores.
+    Also returns the layout: ``AA``, ``bb`` and ``m``."""
+    counts = np.array([p.b.size for p in problems], dtype=int)
+    AA, bb, m = qp.pad_rows(np.concatenate([p.A for p in problems]).reshape(-1, 2),
+                            np.concatenate([p.b for p in problems]), counts,
+                            np.array([p.box for p in problems]).reshape(-1, 2))
+    warm = np.zeros(bb.shape, dtype=bool)
+    if stray is not None:
+        warm = (stray.random(bb.shape) < 0.3) & (np.arange(bb.shape[1]) >= m[:, None])
+    for k, rows in enumerate(warm_starts or ()):
+        warm[k, [j for j in rows if 0 <= j < m[k]]] = True
+    u, optimal, in_work, iters = qp.solve_padded(
+        np.array([p.u_hat for p in problems]).reshape(-1, 2), AA, bb, m, warm)
+    return SimpleNamespace(
+        u_star=u, status=[OPTIMAL if ok else INFEASIBLE for ok in optimal.tolist()],
+        active_set=[tuple(np.flatnonzero(row).tolist()) for row in in_work],
+        iterations=iters, AA=AA, bb=bb, m=m)
 
 
-def assert_batch_equals_solve(problems, warm_starts):
-    batch = batch_of(problems, warm_starts)
+def assert_batch_equals_solve(problems, warm_starts, stray=None):
+    batch = batch_of(problems, warm_starts, stray)
+    assert batch.AA.shape == (len(problems), batch.m.max(), 2)
     for k, (problem, warm) in enumerate(zip(problems, warm_starts)):
         sol = solve(problem, warm_start=warm)
+        A, b = expanded_constraints(problem)  # then padding, up to the widest problem
+        m = batch.m[k]
+        assert m == len(b) and batch.AA[k, :m].tobytes() == A.tobytes()
+        assert batch.bb[k, :m].tobytes() == b.tobytes()
+        assert not batch.AA[k, m:].any() and np.isinf(batch.bb[k, m:]).all()
         assert batch.u_star[k].tobytes() == sol.u_star.tobytes()
         assert batch.status[k] == sol.status
         assert batch.active_set[k] == sol.active_set
@@ -148,47 +172,20 @@ OVERFLOWING = QpProblem(
 
 
 class TestSolveBatch:
+    """``pad_rows`` plus the lockstep kernel ``solve_padded`` against ``solve``."""
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
     def test_equals_solve_on_each_problem(self, seed, k):
+        """Each problem's rows, box faces and padding sit in its row of the
+        layout, and the kernel, given the warm starts as a mask with stray
+        bits on padding rows, returns ``solve``'s answers, statuses, active
+        sets and iterations."""
         rng = np.random.default_rng(seed)
         problems = [random_batch_problem(rng) for _ in range(k)]
         warm = [tuple(int(j) for j in rng.integers(-3, 20, int(rng.integers(0, 4))))
                 for _ in problems]
-        assert_batch_equals_solve(problems, warm)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
-    def test_pad_rows_and_kernel_equal_solve_batch(self, seed, k):
-        """``solve_batch`` is ``pad_rows`` plus ``solve_padded``: each
-        problem's rows, box faces and padding sit in its row of the layout,
-        and the kernel, given the warm starts as a mask with stray bits on
-        padding rows, returns the batch's answers, statuses, active sets
-        and iterations."""
-        rng = np.random.default_rng(seed)
-        problems = [random_batch_problem(rng) for _ in range(k)]
-        warm = [tuple(int(j) for j in rng.integers(-3, 20, int(rng.integers(0, 4))))
-                for _ in problems]
-        batch = batch_of(problems, warm)
-        counts = np.array([p.b.size for p in problems])
-        AA, bb, m = qp.pad_rows(np.concatenate([p.A for p in problems]).reshape(-1, 2),
-                                np.concatenate([p.b for p in problems]), counts,
-                                np.array([p.box for p in problems]))
-        assert m.tolist() == (counts + 4).tolist() and AA.shape == (k, m.max(), 2)
-        mask = rng.random(bb.shape) < 0.3  # stray bits, kept only on padding rows
-        mask[np.arange(m.max()) < m[:, None]] = False
-        for row, (problem, rows) in enumerate(zip(problems, warm)):
-            A, b = expanded_constraints(problem)
-            assert AA[row, :m[row]].tobytes() == A.tobytes()
-            assert bb[row, :m[row]].tobytes() == b.tobytes()
-            assert not AA[row, m[row]:].any() and np.isinf(bb[row, m[row]:]).all()
-            mask[row, [j for j in rows if 0 <= j < m[row]]] = True
-        u, optimal, in_work, iters = qp.solve_padded(
-            np.array([p.u_hat for p in problems]), AA, bb, m, mask)
-        assert u.tobytes() == batch.u_star.tobytes()
-        assert [OPTIMAL if ok else INFEASIBLE for ok in optimal] == batch.status
-        assert [tuple(np.flatnonzero(row)) for row in in_work] == batch.active_set
-        assert iters.tobytes() == batch.iterations.tobytes()
+        assert_batch_equals_solve(problems, warm, stray=rng)
 
     def test_covers_every_kind_of_answer(self):
         rng = np.random.default_rng(48)
@@ -253,21 +250,12 @@ class TestSolveBatch:
             assert r[k].tobytes() == ref_r.tobytes() and z[k].tobytes() == ref_z.tobytes()
 
     def test_no_problems(self):
-        batch = solve_batch(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), [], np.zeros((0, 2)))
-        assert batch.u_star.shape == (0, 2) and batch.status == [] and batch.active_set == []
-
-    def test_rejects_malformed_batches(self):
-        ok = (np.zeros((2, 2)), np.ones((3, 2)), np.ones(3), [1, 2], np.ones((2, 2)))
-        for k, bad in ((1, np.ones((3, 3))), (2, np.ones(4)), (3, [2, 2]), (3, [4, -1]),
-                       (4, np.ones((2, 3))), (0, np.zeros((3, 2)))):
-            args = list(ok)
-            args[k] = bad
-            with pytest.raises(ValueError):
-                solve_batch(*args)
-        with pytest.raises(ValueError):
-            solve_batch(*ok[:4], np.array([[1.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            solve_batch(*ok, warm_starts=[()])
+        AA, bb, m = qp.pad_rows(np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int),
+                                np.zeros((0, 2)))
+        u, optimal, in_work, iters = qp.solve_padded(np.zeros((0, 2)), AA, bb, m,
+                                                     np.zeros(bb.shape, dtype=bool))
+        assert u.shape == (0, 2) and optimal.shape == iters.shape == (0,)
+        assert in_work.shape == (0, 0)
 
 
 class TestSolveExamples:

@@ -134,7 +134,7 @@ class TestDeadlockDetector:
         pos = [[(0.001 * k, 0.0)] for k in range(steps + 1)]
         vel = [[(0.02, 0.0)]] * (steps + 1)  # above the 0.01 m/s threshold
         log = synthetic_log(pos, vel, goals=[(3.0, 0.0)])
-        assert detect_deadlock(log, window=5.0, speed_eps=0.01) == (False, None)
+        assert detect_deadlock(log, window=5.0) == (False, None)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -348,7 +348,7 @@ class TestRun:
                 )
                 for k in range(n)
             ]
-            scn = Scenario(agents=agents, t_end=25.0, mode="decentralized_C", seed=case)
+            scn = Scenario(agents=agents, t_end=25.0, mode="decentralized_C")
             log, metrics = run(scn)
             assert metrics.min_h >= -1e-6, f"case {case} violated the barrier"
             assert metrics.min_pair_dist >= 0.4 - 1e-3, f"case {case} got too close"
