@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safeswarm import LimitEstimator
+from safeswarm import estimator
 from safeswarm.estimator import SMOOTHING
 
 
@@ -42,6 +43,13 @@ class TestObserve:
             est.observe(np.array([[0.0, 0.0]]), 0.1)
             est.observe(np.array([dv]), 0.1)
             assert est.observed_accel(2) == pytest.approx(SMOOTHING * raw)
+
+    def test_smoothing_one_is_raw_finite_difference(self, monkeypatch):
+        monkeypatch.setattr(estimator, "SMOOTHING", 1.0)
+        est = LimitEstimator([2], 0.5, 1.0)
+        est.observe(np.zeros((1, 2)), 0.02)
+        est.observe(np.array([[0.0, 0.03]]), 0.02)
+        assert est.observed_accel(2) == pytest.approx(1.5)
 
     def test_constant_velocity_decays_observation(self):
         est = LimitEstimator([2], 0.5, 1.0)

@@ -178,14 +178,32 @@ class TestSolveBatch:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
     def test_equals_solve_on_each_problem(self, seed, k):
         """Each problem's rows, box faces and padding sit in its row of the
-        layout, and the kernel, given the warm starts as a mask with stray
-        bits on padding rows, returns ``solve``'s answers, statuses, active
+        layout, and the kernel returns ``solve``'s answers, statuses, active
         sets and iterations."""
         rng = np.random.default_rng(seed)
         problems = [random_batch_problem(rng) for _ in range(k)]
         warm = [tuple(int(j) for j in rng.integers(-3, 20, int(rng.integers(0, 4))))
                 for _ in problems]
-        assert_batch_equals_solve(problems, warm, stray=rng)
+        assert_batch_equals_solve(problems, warm)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
+    def test_pad_rows_and_kernel_equal_solve_batch(self, seed, k):
+        """``pad_rows`` gives each problem its rows plus four box faces, and
+        the kernel, given the warm starts as a mask with stray bits on
+        padding rows, returns the answers, statuses, active sets and
+        iterations it returns without them, which are ``solve``'s."""
+        rng = np.random.default_rng(seed)
+        problems = [random_batch_problem(rng) for _ in range(k)]
+        warm = [tuple(int(j) for j in rng.integers(-3, 20, int(rng.integers(0, 4))))
+                for _ in problems]
+        clean = batch_of(problems, warm)
+        stray = assert_batch_equals_solve(problems, warm, stray=rng)
+        counts = np.array([p.b.size for p in problems])
+        assert stray.m.tolist() == (counts + 4).tolist()
+        assert stray.u_star.tobytes() == clean.u_star.tobytes()
+        assert stray.status == clean.status and stray.active_set == clean.active_set
+        assert stray.iterations.tobytes() == clean.iterations.tobytes()
 
     def test_covers_every_kind_of_answer(self):
         rng = np.random.default_rng(48)
