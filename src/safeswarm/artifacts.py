@@ -17,6 +17,7 @@ import numpy as np
 from .sim import RunMetrics, TrajectoryLog
 
 CSV_HEADER = "t,agent_id,px,py,vx,vy,ux,uy,ux_nom,uy_nom,qp_status"
+_SVG_SIZE = 640  # px, the longer side of the drawing
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
@@ -100,11 +101,10 @@ def write_metrics_json(metrics: RunMetrics, path) -> None:
     Path(path).write_text(json.dumps(metrics_to_dict(metrics), indent=2) + "\n")
 
 
-def render_svg(log: TrajectoryLog, size: int = 640) -> str:
+def render_svg(log: TrajectoryLog) -> str:
     """One polyline per agent plus start/goal markers and the final
-    position's safety-radius circle. Deterministic for a given log."""
-    if not log.records:
-        raise ValueError("cannot render an empty trajectory")
+    position's safety-radius circle (the start, for a run without steps).
+    Deterministic for a given log."""
     scn = log.scenario
     pts = np.vstack(
         [np.array([a.state0.p for a in scn.agents])]
@@ -115,7 +115,7 @@ def render_svg(log: TrajectoryLog, size: int = 640) -> str:
     lo = pts.min(axis=0) - margin
     hi = pts.max(axis=0) + margin
     span = float(max(hi - lo))
-    scale = size / span
+    scale = _SVG_SIZE / span
 
     def sx(x: float) -> str:
         return format((x - lo[0]) * scale, ".2f")
@@ -139,7 +139,7 @@ def render_svg(log: TrajectoryLog, size: int = 640) -> str:
             f'stroke-width="1.5" stroke-dasharray="6 3"/>'
         )
         r = format(agent.params.radius * scale, ".2f")
-        final = log.records[-1].p[i]
+        final = trail[-1]
         parts.append(
             f'<circle cx="{sx(final[0])}" cy="{sy(final[1])}" r="{r}" '
             f'fill="none" stroke="{color}" stroke-width="1.5"/>'

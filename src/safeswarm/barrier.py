@@ -322,11 +322,7 @@ def neighbor_radius(
 
 
 def neighbors(i: int, states: list[AgentState], radius: float) -> set[int]:
-    """Indices of agents within agent i's interaction radius (inclusive)."""
-    result = set()
-    for j, sj in enumerate(states):
-        if j == i:
-            continue
-        if float(np.linalg.norm(states[i].p - sj.p)) <= radius:
-            result.add(j)
-    return result
+    """Indices of agents within agent i's interaction radius (inclusive), at
+    the ``math.hypot`` distance that ``relative_state`` measures."""
+    p = states[i].p
+    return {j for j, sj in enumerate(states) if j != i and math.hypot(*(p - sj.p)) <= radius}

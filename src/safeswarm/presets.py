@@ -76,7 +76,6 @@ def headon2(
     gamma_left: float = 1.0,
     gamma_right: float = 1.0,
     mode: str = "decentralized_C",
-    offset: float = 0.03,
 ) -> Scenario:
     """Two equal agents swapping ends of a 3 m corridor, nearly head-on.
 
@@ -84,6 +83,7 @@ def headon2(
     collinear configuration; with equal gains the geometry is point
     symmetric, so the two avoidance maneuvers mirror each other.
     """
+    offset = 0.03  # m
     left = AgentSetup(
         AgentParams(id=1, accel_limit=1.2, speed_limit=0.6,
                     barrier_gain=gamma_left, radius=0.2),

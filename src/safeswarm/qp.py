@@ -260,9 +260,11 @@ def _dual_step(
     t: float,
     lam_p: float,
 ) -> tuple[np.ndarray, float]:
-    for k in range(len(lam)):
-        lam[k] -= t * r[k]
-    return u - 0.5 * t * z, lam_p + t
+    # An overflow is left to the caller's finite check, which stops the solve.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(lam)):
+            lam[k] -= t * r[k]
+        return u - 0.5 * t * z, lam_p + t
 
 
 def pad_rows(A: np.ndarray, b: np.ndarray, counts: np.ndarray,
@@ -360,10 +362,11 @@ def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray, m: np.ndarra
         t = np.where(drop, t_block, t_full)[~cert]
         z[dep] = 0.0
         moved = live[~cert]
-        u[moved] = u[moved] - 0.5 * t[:, None] * z[~cert]
-        lam_p[moved] += t
-        if k_max:
-            lam[moved, :k_max] = lam[moved, :k_max] - t[:, None] * r[~cert]
+        with np.errstate(over="ignore", invalid="ignore"):  # the finite check below stops it
+            u[moved] = u[moved] - 0.5 * t[:, None] * z[~cert]
+            lam_p[moved] += t
+            if k_max:
+                lam[moved, :k_max] = lam[moved, :k_max] - t[:, None] * r[~cert]
 
         out = drop & ~cert
         if out.any():  # the blocking row leaves the working set

@@ -8,13 +8,14 @@ distance, and only then integrates everyone forward. Runs are fully
 deterministic for a given scenario.
 
 The run state is the (N, 2) arrays ``SimContext.P`` and ``V``; a step runs
-on per-step arrays. Pair geometry runs over the pairs i < j in ``pair_keys``
-order. A step's post-step dp and dist are carried over as the next step's
-pre-step values (``SimContext.geometry``, keyed by the identity of ``P``;
-reassign ``P`` rather than editing it in place), so each step computes them
-once. The neighbour sets are an (N, N) mask built from the pair norms, and
-the mode's bound function in ``barrier`` builds the rows of all directed
-pairs (owner, other) in one call.
+on per-step arrays. Pair geometry runs over the pairs i < j in
+``np.triu_indices`` order, with one ``math.hypot`` distance per pair. A
+step's post-step dp and dist are carried over as the next step's pre-step
+values (``SimContext.geometry``, keyed by the identity of ``P``; reassign
+``P`` rather than editing it in place), so each step computes them once.
+The neighbour test reads that dist over the directed pairs (owner, other),
+and the mode's bound function in ``barrier`` builds the rows of all
+neighbour pairs in one call.
 
 In the decentralized modes every free agent's QP is one row of the padded
 layout that ``qp.solve_padded`` takes: (K, M, 2) rows and (K, M) bounds,
@@ -46,7 +47,6 @@ decentralized_C_estimated:
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -140,17 +140,16 @@ class Scenario:
         pairs = _Pairs([a.params for a in self.agents], self.barrier_cfg)
         P = np.array([a.state0.p for a in self.agents])
         dp, dist = _pair_dist(pairs, P)
-        norm = np.sqrt(row_dot(dp, dp))
         with np.errstate(divide="ignore", invalid="ignore"):  # a coincident pair fails first
             h = _pair_h(pairs, dist, _pair_vbar(pairs, dp, dist,
                                                 np.array([a.state0.v for a in self.agents])))
-        near = norm <= pairs.pair_ds
+        near = dist <= pairs.pair_ds  # as _violated
         bad = np.flatnonzero(near | (h < 0))
         if bad.size:
             k = bad[0]
-            ai, aj = (self.agents[x].params.id for x in pairs.pair_keys[k])
+            ai, aj = (self.agents[x].params.id for x in (pairs.pair_i[k], pairs.pair_j[k]))
             raise ScenarioError(f"agents {ai} and {aj} start " + (
-                f"{norm[k]:.6g} m apart, within safety distance {pairs.pair_ds[k]:.6g} m"
+                f"{dist[k]:.6g} m apart, within safety distance {pairs.pair_ds[k]:.6g} m"
                 if near[k] else f"closing too fast to brake (barrier {h[k]:.6g} < 0)"))
 
     def resolved_alpha_floor(self) -> float:
@@ -211,14 +210,13 @@ def braking_fallback(v: np.ndarray, accel_limit: float) -> np.ndarray:
 
 
 class _Pairs:
-    """The pairs i < j of a team, in ``pair_keys`` order, with each pair's
-    safety distance and summed acceleration limit."""
+    """The pairs i < j of a team, in ``np.triu_indices`` order, with each
+    pair's safety distance and summed acceleration limit."""
 
     def __init__(self, params: list[AgentParams], cfg: BarrierConfig):
         self.safety_dist = cfg.safety_distances(np.array([p.radius for p in params]))
         self.accel = np.array([p.accel_limit for p in params])
-        self.pair_keys = list(itertools.combinations(range(len(params)), 2))
-        self.pair_i, self.pair_j = np.array(self.pair_keys, dtype=int).reshape(-1, 2).T.copy()
+        self.pair_i, self.pair_j = np.triu_indices(len(params), 1)
         self.pair_ds = self.safety_dist[self.pair_i, self.pair_j]
         self.pair_accel_sum = self.accel[self.pair_i] + self.accel[self.pair_j]
 
@@ -228,6 +226,10 @@ class SimContext(_Pairs):
     estimators and warm starts, plus the per-pair and per-agent constants
     the array step reads, the cached decentralized ``layout`` and the
     carried pair ``geometry``, both set by the first step.
+
+    The directed pairs (``dir_own``, ``dir_oth``, pair ``dir_pair``) list
+    every pair twice, once per owner, in owner-major order, with the
+    owner's neighbour radius ``dir_radius``.
 
     In the estimated mode ``estimators[i]`` is agent i's estimator of the
     others' limits. Every agent observes every other agent with the same
@@ -253,9 +255,11 @@ class SimContext(_Pairs):
         self.speed = np.array([p.speed_limit for p in self.params])
         self.gain = np.array([p.barrier_gain for p in self.params])
         self.neighbor_radius = self._neighbor_radius()
-        self.pair_index = np.zeros((self.n, self.n), dtype=int)  # of (i, j) and (j, i)
-        self.pair_index[self.pair_i, self.pair_j] = np.arange(self.pair_i.size)
-        self.pair_index[self.pair_j, self.pair_i] = np.arange(self.pair_i.size)
+        own = np.concatenate((self.pair_j, self.pair_i))
+        order = np.argsort(own, kind="stable")  # per owner: the others below it, then above
+        self.dir_own, self.dir_oth = own[order], np.concatenate((self.pair_i, self.pair_j))[order]
+        self.dir_pair = np.tile(np.arange(self.pair_i.size), 2)[order]
+        self.dir_radius = self.neighbor_radius[self.dir_own]
         self.estimators: list[LimitEstimator] | None = None
         if scenario.mode == "decentralized_C_estimated":
             shared = LimitEstimator(range(self.n), scenario.resolved_alpha_floor(),
@@ -322,18 +326,6 @@ def _violated(ctx: SimContext, dist: np.ndarray) -> np.ndarray:
     return violated
 
 
-def _neighbor_mask(ctx: SimContext, dp: np.ndarray) -> np.ndarray:
-    """(N, N) mask of ``barrier.neighbors``: row i holds agent i's neighbours.
-    The norm is sqrt of a (1, 2) by (2, 1) matmul, as np.linalg.norm rounds,
-    of each pair's dp, set at (i, j) and (j, i): p_j - p_i is -(p_i - p_j)
-    bit for bit, and so is its norm."""
-    norm = np.zeros((ctx.n, ctx.n))
-    norm[ctx.pair_i, ctx.pair_j] = norm[ctx.pair_j, ctx.pair_i] = np.sqrt(row_dot(dp, dp))
-    mask = norm <= ctx.neighbor_radius[:, None]
-    np.fill_diagonal(mask, False)
-    return mask
-
-
 def _apply(ctx: SimContext, U: np.ndarray, brake: np.ndarray) -> np.ndarray:
     # The QP answers clipped to the box, and braking where ``brake`` is set.
     U = np.clip(U, -ctx.box, ctx.box)
@@ -353,24 +345,27 @@ _BOUNDS = {
 
 class _Layout:
     """The fixed part of a decentralized step's QPs, in ``qp.pad_rows``'s
-    padded layout, for one (neighbour mask, violated mask) pair.
+    padded layout, for one (neighbour mask, violated mask) pair: ``near``
+    over the directed pairs and ``violated`` over the agents.
 
     Free agent ``free[k]`` owns problem k: its barrier rows against each
-    neighbour in ascending order, its four speed rows, its four box faces,
-    then padding. A violated agent has no problem. Rows against braking
-    (violated-pair) agents stay in force: any pair involving a non-violated
-    agent is still outside its safety distance. ``A`` and ``b`` hold the
-    speed normals, box faces, face bounds and padding; the step writes the
-    barrier rows and all bounds that move into copies of them at the flat
-    slots ``bar`` and ``speed``. ``own``, ``oth``, ``pair``, ``ds``,
-    ``accel``, ``accel_other`` and ``gain`` are per barrier row, and
-    ``row_pairs`` is their (E, 2) (owner, other) array. Every array a step
-    record or template shares is read-only.
+    neighbour (the ``near`` directed pairs it owns) in ascending order, its
+    four speed rows, its four box faces, then padding. A violated agent has
+    no problem. Rows against braking (violated-pair) agents stay in force:
+    any pair involving a non-violated agent is still outside its safety
+    distance. ``A`` and ``b`` hold the speed normals, box faces, face bounds
+    and padding; the step writes the barrier rows and all bounds that move
+    into copies of them at the flat slots ``bar`` and ``speed``. ``own``,
+    ``oth``, ``pair``, ``ds``, ``accel``, ``accel_other`` and ``gain`` are
+    per barrier row, and ``row_pairs`` is their (E, 2) (owner, other)
+    array. Every array a step record or template shares is read-only.
     """
 
     def __init__(self, ctx: SimContext, near: np.ndarray, violated: np.ndarray):
         self.near, self.violated = near, violated
-        self.own, self.oth = own, oth = np.nonzero(near & ~violated[:, None])  # row-major
+        mine = near & ~violated[ctx.dir_own]  # the directed pairs free agents own
+        self.own, self.oth, self.pair = own, oth, pair = (
+            ctx.dir_own[mine], ctx.dir_oth[mine], ctx.dir_pair[mine])
         self.free = np.flatnonzero(~violated)
         counts = np.bincount(own, minlength=ctx.n)[self.free] + 4
         rows = np.zeros((counts.sum(), 2))
@@ -381,8 +376,7 @@ class _Layout:
                                              ctx.box[self.free])
         slots = np.flatnonzero(np.arange(self.A.shape[1]) < counts[:, None])
         self.bar, self.speed = slots[~speed], slots[speed]
-        self.pair = ctx.pair_index[own, oth]
-        self.ds = ctx.safety_dist[own, oth]
+        self.ds = ctx.pair_ds[pair]
         self.accel, self.accel_other, self.gain = ctx.accel[own], ctx.accel[oth], ctx.gain[own]
         self.row_pairs = np.array((own, oth)).T
         for shared in (self.A, self.b, self.row_pairs):
@@ -392,11 +386,11 @@ class _Layout:
         return np.array_equal(near, self.near) and np.array_equal(violated, self.violated)
 
 
-def _agent_qps(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: np.ndarray):
+def _agent_qps(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
     """The step's layout, cached on ``ctx`` while its key holds, and the
     (K, M, 2) rows and (K, M) bounds of every free agent's QP in it. Widens
     ``ctx.warm`` to at least M columns."""
-    near = _neighbor_mask(ctx, dp)
+    near = dist[ctx.dir_pair] <= ctx.dir_radius
     lay = ctx.layout
     if lay is None or not lay.holds(near, violated):
         lay = ctx.layout = _Layout(ctx, near, violated)
@@ -419,7 +413,7 @@ def _agent_qps(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: np.n
 
 def _solve_decentralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarray,
                          dp: np.ndarray, dist: np.ndarray):
-    lay, A, b = _agent_qps(ctx, violated, dp, dist)
+    lay, A, b = _agent_qps(ctx, violated, dist)
     free, width = lay.free, b.shape[1]
     u, optimal, active, _ = qp.solve_padded(U_nom[free], A, b, lay.m, ctx.warm[free, :width])
     ctx.warm[free, :width], ctx.warm[free, width:] = active, False
@@ -434,10 +428,10 @@ def _solve_decentralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarra
 def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: np.ndarray):
     """The ensemble QP's rows over the stacked controls of the free agents.
 
-    One row per pair that is not braking at both ends, in ``pair_keys``
-    order, then each free agent's four speed rows. Free agent c owns
-    columns 2c and 2c + 1; a braking agent's control is fixed, so its block
-    times its braking control moves into b. Also returns the (E, 2) row pairs.
+    One row per pair that is not braking at both ends, in pair order, then
+    each free agent's four speed rows. Free agent c owns columns 2c and
+    2c + 1; a braking agent's control is fixed, so its block times its
+    braking control moves into b. Also returns the (E, 2) row pairs.
     """
     V = ctx.V
     keep = ~(violated[ctx.pair_i] & violated[ctx.pair_j])
@@ -523,20 +517,17 @@ def step_once(ctx: SimContext) -> StepRecord:
     )
 
 
-def detect_deadlock(log: TrajectoryLog,
-                    window: float = DEADLOCK_WINDOW) -> tuple[bool, float | None]:
+def detect_deadlock(log: TrajectoryLog) -> tuple[bool, float | None]:
     """Flag an agent sitting still (below ``DEADLOCK_SPEED_EPS``) away from
-    its goal (beyond ``DEADLOCK_GOAL_EPS``) for a full window.
+    its goal (beyond ``DEADLOCK_GOAL_EPS``) for a full ``DEADLOCK_WINDOW``.
 
     Returns the flag and the onset time (start of the first such window).
     """
-    if not window > 0:
-        raise ValueError("window must be positive")
     records = log.records
     if not records:
         return False, None
     dt = log.scenario.dt
-    span = max(1, int(round(window / dt)))
+    span = max(1, int(round(DEADLOCK_WINDOW / dt)))
     goals = np.array([a.goal for a in log.scenario.agents])
     speeds = np.linalg.norm(np.array([r.v for r in records]), axis=2)  # (T, N)
     goal_dist = np.linalg.norm(np.array([r.p for r in records]) - goals, axis=2)

@@ -164,6 +164,15 @@ class TestRunCommand:
         summary = capsys.readouterr().out
         assert "min_pair_dist" in summary
 
+    def test_zero_step_run_draws_each_agent_at_its_start(self, tmp_path):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(two_agent_doc(t_end=0)))
+        out = tmp_path / "out"
+        assert run_command(["--scenario", str(path), "--out-dir", str(out), "--svg",
+                            "--quiet"]) == 0
+        svg = (out / "trajectory.svg").read_text()
+        assert svg.count("<circle") == 2 and svg.endswith("</svg>\n")
+
     def test_mode_override(self, tmp_path):
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(two_agent_doc()))

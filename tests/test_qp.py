@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -233,7 +234,8 @@ class TestSolveBatch:
             "iteration limit (90) hit on a 9-row problem; reporting infeasible"] * 2
 
     def test_overflowing_iterate_stops_as_infeasible(self, caplog):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():  # the solvers' own log line is the only report
+            warnings.simplefilter("error", RuntimeWarning)
             batch = assert_batch_equals_solve([OVERFLOWING], [(1,)])
         assert batch.status == [INFEASIBLE] and batch.iterations.tolist() == [129]
         assert [r.getMessage() for r in caplog.records] == [

@@ -16,6 +16,7 @@ from safeswarm import (
     step,
 )
 from safeswarm.sim import (
+    DEADLOCK_WINDOW,
     AgentSetup,
     Scenario,
     ScenarioError,
@@ -118,14 +119,14 @@ class TestDeadlockDetector:
         pos = [[(0.0, 0.0)]] * (steps + 1)
         vel = [[(0.0, 0.0)]] * (steps + 1)
         log = synthetic_log(pos, vel, goals=[(0.0, 0.0)])
-        assert detect_deadlock(log, window=5.0) == (False, None)
+        assert detect_deadlock(log) == (False, None)
 
     def test_parked_far_from_goal_is_deadlock(self):
         steps = 80
         pos = [[(0.0, 0.0)]] * (steps + 1)
         vel = [[(0.0, 0.0)]] * (steps + 1)
         log = synthetic_log(pos, vel, goals=[(3.0, 0.0)])
-        flag, onset = detect_deadlock(log, window=5.0)
+        flag, onset = detect_deadlock(log)
         assert flag
         assert onset == pytest.approx(0.1)
 
@@ -134,7 +135,7 @@ class TestDeadlockDetector:
         pos = [[(0.001 * k, 0.0)] for k in range(steps + 1)]
         vel = [[(0.02, 0.0)]] * (steps + 1)  # above the 0.01 m/s threshold
         log = synthetic_log(pos, vel, goals=[(3.0, 0.0)])
-        assert detect_deadlock(log, window=5.0) == (False, None)
+        assert detect_deadlock(log) == (False, None)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -146,7 +147,7 @@ class TestDeadlockDetector:
         stuck = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
                                             min_size=steps, max_size=steps)))
         span = data.draw(st.integers(1, steps + 2))
-        dt = 0.1
+        dt = DEADLOCK_WINDOW / span
         # A stuck agent sits still away from its goal; the others move.
         vel = [[(0.0, 0.0)] * n] + [[(0.0 if s else 1.0, 0.0) for s in row] for row in stuck]
         log = synthetic_log([[(0.0, 0.0)] * n] * (steps + 1), vel, goals=[(3.0, 0.0)] * n, dt=dt)
@@ -155,7 +156,7 @@ class TestDeadlockDetector:
             if np.any(np.all(stuck[start : start + span], axis=0)):
                 onset = log.records[start].t
                 break
-        assert detect_deadlock(log, window=span * dt) == (onset is not None, onset)
+        assert detect_deadlock(log) == (onset is not None, onset)
 
 
 class TestScenarioValidation:

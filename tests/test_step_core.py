@@ -2,12 +2,12 @@
 
 Every array the step computes must equal, bit for bit, what the scalar
 reference computes on the same states: ``relative_state`` for dist and
-vbar, ``pair_barrier`` for h, ``barrier.neighbors`` for the neighbour mask
-and the ``dist <= Ds`` test for the violated set. The barrier, speed and
-ensemble rows every mode hands to its QPs must equal a plain-Python
-transcription of the scalar row formulas, compared by ``tobytes`` so that
-signed zeros count. ``LimitEstimator`` must equal a plain-Python
-transcription of its law.
+vbar, ``pair_barrier`` for h, ``barrier.neighbors`` for the neighbour test
+over the directed pairs and the ``dist <= Ds`` test for the violated set.
+The barrier, speed and ensemble rows every mode hands to its QPs must
+equal a plain-Python transcription of the scalar row formulas, compared by
+``tobytes`` so that signed zeros count. ``LimitEstimator`` must equal a
+plain-Python transcription of its law.
 """
 
 import math
@@ -32,7 +32,7 @@ from safeswarm import (
 from safeswarm import barrier, sim
 from safeswarm.estimator import SMOOTHING
 from safeswarm.presets import circle6
-from safeswarm.sim import MODES, AgentSetup, Scenario, SimContext, step_once
+from safeswarm.sim import MODES, AgentSetup, Scenario, ScenarioError, SimContext, step_once
 
 from conftest import lanes_tiles, ring_swap
 
@@ -97,9 +97,13 @@ def _states(P, V):
     return [AgentState(p, v) for p, v in zip(P, V)]
 
 
+def _pairs(ctx):
+    return list(zip(ctx.pair_i.tolist(), ctx.pair_j.tolist()))
+
+
 def _reference(ctx):
     states = _states(ctx.P, ctx.V)
-    return [relative_state(states[i], states[j]) for i, j in ctx.pair_keys]
+    return [relative_state(states[i], states[j]) for i, j in _pairs(ctx)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -123,7 +127,7 @@ def test_pair_h_matches_pair_barrier(case):
     ref = [
         pair_barrier(rel, ctx.params[i].accel_limit + ctx.params[j].accel_limit,
                      ctx.safety_dist[i, j])[0]
-        for (i, j), rel in zip(ctx.pair_keys, _reference(ctx))
+        for (i, j), rel in zip(_pairs(ctx), _reference(ctx))
     ]
     assert np.array_equal(h, np.array(ref))
 
@@ -133,20 +137,30 @@ def test_pair_h_matches_pair_barrier(case):
 def test_violated_set_matches_scalar_test(case):
     ctx, P, _ = case
     ref = set()
-    for (i, j), rel in zip(ctx.pair_keys, _reference(ctx)):
+    for (i, j), rel in zip(_pairs(ctx), _reference(ctx)):
         if rel.dist <= ctx.safety_dist[i, j]:
             ref |= {i, j}
     assert set(np.flatnonzero(sim._violated(ctx, sim._pair_dist(ctx, P)[1]))) == ref
 
 
 @settings(max_examples=150, deadline=None)
-@given(ensembles())
-def test_neighbor_mask_matches_neighbors(case):
+@given(ensembles(DECENTRALIZED))
+def test_directed_neighbor_rows_match_neighbors(case):
+    """The directed pairs list every (owner, other) in row-major order, and
+    the layout's ``near`` over them lists each agent's ``barrier.neighbors``
+    in ascending order."""
     ctx, P, V = case
-    mask = sim._neighbor_mask(ctx, sim._pair_dist(ctx, P)[0])
-    for i in range(ctx.n):
-        ref = sorted(neighbors(i, _states(P, V), ctx.neighbor_radius[i]))
-        assert np.flatnonzero(mask[i]).tolist() == ref
+    own, oth, pair = ctx.dir_own, ctx.dir_oth, ctx.dir_pair
+    assert np.array((own, oth)).T.tolist() == [
+        [i, j] for i in range(ctx.n) for j in range(ctx.n) if i != j]
+    assert np.array_equal(np.minimum(own, oth), ctx.pair_i[pair])
+    assert np.array_equal(np.maximum(own, oth), ctx.pair_j[pair])
+    assert np.array_equal(ctx.dir_radius, ctx.neighbor_radius[own])
+    dist = sim._pair_dist(ctx, P)[1]
+    near = sim._agent_qps(ctx, sim._violated(ctx, dist), dist)[0].near
+    assert np.array((own[near], oth[near])).T.tolist() == [
+        [i, j] for i in range(ctx.n)
+        for j in sorted(neighbors(i, _states(P, V), ctx.neighbor_radius[i]))]
 
 
 # Today's scalar formulas, transcribed in Python floats; dot products are
@@ -203,7 +217,7 @@ def _brake(v, limit):
 
 def _violated_ref(ctx, P, V):
     inside = [False] * ctx.n
-    for i, j in ctx.pair_keys:
+    for i, j in _pairs(ctx):
         if _rel(P, V, i, j)[2] <= ctx.safety_dist[i, j]:
             inside[i] = inside[j] = True
     return inside
@@ -227,7 +241,7 @@ def test_agent_rows_match_scalar_formulas(case):
     ctx, P, V = case
     scn, params = ctx.scenario, ctx.params
     violated = _violated_ref(ctx, P, V)
-    lay, A, b = sim._agent_qps(ctx, np.array(violated), *sim._pair_dist(ctx, P))
+    lay, A, b = sim._agent_qps(ctx, np.array(violated), sim._pair_dist(ctx, P)[1])
     free = [i for i in range(ctx.n) if not violated[i]]
     assert lay.free.tolist() == free and A.shape[0] == b.shape[0] == len(free)
     pairs = []
@@ -258,7 +272,7 @@ def test_ensemble_rows_match_scalar_formulas(case):
     free = [k for k in range(ctx.n) if not violated[k]]
     col = {agent: c for c, agent in enumerate(free)}
     rows, pairs = [], []
-    for i, j in ctx.pair_keys:
+    for i, j in _pairs(ctx):
         if violated[i] and violated[j]:
             continue
         dp, dv, dist, vbar = _rel(P, V, i, j)
@@ -303,6 +317,24 @@ def _headon(mode="decentralized_C"):
     return Scenario(agents, mode=mode)
 
 
+@pytest.mark.parametrize("offset", EDGE_OFFSETS)
+def test_validate_rejects_inside_ds_exactly_when_violated(offset):
+    """Two agents at rest on the edge of Ds along a diagonal: validation
+    says "within safety distance" exactly when the step's violated test
+    flags the pair, since both read the same dist."""
+    agents = _headon().agents[:2]
+    ctx = SimContext(Scenario(agents))
+    d = ctx.safety_dist[0, 1] * (1.0 + offset) * math.sqrt(0.5)
+    agents[1].state0 = AgentState(agents[0].state0.p + [d, d], (0.0, 0.0))
+    P = np.array([a.state0.p for a in agents])
+    violated = sim._violated(ctx, sim._pair_dist(ctx, P)[1]).any()
+    if violated:
+        with pytest.raises(ScenarioError, match="within safety distance"):
+            Scenario(agents).validate()
+    else:
+        Scenario(agents).validate()
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_coincident_pair_raises(mode):
     ctx = SimContext(_headon(mode))
@@ -320,7 +352,7 @@ def test_step_record_min_h_is_the_scalar_minimum():
             rec = step_once(ctx)
             ref = [pair_barrier(rel, ctx.params[i].accel_limit + ctx.params[j].accel_limit,
                                 ctx.safety_dist[i, j])[0]
-                   for (i, j), rel in zip(ctx.pair_keys, _reference(ctx))]
+                   for (i, j), rel in zip(_pairs(ctx), _reference(ctx))]
             assert rec.min_h.hex() == min(ref).hex()
     lone = Scenario(_headon().agents[:1])
     assert step_once(SimContext(lone)).min_h == math.inf
@@ -336,14 +368,14 @@ def _step_against_cold_layout(ctx, steps):
     and the number of free agents whose QP went infeasible."""
     scn, hits, infeasible = ctx.scenario, 0, 0
     for _ in range(steps):
-        dp, dist = sim._pair_dist(ctx, ctx.P)
+        dist = sim._pair_dist(ctx, ctx.P)[1]
         violated = sim._violated(ctx, dist)
         cached = ctx.layout
-        lay, A, b = sim._agent_qps(ctx, violated, dp, dist)
+        lay, A, b = sim._agent_qps(ctx, violated, dist)
         warm = ctx.warm.copy()
         hits += lay is cached
         ctx.layout = None
-        cold, A0, b0 = sim._agent_qps(ctx, violated, dp, dist)
+        cold, A0, b0 = sim._agent_qps(ctx, violated, dist)
         assert cold is not lay
         for x, y in ((A, A0), (b, b0), (lay.m, cold.m), (lay.row_pairs, cold.row_pairs)):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
