@@ -33,8 +33,7 @@ def main():
     ctx = SimContext(scenario)
     print(f"true limits: agent1={NIMBLE}, agent2={SLUGGISH}; both start guessing 0.3")
     print(f"{'t':>6s} {'dist':>7s} {'h':>7s} {'est of agent2':>14s} {'est of agent1':>14s}")
-    step = 0
-    while ctx.t < scenario.t_end:
+    for step in range(int(round(scenario.t_end / scenario.dt))):  # as sim.run
         rec = step_once(ctx)
         if step % 50 == 0:
             dist = rec.min_pair_dist
@@ -44,7 +43,6 @@ def main():
                 f"{ctx.estimators[0].estimates[1]:14.4f} "
                 f"{ctx.estimators[1].estimates[0]:14.4f}"
             )
-        step += 1
     print("estimates only grow, and never past the true limit of the neighbor.")
 
 

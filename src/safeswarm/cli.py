@@ -183,7 +183,6 @@ def run_command(argv=None) -> int:
             scenario = parse_scenario(args.scenario)
         if args.mode is not None:
             scenario.mode = args.mode
-            scenario.validate()
         out_dir = Path(args.out_dir)
         try:
             made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # leaf first

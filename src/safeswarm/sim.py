@@ -9,10 +9,11 @@ deterministic for a given scenario.
 
 The run state is the (N, 2) arrays ``SimContext.P`` and ``V``; a step runs
 on per-step arrays. Pair geometry runs over the pairs i < j in
-``np.triu_indices`` order, with one ``math.hypot`` distance per pair. A
-step's post-step dp and dist are carried over as the next step's pre-step
-values (``SimContext.geometry``, keyed by the identity of ``P``; reassign
-``P`` rather than editing it in place), so each step computes them once.
+``np.triu_indices`` order, with one ``math.hypot`` distance per pair. The
+start's dp and dist are computed once, when the context is built, and a
+step's post-step ones are carried over as the next step's pre-step values
+(``SimContext.geometry``, keyed by the identity of ``P``; reassign ``P``
+rather than editing it in place), so each step computes them once.
 The neighbour test reads that dist over the directed pairs (owner, other),
 and the mode's bound function in ``barrier`` builds the rows of all
 neighbour pairs in one call.
@@ -110,47 +111,7 @@ class Scenario:
     alpha_floor: float | None = None  # None: half the smallest accel limit
 
     def validate(self) -> None:
-        if not self.agents:
-            raise ScenarioError("scenario has no agents")
-        if not self.dt > 0:
-            raise ScenarioError(f"dt must be positive, got {self.dt!r}")
-        if not self.estimator_gain > 0:
-            raise ScenarioError(f"estimator gain k must be positive, got {self.estimator_gain!r}")
-        if self.alpha_floor is not None and not self.alpha_floor > 0:
-            raise ScenarioError(f"alpha_floor must be positive, got {self.alpha_floor!r}")
-        if self.t_end < 0:
-            raise ScenarioError(f"t_end must be nonnegative, got {self.t_end!r}")
-        if not math.isfinite(self.t_end / self.dt):
-            raise ScenarioError(f"t_end / dt = {self.t_end / self.dt!r} steps is not finite")
-        if self.mode not in MODES:
-            raise ScenarioError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        ids = [a.params.id for a in self.agents]
-        counts = Counter(ids)
-        for aid in ids:
-            if counts[aid] > 1:
-                raise ScenarioError(f"duplicate agent id {aid}")
-        for a in self.agents:
-            values = np.concatenate([a.state0.p, a.state0.v, a.goal])
-            if not np.all(np.isfinite(values)):
-                raise ScenarioError(f"agent {a.params.id} has non-finite state or goal")
-            if np.max(np.abs(a.state0.v)) > a.params.speed_limit + 1e-9:
-                raise ScenarioError(
-                    f"agent {a.params.id} starts above its speed limit"
-                )
-        pairs = _Pairs([a.params for a in self.agents], self.barrier_cfg)
-        P = np.array([a.state0.p for a in self.agents])
-        dp, dist = _pair_dist(pairs, P)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a coincident pair fails first
-            h = _pair_h(pairs, dist, _pair_vbar(pairs, dp, dist,
-                                                np.array([a.state0.v for a in self.agents])))
-        near = dist <= pairs.pair_ds  # as _violated
-        bad = np.flatnonzero(near | (h < 0))
-        if bad.size:
-            k = bad[0]
-            ai, aj = (self.agents[x].params.id for x in (pairs.pair_i[k], pairs.pair_j[k]))
-            raise ScenarioError(f"agents {ai} and {aj} start " + (
-                f"{dist[k]:.6g} m apart, within safety distance {pairs.pair_ds[k]:.6g} m"
-                if near[k] else f"closing too fast to brake (barrier {h[k]:.6g} < 0)"))
+        _Start(self)
 
     def resolved_alpha_floor(self) -> float:
         if self.alpha_floor is not None:
@@ -209,23 +170,70 @@ def braking_fallback(v: np.ndarray, accel_limit: float) -> np.ndarray:
     return np.clip(-accel_limit * v / peak, -accel_limit, accel_limit)
 
 
-class _Pairs:
-    """The pairs i < j of a team, in ``np.triu_indices`` order, with each
-    pair's safety distance and summed acceleration limit."""
+class _Start:
+    """A scenario's checked start: ``Scenario.validate``'s checks, the pairs
+    i < j in ``np.triu_indices`` order with each pair's safety distance and
+    summed acceleration limit, the start ``P`` and ``V``, and the pairs'
+    start ``dp``, ``dist`` and ``h``."""
 
-    def __init__(self, params: list[AgentParams], cfg: BarrierConfig):
-        self.safety_dist = cfg.safety_distances(np.array([p.radius for p in params]))
-        self.accel = np.array([p.accel_limit for p in params])
-        self.pair_i, self.pair_j = np.triu_indices(len(params), 1)
+    def __init__(self, scn: Scenario):
+        agents = scn.agents
+        if not agents:
+            raise ScenarioError("scenario has no agents")
+        if not scn.dt > 0:
+            raise ScenarioError(f"dt must be positive, got {scn.dt!r}")
+        if not 0 < scn.estimator_gain < math.inf:
+            raise ScenarioError(f"estimator gain k must be positive and finite, got "
+                                f"{scn.estimator_gain!r}")
+        floor, top = scn.alpha_floor, min(a.params.accel_limit for a in agents)
+        if floor is not None and not (0 < floor < math.inf and floor <= top):
+            raise ScenarioError(f"alpha_floor must be positive, finite and at most the smallest "
+                                f"accel limit {top!r}, got {floor!r}")
+        if scn.t_end < 0:
+            raise ScenarioError(f"t_end must be nonnegative, got {scn.t_end!r}")
+        if not math.isfinite(scn.t_end / scn.dt):
+            raise ScenarioError(f"t_end / dt = {scn.t_end / scn.dt!r} steps is not finite")
+        if scn.mode not in MODES:
+            raise ScenarioError(f"unknown mode {scn.mode!r}; expected one of {MODES}")
+        ids = [a.params.id for a in agents]
+        counts = Counter(ids)
+        for aid in ids:
+            if counts[aid] > 1:
+                raise ScenarioError(f"duplicate agent id {aid}")
+        for a in agents:
+            values = np.concatenate([a.state0.p, a.state0.v, a.goal])
+            if not np.all(np.isfinite(values)):
+                raise ScenarioError(f"agent {a.params.id} has non-finite state or goal")
+            if np.max(np.abs(a.state0.v)) > a.params.speed_limit + 1e-9:
+                raise ScenarioError(
+                    f"agent {a.params.id} starts above its speed limit"
+                )
+        self.params = [a.params for a in agents]
+        self.safety_dist = scn.barrier_cfg.safety_distances(np.array([p.radius for p in self.params]))
+        self.accel = np.array([p.accel_limit for p in self.params])
+        self.pair_i, self.pair_j = np.triu_indices(len(agents), 1)
         self.pair_ds = self.safety_dist[self.pair_i, self.pair_j]
         self.pair_accel_sum = self.accel[self.pair_i] + self.accel[self.pair_j]
+        self.P = np.array([a.state0.p for a in agents])
+        self.V = np.array([a.state0.v for a in agents])
+        self.dp, self.dist = _pair_dist(self, self.P)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a coincident pair fails first
+            self.h = _pair_h(self, self.dist, _pair_vbar(self, self.dp, self.dist, self.V))
+        near = self.dist <= self.pair_ds  # as _violated
+        bad = np.flatnonzero(near | (self.h < 0))
+        if bad.size:
+            k = bad[0]
+            ai, aj = (self.params[x].id for x in (self.pair_i[k], self.pair_j[k]))
+            raise ScenarioError(f"agents {ai} and {aj} start " + (
+                f"{self.dist[k]:.6g} m apart, within safety distance {self.pair_ds[k]:.6g} m"
+                if near[k] else f"closing too fast to brake (barrier {self.h[k]:.6g} < 0)"))
 
 
-class SimContext(_Pairs):
+class SimContext(_Start):
     """Mutable run state: the (N, 2) positions ``P`` and velocities ``V``,
     estimators and warm starts, plus the per-pair and per-agent constants
-    the array step reads, the cached decentralized ``layout`` and the
-    carried pair ``geometry``, both set by the first step.
+    the array step reads, the decentralized ``layout`` cached by the first
+    step and the carried pair ``geometry``, the start's until then.
 
     The directed pairs (``dir_own``, ``dir_oth``, pair ``dir_pair``) list
     every pair twice, once per owner, in owner-major order, with the
@@ -236,20 +244,16 @@ class SimContext(_Pairs):
     law, floor and gain, so one estimator over all ids serves
     them all and ``estimators`` holds it N times; the step observes and
     updates it once. Observing only the agents in each one's interaction
-    radius (ROADMAP item 4) would bring back per-agent state, as one
+    radius (ROADMAP item 2) would bring back per-agent state, as one
     (N, N) array.
     """
 
     def __init__(self, scenario: Scenario):
-        scenario.validate()
+        super().__init__(scenario)
         self.scenario = scenario
-        self.params = [a.params for a in scenario.agents]
         self.cfg = scenario.barrier_cfg
-        super().__init__(self.params, self.cfg)
         self.n = len(scenario.agents)
         self.goals = np.array([a.goal for a in scenario.agents])
-        self.P = np.array([a.state0.p for a in scenario.agents])
-        self.V = np.array([a.state0.v for a in scenario.agents])
         self.t = 0.0
         self.box = np.repeat(self.accel[:, None], 2, axis=1)  # per-axis control bounds
         self.speed = np.array([p.speed_limit for p in self.params])
@@ -268,7 +272,7 @@ class SimContext(_Pairs):
         self.warm = np.zeros((self.n, 0), dtype=bool)  # (N, W), grown as layouts widen
         self.ensemble_warm: tuple[int, ...] = ()
         self.layout: _Layout | None = None
-        self.geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # (P, dp, dist)
+        self.geometry = (self.P, self.dp, self.dist)
 
     def _neighbor_radius(self) -> np.ndarray:
         """Each agent's ``barrier.neighbor_radius`` against the weakest
@@ -297,7 +301,7 @@ def _speed_bounds(speed: np.ndarray, V: np.ndarray, dt: float) -> np.ndarray:
     return np.stack(((speed[:, None] - V) / dt, (speed[:, None] + V) / dt), 2).reshape(-1, 4)
 
 
-def _pair_dist(ctx: _Pairs, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair_dist(ctx: _Start, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """dp and dist of every pair i < j, as ``relative_state`` computes them
     (math.hypot: np.hypot rounds differently)."""
     dp = P[ctx.pair_i] - P[ctx.pair_j]
@@ -309,11 +313,11 @@ def _require_apart(dist: np.ndarray) -> None:
         raise DegenerateGeometryError("coincident agent positions")
 
 
-def _pair_vbar(ctx: _Pairs, dp: np.ndarray, dist: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _pair_vbar(ctx: _Start, dp: np.ndarray, dist: np.ndarray, V: np.ndarray) -> np.ndarray:
     return row_dot(dp, V[ctx.pair_i] - V[ctx.pair_j]) / dist
 
 
-def _pair_h(ctx: _Pairs, dist: np.ndarray, vbar: np.ndarray) -> np.ndarray:
+def _pair_h(ctx: _Start, dist: np.ndarray, vbar: np.ndarray) -> np.ndarray:
     """``pair_barrier`` of every pair, with the true acceleration limits."""
     return barrier.barrier_values(dist, vbar, ctx.pair_accel_sum, ctx.pair_ds)
 
@@ -488,8 +492,8 @@ def step_once(ctx: SimContext) -> StepRecord:
             f"non-finite state for agent {ctx.params[i].id} at t={ctx.t:.6g}"
         )
     U_nom = goal_controller(P, V, ctx.goals, scn.k1, scn.k2, ctx.box)
-    carried = ctx.geometry  # the last step's post-step geometry, while P is its positions
-    dp, dist = carried[1:] if carried is not None and carried[0] is P else _pair_dist(ctx, P)
+    carried = ctx.geometry  # the start's or last step's geometry, while P is its positions
+    dp, dist = carried[1:] if carried[0] is P else _pair_dist(ctx, P)
     _require_apart(dist)
     U, statuses, row_pairs = _SOLVERS[scn.mode](ctx, U_nom, _violated(ctx, dist), dp, dist)
 
@@ -540,14 +544,10 @@ def detect_deadlock(log: TrajectoryLog) -> tuple[bool, float | None]:
 
 def compute_metrics(log: TrajectoryLog) -> RunMetrics:
     """Summarize a run. Covers the initial state plus every recorded step."""
-    scn = log.scenario
-    positions = np.array([[a.state0.p for a in scn.agents]] + [rec.p for rec in log.records])
-    pairs = _Pairs([a.params for a in scn.agents], scn.barrier_cfg)
-    dp, dist = _pair_dist(pairs, positions[0])
-    h = _pair_h(pairs, dist, _pair_vbar(pairs, dp, dist,
-                                        np.array([a.state0.v for a in scn.agents])))
-    min_dist = float(np.min(dist, initial=math.inf))
-    min_h = float(np.min(h, initial=math.inf))
+    scn, start = log.scenario, _Start(log.scenario)
+    positions = np.array([start.P] + [rec.p for rec in log.records])
+    min_dist = float(np.min(start.dist, initial=math.inf))
+    min_h = float(np.min(start.h, initial=math.inf))
     for rec in log.records:
         min_dist = min(min_dist, rec.min_pair_dist)
         min_h = min(min_h, rec.min_h)

@@ -135,7 +135,7 @@ class TestRunCommand:
         assert "bogus" in capsys.readouterr().err
 
     @pytest.mark.parametrize("estimator", [{"k": -1}, {"k": 0}, {"alpha_floor": 0},
-                                           {"alpha_floor": -0.5}])
+                                           {"alpha_floor": -0.5}, {"alpha_floor": 0.9}])
     @pytest.mark.parametrize("override", [False, True])
     def test_bad_estimator_settings_exit_1(self, tmp_path, capsys, estimator, override):
         doc = dict(two_agent_doc(), estimator=estimator)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,17 @@ class TestScenarioValidation:
             Scenario(agents=fast + twins).validate()
         with pytest.raises(ScenarioError, match="agents 1 and 4 start 0 m apart"):
             Scenario(agents=twins[:1] + fast + twins[1:]).validate()
+
+    @pytest.mark.parametrize("setting", [{"estimator_gain": math.inf}, {"alpha_floor": math.inf},
+                                         {"alpha_floor": 0.9}])
+    def test_estimator_settings_that_overestimate_rejected(self, setting):
+        """Estimates start at alpha_floor and only grow; they stay at or below
+        each true limit only from a finite floor at most the smallest one,
+        moved by a finite gain."""
+        agents = [agent(1, (0, 0), (1, 0)), agent(2, (3, 0), (0, 0), accel=0.8)]
+        with pytest.raises(ScenarioError, match="must be positive"):
+            Scenario(agents=agents, **setting).validate()
+        Scenario(agents=agents, alpha_floor=0.8).validate()
 
     def test_unknown_mode_rejected(self):
         scn = Scenario(agents=[agent(1, (0, 0), (1, 0))], mode="centralised")

@@ -11,6 +11,7 @@ plain-Python transcription of its law.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from safeswarm import (
     pair_barrier,
     relative_state,
 )
-from safeswarm import barrier, sim
+from safeswarm import barrier, cli, sim
 from safeswarm.estimator import SMOOTHING
 from safeswarm.presets import circle6
 from safeswarm.sim import MODES, AgentSetup, Scenario, ScenarioError, SimContext, step_once
@@ -338,9 +339,29 @@ def test_validate_rejects_inside_ds_exactly_when_violated(offset):
 @pytest.mark.parametrize("mode", MODES)
 def test_coincident_pair_raises(mode):
     ctx = SimContext(_headon(mode))
-    ctx.P[1], ctx.V[1] = ctx.P[0], 0.0
+    P = ctx.P.copy()  # reassigned, not edited in place: the start geometry is keyed by P
+    P[1], ctx.V[1] = P[0], 0.0
+    ctx.P = P
     with pytest.raises(DegenerateGeometryError):
         step_once(ctx)
+
+
+def test_one_checked_start_per_context(monkeypatch, tmp_path, capsys):
+    """A run builds the checked start twice, for its context and for its
+    metrics, and takes the pair distances once per step plus once per
+    start; the CLI adds no build when ``--mode`` overrides the mode."""
+    builds, dists = [], []
+    init, pair_dist = sim._Start.__init__, sim._pair_dist
+    monkeypatch.setattr(sim._Start, "__init__", lambda s, scn: builds.append(1) or init(s, scn))
+    monkeypatch.setattr(sim, "_pair_dist", lambda c, P: dists.append(1) or pair_dist(c, P))
+    log, _ = sim.run(circle6("decentralized_C"))
+    assert (len(builds), len(dists)) == (2, len(log.records) + 2) == (2, 801)
+    builds.clear()
+    dists.clear()
+    argv = ["--preset", "headon2", "--mode", "decentralized_C", "--out-dir", str(tmp_path)]
+    assert cli.run_command(argv) == 0
+    steps = int(re.search(r"steps=(\d+)", capsys.readouterr().out).group(1))
+    assert (len(builds), len(dists)) == (2, steps + 2) == (2, 465)
 
 
 def test_step_record_min_h_is_the_scalar_minimum():
