@@ -25,8 +25,9 @@ _PALETTE = (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+# One agent row: t, id, then px .. uy_nom as "%.12g", which renders a float
+# as format(x, ".12g") does, and the status.
+_CSV_ROW = "%s,%s," + ",".join(["%.12g"] * 8) + ",%s\n"
 
 
 def _csv_chunks(log: TrajectoryLog):
@@ -34,14 +35,10 @@ def _csv_chunks(log: TrajectoryLog):
     ids = [a.params.id for a in log.scenario.agents]
     yield CSV_HEADER + "\n"
     for rec in log.records:
-        t = _fmt(rec.t)
-        yield "".join(
-            ",".join([t, str(aid), _fmt(rec.p[i, 0]), _fmt(rec.p[i, 1]), _fmt(rec.v[i, 0]),
-                      _fmt(rec.v[i, 1]), _fmt(rec.u_applied[i, 0]), _fmt(rec.u_applied[i, 1]),
-                      _fmt(rec.u_nominal[i, 0]), _fmt(rec.u_nominal[i, 1]), rec.qp_status[i]])
-            + "\n"
-            for i, aid in enumerate(ids)
-        )
+        t = format(float(rec.t), ".12g")
+        values = np.concatenate((rec.p, rec.v, rec.u_applied, rec.u_nominal), 1).tolist()
+        yield "".join(_CSV_ROW % (t, aid, *row, status)
+                      for aid, row, status in zip(ids, values, rec.qp_status))
 
 
 def trajectory_csv_text(log: TrajectoryLog) -> str:

@@ -112,14 +112,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _reject_unknown(entry, _AGENT_KEYS, where)
         if "id" not in entry or isinstance(entry["id"], bool) or not isinstance(entry["id"], int):
             raise ScenarioError(f"key 'id' in {where} must be an integer")
+        limits = [_number(entry, key, where) for key in ("alpha", "beta", "gamma", "radius")]
         try:
-            params = AgentParams(
-                id=entry["id"],
-                accel_limit=_number(entry, "alpha", where),
-                speed_limit=_number(entry, "beta", where),
-                barrier_gain=_number(entry, "gamma", where),
-                radius=_number(entry, "radius", where),
-            )
+            params = AgentParams(entry["id"], *limits)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
         state0 = AgentState(_vector(entry, "p0", where), _vector(entry, "v0", where))

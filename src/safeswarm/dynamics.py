@@ -22,7 +22,8 @@ class AgentParams:
     accel_limit bounds each control component (per-axis box), speed_limit
     bounds the speed, barrier_gain scales how aggressively the agent may
     approach the boundary of the safe set, radius is the physical safety
-    radius used to derive pairwise safety distances.
+    radius used to derive pairwise safety distances. All four must be
+    positive and finite.
     """
 
     id: int
@@ -34,8 +35,8 @@ class AgentParams:
     def __post_init__(self):
         for name in ("accel_limit", "speed_limit", "barrier_gain", "radius"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"AgentParams.{name} must be positive, got {value!r}")
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"AgentParams.{name} must be positive and finite, got {value!r}")
 
 
 @dataclass

@@ -29,28 +29,34 @@ kernel, runs the same method on K independent 2-variable problems, one per
 agent in the decentralized modes, laid out as (K, M, 2) rows and (K, M)
 bounds: problem k's rows, then its four box faces, then zero rows with an
 infinite bound up to the widest problem's M. Warm starts go in, and final
-working sets come out, as (K, M) bool masks. Each pass makes one selection
-or one dual step for every unfinished problem, with the same pivots,
-tie-breaks (largest residual, then lowest index, warm rows first),
-iteration limits and warnings as ``solve``. ``pad_rows`` builds the layout
+working sets come out, as (K, M) bool masks. ``pad_rows`` builds the layout
 from rows given as one (R, 2) array with per-problem counts; the simulator
 builds it once per neighbour and violated set and fills in each step's
-rows itself. The kernel's answers, optimal flags and working-set masks
-equal ``solve``'s answers, statuses and active sets bit for bit, which
-fixes how each quantity is computed:
+rows itself.
 
-* Residuals only choose rows, so one ``row_dot`` pass over all rows
-  serves every problem; ``A @ u`` rounds differently and by row count, but
-  no step value is computed from them.
-* Working sets of 0 or 1 rows use closed forms that round like
-  ``_dual_coeffs``: ``r = row_dot(a1, a_p) / row_dot(a1, a1)`` (the 1x1
-  ``np.linalg.solve``) and ``z = a_p - a1 * r``.
-* Working sets of k >= 2 rows use stacked ``matmul`` and
-  ``np.linalg.solve`` over (G, k, 2), grouped by k, which equal the
-  per-problem calls; a closed-form 2x2 does not. The dependency test has a
-  tolerance, so a working set can hold more than 2 rows. A singular Gram
-  matrix in a group sends that group through ``_dual_coeffs`` one problem
-  at a time, as in ``solve``.
+Each pass of the kernel picks a row for every problem that has none and
+makes one dual step for every problem that has one, with the same pivots,
+tie-breaks (largest residual, then lowest index, warm rows first),
+iteration limits and warnings as ``solve``. Nearly every step only adds a
+row to a working set of 0 or 1 rows, so a pass first takes that step for
+every problem in closed form: ``z = a_p``, or ``r = row_dot(a1, a_p) /
+row_dot(a1, a1)`` (the 1x1 ``np.linalg.solve``) and ``z = a_p - a1 * r``,
+chosen by ``np.where`` so that signed zeros survive. One mask then sends
+the rest through the general step in the same pass: a row in the span of
+the working set, a working multiplier that hits zero first (its row drops
+out), a certificate of an empty polytope, a non-finite iterate, or a
+working set of k >= 2 rows. Those working sets use stacked ``matmul``
+and ``np.linalg.solve`` over (G, k, 2), grouped by k, which equal the
+per-problem calls; a closed-form 2x2 does not. The dependency test has a
+tolerance, so a working set can hold more than 2 rows, and a singular
+Gram matrix sends its group through ``_dual_coeffs`` one problem at a
+time, as in ``solve``.
+
+The kernel's answers, optimal flags and working-set masks equal ``solve``'s
+answers, statuses and active sets bit for bit. Its residuals come from one
+``row_dot`` pass over all rows, which rounds like the 2-vector ``a @ b``,
+so the picked row's residual is also the step's numerator. ``A @ u``
+rounds differently and by row count, but only chooses rows.
 """
 
 from __future__ import annotations
@@ -219,8 +225,10 @@ def solve(problem: QpProblem, warm_start: tuple[int, ...] = ()) -> QpSolution:
             t_full = np.inf if dep else 2.0 * float(a_p @ u - b[p]) / zz
             t_block, k_block = _blocking_step(lam, r)
             drop = dep or t_block < t_full  # the blocking row leaves the working set
-            u, lam_p = _dual_step(u, lam, r, np.zeros(n) if dep else z,
-                                  t_block if drop else t_full, lam_p)
+            t = t_block if drop else t_full
+            with np.errstate(over="ignore", invalid="ignore"):  # the finite check below stops it
+                lam = [lam_k - t * r_k for lam_k, r_k in zip(lam, r)]
+                u, lam_p = u - 0.5 * t * (np.zeros(n) if dep else z), lam_p + t
             if drop:
                 del work[k_block], lam[k_block]
             else:
@@ -252,21 +260,6 @@ def _blocking_step(lam: list[float], r: np.ndarray) -> tuple[float, int]:
     return t_block, k_block
 
 
-def _dual_step(
-    u: np.ndarray,
-    lam: list[float],
-    r: np.ndarray,
-    z: np.ndarray,
-    t: float,
-    lam_p: float,
-) -> tuple[np.ndarray, float]:
-    # An overflow is left to the caller's finite check, which stops the solve.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(lam)):
-            lam[k] -= t * r[k]
-        return u - 0.5 * t * z, lam_p + t
-
-
 def pad_rows(A: np.ndarray, b: np.ndarray, counts: np.ndarray,
              box: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The padded layout of K 2-variable problems.
@@ -292,6 +285,7 @@ def pad_rows(A: np.ndarray, b: np.ndarray, counts: np.ndarray,
     return AA, bb, m
 
 
+@np.errstate(all="ignore")  # the finite checks below stop an overflowing problem
 def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray, m: np.ndarray,
                  warm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The lockstep kernel: ``solve`` on the K problems of a ``pad_rows`` layout.
@@ -302,107 +296,141 @@ def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray, m: np.ndarra
     of each problem's final working set (its active set, as a mask) and the
     (K,) iteration counts. Row indices below are local to a problem.
     """
-    K, cols = m.size, np.arange(bb.shape[1])
+    K, cols, ks = m.size, np.arange(bb.shape[1]), np.arange(m.size)
     # A row is in its problem's working set at most once, so M columns hold
     # any working set; work lists the rows in the order they were added.
     work, lam = np.zeros(bb.shape, dtype=int), np.zeros(bb.shape)
-    nw = np.zeros(K, dtype=int)
     in_work = np.zeros(bb.shape, dtype=bool)
     u = u_hat.copy()
-    p, lam_p = np.zeros(K, dtype=int), np.zeros(K)
-    iters, max_iter = np.zeros(K, dtype=int), np.maximum(10 * m, 50)
-    stepping, done, optimal = (np.zeros(K, dtype=bool) for _ in range(3))
+    # Per problem: the row p being added, its residual a_p . u - b_p, its
+    # multiplier lam_p and the working-set size nw.
+    p, nw, iters = np.zeros(K, dtype=int), np.zeros(K, dtype=int), np.zeros(K, dtype=int)
+    gap, lam_p, stepping = np.zeros(K), np.zeros(K), np.zeros(K, dtype=bool)
+    done, failed = np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
+    # Positive doubles order as their bit patterns, so a top bit on the warm
+    # rows ranks them first and leaves ties equal.
+    warm_bit = warm.astype(np.uint64) << 63
+    # Each limit is max(10 m, 50), so none is reached in fewer passes than this.
+    passes, first_limit = 0, max(10 * min(m.tolist()), 50) if K else 0
 
     while True:
+        # The largest violated residual, warm rows first, lowest index on ties.
         pick = ~(done | stepping)
-        if pick.any():
-            # The largest violated residual, warm rows first, lowest index on ties.
-            resid = row_dot(AA, u[:, None, :]) - bb
-            viol = (resid > _SELECT_TOL) & ~in_work & pick[:, None]
-            cand = viol & (warm | ~(viol & warm).any(axis=1)[:, None])
-            first = np.where(cand, resid, -np.inf).argmax(axis=1)
-            found = cand[np.arange(K), first]
-            done |= pick & ~found
-            optimal |= pick & ~found
-            p[found], lam_p[found], stepping[found] = first[found], 0.0, True
+        resid = row_dot(AA, u[:, None, :]) - bb
+        viol = (resid > _SELECT_TOL) & ~in_work
+        found = viol.any(axis=1) & pick
+        done |= pick ^ found
+        if np.count_nonzero(found):
+            first = ((resid.view(np.uint64) | warm_bit) * viol).argmax(axis=1)
+            np.copyto(p, first, where=found)
+            np.copyto(gap, resid[ks, first], where=found)
+            np.copyto(lam_p, 0.0, where=found)
+            stepping |= found
         live = stepping.nonzero()[0]
         if not live.size:
             break
+        passes += 1
+        iters += stepping
+        # The step that adds a_p, in closed form for working sets of 0 or 1
+        # rows; ``general`` marks the problems it does not fit.
+        pl, nk = p.take(live), nw.take(live)
+        a_p = AA[live, pl]
+        z, zz = a_p, row_dot(a_p, a_p)
+        dep_scale, r1, lam1, t_block = np.maximum(1.0, zz), 0.0, 0.0, np.inf
+        if np.count_nonzero(nk):
+            one = nk == 1
+            a1, lam1 = AA[live, work[live, 0]], lam[live, 0]
+            r1 = row_dot(a1, a_p) / np.where(one, row_dot(a1, a1), np.inf)  # 0 without a1
+            z = np.where(one[:, None], a_p - a1 * r1[:, None], a_p)
+            zz = row_dot(z, z)
+            # The step at which a1's multiplier hits zero; -inf sends k >= 2
+            # rows to the general step.
+            t_block = np.where(r1 > _DUAL_TOL, lam1 / r1, np.where(nk > 1, -np.inf, np.inf))
+        dep = zz <= _DEP_TOL * dep_scale  # a_p in the active span
+        t = 2.0 * gap.take(live) / zz
+        u_add = u.take(live, 0) - 0.5 * t[:, None] * z
+        lam_p_add, lam1_add = lam_p.take(live) + t, lam1 - t * r1
+        # A sum is non-finite if a term is; a false alarm (an overflowing sum,
+        # or the unused lam1 of an empty working set) costs a general step.
+        finite = np.isfinite(u_add[:, 0] + u_add[:, 1] + lam_p_add + lam1_add)
+        general = dep | (t_block < t) | ~finite
+        add = live
+        if np.count_nonzero(general):
+            keep = ~general
+            add, pl, nk, u_add, lam_p_add, lam1_add = (
+                x[keep] for x in (live, pl, nk, u_add, lam_p_add, lam1_add))
+        u[add], lam[add, 0] = u_add, lam1_add
+        work[add, nk], lam[add, nk] = pl, lam_p_add
+        in_work[add, pl] = True
+        nw[add] = nk + 1
+        stepping[add] = False
 
-        iters[live] += 1
-        a_p, b_p = AA[live, p[live]], bb[live, p[live]]
-        nk = nw[live]
-        z = a_p.copy()
-        k_max = nk.max()
-        t_block, k_block = np.full(live.size, np.inf), np.zeros(live.size, dtype=int)
-        unblocked = np.ones(live.size, dtype=bool)  # no r > _DUAL_TOL
-        if k_max:
-            r = np.zeros((live.size, k_max))
-            one = (nk == 1).nonzero()[0]
-            if one.size:
-                a1 = AA[live[one], work[live[one], 0]]
-                r1 = row_dot(a1, a_p[one]) / row_dot(a1, a1)
-                r[one, 0], z[one] = r1, a_p[one] - a1 * r1[:, None]
+        if add.size < live.size:
+            # The general dual step: it may drop a blocking row, certify an
+            # empty polytope, stop a non-finite iterate or use k >= 2 rows.
+            g = general.nonzero()[0]
+            live, a_p, nk, z = live[g], a_p[g], nw[live[g]], z[g]
+            k_max = nk.max()
+            # One column of r even for empty working sets, where it is 0.
+            r = np.zeros((live.size, max(k_max, 1)))
+            if k_max:
+                r[:, 0] = np.where(one[g], r1[g], 0.0)
             for k in range(2, k_max + 1):
-                g = (nk == k).nonzero()[0]
-                if g.size:
-                    r[g, :k], z[g] = _stacked_dual_coeffs(
-                        AA[live[g, None], work[live[g], :k]], a_p[g])
+                w = (nk == k).nonzero()[0]
+                if w.size:
+                    r[w, :k], z[w] = _stacked_dual_coeffs(
+                        AA[live[w, None], work[live[w], :k]], a_p[w])
             pos = r > _DUAL_TOL
             unblocked = ~pos.any(axis=1)
             # The largest multiplier step before a working multiplier hits zero.
-            ratio = np.divide(lam[live, :k_max], r, out=np.full(r.shape, np.inf), where=pos)
+            ratio = np.divide(lam[live, :r.shape[1]], r, out=np.full(r.shape, np.inf), where=pos)
             k_block = ratio.argmin(axis=1)
             t_block = ratio[np.arange(live.size), k_block]
-        zz = row_dot(z, z)
-        dep = zz <= _DEP_TOL * np.maximum(1.0, row_dot(a_p, a_p))  # a_p in the active span
-        cert = dep & unblocked  # nonnegative certificate of an empty polytope
-        t_full = 2.0 * (row_dot(a_p, u[live]) - b_p) / np.where(dep, 1.0, zz)
-        drop = dep | (t_block < t_full)
-        t = np.where(drop, t_block, t_full)[~cert]
-        z[dep] = 0.0
-        moved = live[~cert]
-        with np.errstate(over="ignore", invalid="ignore"):  # the finite check below stops it
+            zz = row_dot(z, z)
+            dep = zz <= _DEP_TOL * np.maximum(1.0, row_dot(a_p, a_p))
+            cert = dep & unblocked  # nonnegative certificate of an empty polytope
+            t_full = 2.0 * gap[live] / zz
+            drop = dep | (t_block < t_full)
+            t = np.where(drop, t_block, t_full)[~cert]
+            z[dep] = 0.0
+            moved = live[~cert]
             u[moved] = u[moved] - 0.5 * t[:, None] * z[~cert]
             lam_p[moved] += t
-            if k_max:
-                lam[moved, :k_max] = lam[moved, :k_max] - t[:, None] * r[~cert]
+            lam[moved, :r.shape[1]] = lam[moved, :r.shape[1]] - t[:, None] * r[~cert]
 
-        out = drop & ~cert
-        if out.any():  # the blocking row leaves the working set
-            gone, k_out = live[out], k_block[out]
-            in_work[gone, work[gone, k_out]] = False
-            src = np.minimum(cols + (cols >= k_out[:, None]), cols.size - 1)
-            work[gone], lam[gone] = work[gone[:, None], src], lam[gone[:, None], src]
-            nw[gone] -= 1
-        added = live[~drop]  # a_p joins the working set
-        work[added, nw[added]], lam[added, nw[added]] = p[added], lam_p[added]
-        nw[added] += 1
-        in_work[added, p[added]] = True
-        stepping[added] = False
-        done[live[cert]] = True
-        stepping[live[cert]] = False
+            out = drop & ~cert
+            if out.any():  # the blocking row leaves the working set
+                gone, k_out = live[out], k_block[out]
+                in_work[gone, work[gone, k_out]] = False
+                src = np.minimum(cols + (cols >= k_out[:, None]), cols.size - 1)
+                work[gone], lam[gone] = work[gone[:, None], src], lam[gone[:, None], src]
+                nw[gone] -= 1
+                gap[gone] = row_dot(a_p[out], u[gone]) - bb[gone, p[gone]]
+            added = live[~drop]  # a_p joins the working set
+            work[added, nw[added]], lam[added, nw[added]] = p[added], lam_p[added]
+            nw[added] += 1
+            in_work[added, p[added]] = True
+            stepping[added] = False
 
-        # A multiplier or iterate that overflowed stops its problem, as in solve.
-        finite = (np.isfinite(u[live]).all(axis=1) & np.isfinite(lam_p[live])
-                  & (np.isfinite(lam[live]) | (cols >= nw[live, None])).all(axis=1))
-        if not finite.all():
+            # A multiplier or iterate that overflowed stops its problem, as in solve.
+            finite = (np.isfinite(u[live]).all(axis=1) & np.isfinite(lam_p[live])
+                      & (np.isfinite(lam[live]) | (cols >= nw[live, None])).all(axis=1))
             for k in live[~finite].tolist():
-                logger.warning("non-finite iterate on a %d-row problem; reporting infeasible",
-                               m[k])
-            done[live[~finite]] = True
-            stepping[live[~finite]] = False
-        spent = (iters >= max_iter) & ~done
-        if spent.any():
+                logger.warning("non-finite iterate on a %d-row problem; reporting infeasible", m[k])
+            stop = live[cert | ~finite]
+            done[stop] = failed[stop] = True
+            stepping[stop] = False
+        if passes >= first_limit:
+            max_iter = np.maximum(10 * m, 50)
+            spent = (iters >= max_iter) & ~done
             for k in spent.nonzero()[0].tolist():
-                logger.warning(
-                    "iteration limit (%d) hit on a %d-row problem; reporting infeasible",
-                    max_iter[k], m[k],
-                )
+                logger.warning("iteration limit (%d) hit on a %d-row problem; reporting infeasible",
+                               max_iter[k], m[k])
             done |= spent
+            failed |= spent
             stepping &= ~spent
 
-    return u, optimal, in_work, iters
+    return u, ~failed, in_work, iters
 
 
 def _stacked_dual_coeffs(active: np.ndarray, a_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,6 +94,17 @@ class TestParseScenario:
         doc["agents"][0]["alpha"] = float("inf")
         with pytest.raises(ScenarioError, match="alpha"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["alpha", "beta", "gamma", "radius"])
+    def test_infinite_agent_limit_exits_1(self, tmp_path, capsys, key):
+        doc = two_agent_doc()
+        doc["agents"][1][key] = float("inf")  # written as the JSON literal Infinity
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        assert run_command(["--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: key {key!r} in agents[1] must be finite\n" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     def test_ds_key_requires_fixed_mode(self):
         doc = two_agent_doc()
@@ -284,6 +296,26 @@ class TestCsvArtifacts:
                 assert abs(cols["px"][r] - rec.p[i, 0]) <= 1e-9 * max(1, abs(rec.p[i, 0]))
                 assert abs(cols["vx"][r] - rec.v[i, 0]) <= 1e-9 * max(1, abs(rec.v[i, 0]))
                 assert abs(cols["uy"][r] - rec.u_applied[i, 1]) <= 1e-9
+
+    def test_numbers_render_as_format_12g(self):
+        # Signed zeros, subnormals, extremes and exact ties at the 12th digit
+        # (2**-18 = 3.814697265625e-06 and 13-digit integers).
+        values = [-0.0, 0.0, 5e-324, -2.5e-320, 1e300, -1e-300, 1e-300, -1.7976931348623157e308,
+                  2.0 ** -18, 1234567890125.0, -1000000000005.0, 1234567890135.0, 0.1 + 0.2]
+        n = len(values)
+        cols = [np.roll(values, c) for c in range(8)]
+        rec = SimpleNamespace(t=2.0 ** -18, p=np.stack(cols[0:2], 1), v=np.stack(cols[2:4], 1),
+                              u_applied=np.stack(cols[4:6], 1), u_nominal=np.stack(cols[6:8], 1),
+                              qp_status=["optimal", "infeasible"] * (n // 2) + ["optimal"])
+        agents = [SimpleNamespace(params=SimpleNamespace(id=7 + i)) for i in range(n)]
+        log = SimpleNamespace(scenario=SimpleNamespace(agents=agents), records=[rec])
+        lines = trajectory_csv_text(log).splitlines()
+        assert len(lines) == n + 1
+        for i, line in enumerate(lines[1:]):
+            expected = [format(rec.t, ".12g"), str(7 + i)]
+            expected += [format(col[i], ".12g") for col in cols] + [rec.qp_status[i]]
+            assert line.split(",") == expected
+        assert lines[1].split(",")[:3] == ["3.81469726562e-06", "7", "-0"]
 
     def test_monotone_time_per_agent(self, tmp_path, short_run):
         _, log, _ = short_run

@@ -26,6 +26,13 @@ class TestAgentParams:
         with pytest.raises(ValueError, match="radius"):
             AgentParams(1, 1.0, 1.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize("field", ["accel_limit", "speed_limit", "barrier_gain", "radius"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_rejects_nonfinite_fields(self, field, value):
+        fields = dict(accel_limit=1.0, speed_limit=1.0, barrier_gain=1.0, radius=0.2)
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            AgentParams(1, **dict(fields, **{field: value}))
+
 
 class TestRelativeState:
     def test_static_pair(self):

@@ -1,4 +1,7 @@
+import functools
+import json
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,9 +17,13 @@ from safeswarm import (
     solve,
     strategy_c_row,
 )
+from safeswarm import qp, sim
+from safeswarm.artifacts import trajectory_csv_text
 from safeswarm.barrier import BarrierConfig
-from safeswarm import qp
+from safeswarm.cli import scenario_from_dict
+from safeswarm.presets import circle6
 from safeswarm.qp import expanded_constraints
+from safeswarm.sim import run
 
 from conftest import random_safe_pair
 
@@ -247,6 +254,47 @@ class TestSolveBatch:
         assert batch.status == [INFEASIBLE, INFEASIBLE]
         assert not caplog.records  # a certificate, not the iteration limit
 
+    def test_closed_form_and_general_steps_share_passes(self, stacked_widths, caplog):
+        """A problem's j-th dual step is made in the kernel's j-th pass, so in
+        this one call: pass 1 adds a row to empty working sets and overflows
+        one; pass 2 adds at 1 row with and without r > 0 while others drop a
+        blocking row, certify an empty polytope or overflow; pass 3 adds at
+        0 rows next to a certificate from a 2-row working set; later passes
+        run on to an overflow and an iteration limit."""
+        problems = [
+            QpProblem(np.array([0.5, -0.0]), *rows((1, 0, 0.25)), np.full(2, 3.0)),
+            QpProblem(np.array([-0.0, 0.5]), *rows((-0.0, 1, 0.25)), np.full(2, 3.0)),
+            QpProblem(np.array([-0.0, -0.0]), *rows((1, 1, 1)), np.full(2, 3.0)),
+            QpProblem(np.array([1.0, 1.0]), *rows((1, 0, 0), (1, 2, 0)), np.full(2, 3.0)),
+            QpProblem(np.array([1.0, 1.0]), *rows((1, 0, 0), (0, 1, 0)), np.full(2, 3.0)),
+            QpProblem(np.zeros(2), *rows((1, 0, -1), (1, 1, -3)), np.full(2, 3.0)),
+            QpProblem(np.zeros(2), *rows((1, 0, -1), (-1, 0, -1)), np.full(2, 3.0)),
+            QpProblem(np.zeros(2), *rows((0.03, 0, -1e308)), np.full(2, 3.0)),
+            QpProblem(np.zeros(2), *rows((1, 0, -1), (0, 0.03, -1e308)), np.full(2, 3.0)),
+            QpProblem(np.zeros(2), *rows((1, 0, -1), (0, 1, -1), (-1, -1, -1)), np.full(2, 3.0)),
+            NEAR_PARALLEL[0],
+            OVERFLOWING,
+        ]
+        warm = [(), (), (), (), (), (0,), (), (), (0,), (0, 1), (), (1,)]
+        assert_batch_equals_solve(problems, warm)  # logs each warning once from solve
+        caplog.clear()
+        batch = batch_of(problems, warm)
+        assert batch.iterations.tolist() == [1, 1, 0, 2, 2, 3, 2, 1, 2, 3, 90, 129]
+        assert batch.status == [OPTIMAL] * 6 + [INFEASIBLE] * 6
+        assert batch.active_set[:6] == [(0,), (0,), (), (0, 1), (0, 1), (1,)]
+        assert 2 in stacked_widths
+        # Signed zeros come back as solve gives them: kept where the step
+        # leaves a component alone, +0.0 where it subtracts -0.0.
+        assert batch.u_star[:3].tolist() == [[0.25, -0.0], [0.0, 0.25], [-0.0, -0.0]]
+        assert np.signbit(batch.u_star[:3]).tolist() == [[False, True], [False, False],
+                                                          [True, True]]
+        assert sorted(r.getMessage() for r in caplog.records) == [
+            "iteration limit (90) hit on a 9-row problem; reporting infeasible",
+            "non-finite iterate on a 15-row problem; reporting infeasible",
+            "non-finite iterate on a 5-row problem; reporting infeasible",
+            "non-finite iterate on a 6-row problem; reporting infeasible",
+        ]
+
     def test_singular_gram_falls_back_like_solve(self):
         # (1, 0), (0, 1) and (1, 1) give an exactly singular 3x3 Gram matrix.
         active = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
@@ -437,3 +485,44 @@ class TestProblemValidation:
     def test_interior_nominal_with_no_rows_is_fixed_point(self, ux, uy):
         sol = solve(QpProblem(np.array([ux, uy]), *rows(), np.ones(2)))
         assert np.array_equal(sol.u_star, np.array([ux, uy]))
+
+
+def solve_each(answers, u_hat, AA, bb, m, warm):
+    """``solve_padded``'s outputs from ``solve`` on each problem of the
+    layout, its warm mask turned into a tuple; each ``QpSolution`` is also
+    appended to ``answers``."""
+    u, in_work = np.empty_like(u_hat), np.zeros(bb.shape, dtype=bool)
+    optimal, iters = np.zeros(m.size, dtype=bool), np.zeros(m.size, dtype=int)
+    for k, n in enumerate((m - 4).tolist()):  # the problem's rows, then its 4 box faces
+        sol = solve(QpProblem(u_hat[k], AA[k, :n], bb[k, :n], bb[k, n:n + 4:2]),
+                    warm_start=tuple(np.flatnonzero(warm[k]).tolist()))
+        u[k], optimal[k], iters[k] = sol.u_star, sol.status == OPTIMAL, sol.iterations
+        in_work[k, list(sol.active_set)] = True
+        answers.append(sol)
+    return u, optimal, in_work, iters
+
+
+def crossing_lanes(mode):
+    doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios"
+                      / "crossing_lanes.json").read_text())
+    return scenario_from_dict(dict(doc, mode=mode))
+
+
+class TestKernelOnRealTraffic:
+    """Whole runs with the kernel and with ``solve`` on each of its problems
+    write the same trajectory CSV, on whatever platform the tests run."""
+
+    @pytest.mark.parametrize("scenario, infeasible", [
+        (lambda: circle6("decentralized_C"), 30),
+        (lambda: circle6("decentralized_C_estimated"), 30),
+        (lambda: crossing_lanes("decentralized_B"), 0),
+    ], ids=["circle6-C", "circle6-C_estimated", "crossing_lanes-B"])
+    def test_trajectory_csv_equals_per_problem_solve(self, monkeypatch, scenario, infeasible):
+        kernel_csv = trajectory_csv_text(run(scenario())[0])
+        answers = []
+        monkeypatch.setattr(sim.qp, "solve_padded", functools.partial(solve_each, answers))
+        assert trajectory_csv_text(run(scenario())[0]) == kernel_csv
+        # The runs cover dropped rows (an optimum after more steps than it
+        # has active rows), and the circle6 runs infeasible problems.
+        assert any(a.status == OPTIMAL and a.iterations > len(a.active_set) for a in answers)
+        assert sum(a.status == INFEASIBLE for a in answers) >= infeasible
