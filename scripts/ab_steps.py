@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""In-process interleaved A/B of step time between two safeswarm checkouts.
+
+Usage:
+    python scripts/ab_steps.py A_CHECKOUT B_CHECKOUT [--source SOURCE] [--rounds N]
+                               [--repeats R]
+
+SOURCE is ``paper-suite`` (the default: circle6, rect4, headon2 and
+scenarios/crossing_lanes.json, each under every mode), or one preset name
+or scenario file, run under its own mode.
+
+Separate benchmark processes on a shared machine drift apart by a fifth or
+more, so both trees run in one process here. Each checkout's
+``src/safeswarm`` is copied into a temporary directory under its own
+package name (``safeswarm_a``, ``safeswarm_b``) and imported side by side.
+Every round runs each job on both sides, alternating from job to job which
+side goes first, R times each, and keeps each side's best time spent inside
+``sim.step_once``. It prints each job's best-of-R steps/s per side and
+their ratio B/A, and each round's steps/s over all jobs and its ratio; a
+ratio above 1 means B steps faster.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import shutil
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SUITE = ("circle6", "rect4", "headon2", "scenarios/crossing_lanes.json")
+
+
+class Side:
+    """One checkout's package, imported under its own name, with its
+    ``sim.step_once`` timed."""
+
+    def __init__(self, checkout: Path, name: str, into: Path):
+        shutil.copytree(checkout / "src" / "safeswarm", into / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        self.sim = importlib.import_module(f"{name}.sim")
+        self.cli = importlib.import_module(f"{name}.cli")
+        self.presets = importlib.import_module(f"{name}.presets")
+        self.step_ns = 0
+        inner, clock = self.sim.step_once, time.perf_counter_ns
+
+        def timed_step(ctx):
+            start = clock()
+            rec = inner(ctx)
+            self.step_ns += clock() - start
+            return rec
+
+        self.sim.step_once = timed_step  # sim.run looks it up per step
+
+    def scenario(self, source: str, mode: str | None):
+        if source in self.presets.PRESETS:
+            scn = self.presets.PRESETS[source]()
+        else:
+            scn = self.cli.parse_scenario(source)
+        scn.mode = mode or scn.mode
+        return scn
+
+    def best(self, source: str, mode: str | None, repeats: int) -> tuple[int, int]:
+        """Best summed step time in ns over ``repeats`` runs, and the step count."""
+        times = []
+        for _ in range(repeats):
+            scn = self.scenario(source, mode)
+            self.step_ns = 0
+            log, _ = self.sim.run(scn)
+            times.append(self.step_ns)
+        return min(times), len(log.records)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("a", type=Path, help="checkout A (the reference)")
+    parser.add_argument("b", type=Path, help="checkout B")
+    parser.add_argument("--source", default="paper-suite")
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=5, help="runs per job and side")
+    args = parser.parse_args(argv)
+    if args.rounds < 1 or args.repeats < 1:
+        parser.error("--rounds and --repeats must be at least 1")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        sides = (Side(args.a.resolve(), "safeswarm_a", Path(tmp)),
+                 Side(args.b.resolve(), "safeswarm_b", Path(tmp)))
+        jobs = ([(s, m) for s in SUITE for m in sides[0].sim.MODES]
+                if args.source == "paper-suite" else [(args.source, None)])
+        ratios = []
+        for rnd in range(1, args.rounds + 1):
+            total_steps, total_ns = 0, [0, 0]
+            print(f"round {rnd}: {'job':45s} {'A steps/s':>10s} {'B steps/s':>10s} {'B/A':>6s}")
+            for k, (source, mode) in enumerate(jobs):
+                order = (0, 1) if (k + rnd) % 2 == 0 else (1, 0)
+                ns, steps = [0, 0], [0, 0]
+                for s in order:
+                    ns[s], steps[s] = sides[s].best(source, mode, args.repeats)
+                total_steps += steps[0]
+                total_ns = [t + x for t, x in zip(total_ns, ns)]
+                rate = [n / (x / 1e9) for n, x in zip(steps, ns)]
+                name = Path(source).stem + (f"-{mode}" if mode else "")
+                print(f"         {name:45s} {rate[0]:10.0f} {rate[1]:10.0f} "
+                      f"{rate[1] / rate[0]:6.3f}")
+            rate = [total_steps / (x / 1e9) for x in total_ns]
+            ratios.append(rate[1] / rate[0])
+            print(f"round {rnd}: {'all jobs':45s} {rate[0]:10.0f} {rate[1]:10.0f} "
+                  f"{ratios[-1]:6.3f}")
+        print("ratios B/A by round: " + " ".join(f"{r:.3f}" for r in ratios))
+
+
+if __name__ == "__main__":
+    main()

@@ -113,7 +113,7 @@ def pair_barrier(rel: RelativeState, accel_sum: float, safety_dist: float) -> tu
 
 def guard_pairs(owner, other, dist: np.ndarray, safety_dist) -> None:
     """Raise AlreadyViolatedError for the first pair at or inside its safety distance."""
-    inside = np.flatnonzero(dist <= safety_dist)
+    inside = (dist <= safety_dist).nonzero()[0]
     if inside.size:
         k = inside[0]
         raise AlreadyViolatedError(int(owner[k]), int(other[k]), float(dist[k]),

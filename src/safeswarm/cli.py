@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,6 +36,13 @@ def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
         raise ScenarioError(f"unknown key {sorted(unknown)[0]!r} in {where}")
 
 
+def _is_finite(value) -> bool:
+    try:  # an integer literal too large for a float is not finite
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(doc: dict, key: str, where: str, default=None):
     if key not in doc:
         if default is not None:
@@ -43,7 +51,7 @@ def _number(doc: dict, key: str, where: str, default=None):
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"key {key!r} in {where} must be a number")
-    if not np.isfinite(value):
+    if not _is_finite(value):
         raise ScenarioError(f"key {key!r} in {where} must be finite")
     return float(value)
 
@@ -56,7 +64,7 @@ def _vector(doc: dict, key: str, where: str) -> np.ndarray:
         raise ScenarioError(f"key {key!r} in {where} must be a 2-element list")
     vec = []
     for x in value:
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or not np.isfinite(x):
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or not _is_finite(x):
             raise ScenarioError(f"key {key!r} in {where} must hold finite numbers")
         vec.append(float(x))
     return np.array(vec)

@@ -13,19 +13,20 @@ on per-step arrays. Pair geometry runs over the pairs i < j in
 start's dp and dist are computed once, when the context is built, and a
 step's post-step ones are carried over as the next step's pre-step values
 (``SimContext.geometry``, keyed by the identity of ``P``; reassign ``P``
-rather than editing it in place), so each step computes them once.
-The neighbour test reads that dist over the directed pairs (owner, other),
-and the mode's bound function in ``barrier`` builds the rows of all
-neighbour pairs in one call.
+rather than editing it in place), so each step computes and checks them
+once. The neighbour test reads that dist over the directed pairs (owner,
+other), and the mode's bound function in ``barrier`` builds the rows of
+all neighbour pairs in one call.
 
 In the decentralized modes every free agent's QP is one row of the padded
 layout that ``qp.solve_padded`` takes: (K, M, 2) rows and (K, M) bounds,
 in the order barrier rows, four speed rows, four box faces, padding. What
 fixes that layout, the slots of the barrier and speed rows, templates
-holding the speed normals, box faces and padding, the row pairs and the
-per-row lookups, depends only on the (neighbour mask, violated mask) pair;
-it is cached on ``SimContext.layout`` while that pair is unchanged, and
-each step writes its barrier rows and bounds into copies of the templates.
+holding the speed normals, box faces and padding, the row pairs, the
+per-row lookups and the speed limits, depends only on the (neighbour mask,
+violated mask) pair; it is cached on ``SimContext.layout`` while the bytes
+of that pair are unchanged, and each step writes its barrier rows and
+bounds into copies of the templates; empty scatters are skipped.
 Warm starts are one (N, W) bool mask, ``SimContext.warm``, sliced into the
 kernel and written back from its final working sets. The centralized QP
 embeds the rows in one dense array and goes to ``qp.solve``. In the
@@ -56,8 +57,7 @@ import numpy as np
 
 from . import barrier, qp
 from .barrier import BarrierConfig
-from .dynamics import (AgentParams, AgentState, DegenerateGeometryError, row_dot,
-                       saturate_box, step)
+from .dynamics import AgentParams, AgentState, DegenerateGeometryError, row_dot, step
 from .dynamics import relative_state  # noqa: F401  (perfbench/layers.py wraps sim.relative_state)
 from .estimator import LimitEstimator
 
@@ -157,9 +157,10 @@ class RunMetrics:
 def goal_controller(p: np.ndarray, v: np.ndarray, goal: np.ndarray, k1: float, k2: float,
                     accel_limit) -> np.ndarray:
     """Saturated PD control toward a fixed goal position. Broadcasts over
-    (N, 2) arrays of agents, with one row of limits per agent."""
+    (N, 2) arrays of agents, with one row of positive limits per agent
+    (``saturate_box`` without its check, which ``AgentParams`` makes)."""
     u = -k1 * (p - np.asarray(goal, dtype=float)) - k2 * v
-    return saturate_box(u, accel_limit)
+    return np.minimum(np.maximum(u, -accel_limit), accel_limit)
 
 
 def braking_fallback(v: np.ndarray, accel_limit: float) -> np.ndarray:
@@ -298,7 +299,11 @@ _SPEED_A = np.array([[1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [-0.0, -1.0]])
 def _speed_bounds(speed: np.ndarray, V: np.ndarray, dt: float) -> np.ndarray:
     # (N, 4) bounds of the rows _SPEED_A: per-axis cap on the next-step
     # velocity, |v_c + u_c dt| <= speed_limit.
-    return np.stack(((speed[:, None] - V) / dt, (speed[:, None] + V) / dt), 2).reshape(-1, 4)
+    out, speed = np.empty((len(V), 2, 2)), speed[:, None]
+    np.subtract(speed, V, out=out[..., 0])
+    np.add(speed, V, out=out[..., 1])
+    out /= dt
+    return out.reshape(-1, 4)
 
 
 def _pair_dist(ctx: _Start, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,9 +313,10 @@ def _pair_dist(ctx: _Start, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dp, np.array(list(map(math.hypot, dp[:, 0].tolist(), dp[:, 1].tolist())))
 
 
-def _require_apart(dist: np.ndarray) -> None:
-    if dist.size and not dist.all():
+def _require_apart(dp: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if not dist.all():
         raise DegenerateGeometryError("coincident agent positions")
+    return dp, dist
 
 
 def _pair_vbar(ctx: _Start, dp: np.ndarray, dist: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -324,16 +330,17 @@ def _pair_h(ctx: _Start, dist: np.ndarray, vbar: np.ndarray) -> np.ndarray:
 
 def _violated(ctx: SimContext, dist: np.ndarray) -> np.ndarray:
     """(N,) mask of the agents in a pair at or inside its safety distance."""
-    inside = dist <= ctx.pair_ds
+    inside = (dist <= ctx.pair_ds).nonzero()[0]
     violated = np.zeros(ctx.n, dtype=bool)
-    violated[ctx.pair_i[inside]] = violated[ctx.pair_j[inside]] = True
+    if inside.size:
+        violated[ctx.pair_i[inside]] = violated[ctx.pair_j[inside]] = True
     return violated
 
 
 def _apply(ctx: SimContext, U: np.ndarray, brake: np.ndarray) -> np.ndarray:
-    # The QP answers clipped to the box, and braking where ``brake`` is set.
-    U = np.clip(U, -ctx.box, ctx.box)
-    for i in np.flatnonzero(brake).tolist():
+    # The QP answers clamped to the box, and braking where ``brake`` is set.
+    U = np.minimum(np.maximum(U, -ctx.box), ctx.box)
+    for i in brake.nonzero()[0].tolist():
         U[i] = braking_fallback(ctx.V[i], ctx.accel[i])
     return U
 
@@ -362,11 +369,13 @@ class _Layout:
     into copies of them at the flat slots ``bar`` and ``speed``. ``own``,
     ``oth``, ``pair``, ``ds``, ``accel``, ``accel_other`` and ``gain`` are
     per barrier row, and ``row_pairs`` is their (E, 2) (owner, other)
-    array. Every array a step record or template shares is read-only.
+    array, and ``vmax`` the free agents' speed limits. ``key`` is the
+    masks' bytes. Every array a step record or template shares is read-only.
     """
 
     def __init__(self, ctx: SimContext, near: np.ndarray, violated: np.ndarray):
         self.near, self.violated = near, violated
+        self.key = near.tobytes() + violated.tobytes()
         mine = near & ~violated[ctx.dir_own]  # the directed pairs free agents own
         self.own, self.oth, self.pair = own, oth, pair = (
             ctx.dir_own[mine], ctx.dir_oth[mine], ctx.dir_pair[mine])
@@ -382,12 +391,13 @@ class _Layout:
         self.bar, self.speed = slots[~speed], slots[speed]
         self.ds = ctx.pair_ds[pair]
         self.accel, self.accel_other, self.gain = ctx.accel[own], ctx.accel[oth], ctx.gain[own]
+        self.vmax = ctx.speed[self.free]
         self.row_pairs = np.array((own, oth)).T
         for shared in (self.A, self.b, self.row_pairs):
             shared.flags.writeable = False
 
     def holds(self, near: np.ndarray, violated: np.ndarray) -> bool:
-        return np.array_equal(near, self.near) and np.array_equal(violated, self.violated)
+        return near.tobytes() + violated.tobytes() == self.key
 
 
 def _agent_qps(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
@@ -411,7 +421,7 @@ def _agent_qps(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
     flat = b.reshape(-1)
     flat[lay.bar] = _BOUNDS[ctx.scenario.mode](dp, dist, V[own] - V[oth], V[own], lay.accel,
                                                accel_other, lay.gain, lay.ds, ctx.cfg.epsilon)
-    flat[lay.speed] = _speed_bounds(ctx.speed[lay.free], V[lay.free], ctx.scenario.dt).ravel()
+    flat[lay.speed] = _speed_bounds(lay.vmax, V[lay.free], ctx.scenario.dt).ravel()
     return lay, A, b
 
 
@@ -420,11 +430,13 @@ def _solve_decentralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarra
     lay, A, b = _agent_qps(ctx, violated, dist)
     free, width = lay.free, b.shape[1]
     u, optimal, active, _ = qp.solve_padded(U_nom[free], A, b, lay.m, ctx.warm[free, :width])
-    ctx.warm[free, :width], ctx.warm[free, width:] = active, False
+    ctx.warm[free, :width] = active
+    if ctx.warm.shape[1] > width:  # clear the bits beyond a narrower layout
+        ctx.warm[free, width:] = False
     U = np.zeros((ctx.n, 2))
-    U[free[optimal]] = u[optimal]
+    U[free] = np.where(optimal[:, None], u, 0.0)
     brake = violated.copy()
-    brake[free[~optimal]] = True
+    brake[free] = ~optimal
     statuses = [qp.INFEASIBLE if x else qp.OPTIMAL for x in brake.tolist()]
     return _apply(ctx, U, brake), statuses, lay.row_pairs
 
@@ -448,7 +460,7 @@ def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: 
         U_brake = _apply(ctx, np.zeros((ctx.n, 2)), violated)
         b[brake_i] -= row_dot(-dp[brake_i], U_brake[i[brake_i]])
         b[brake_j] -= row_dot(dp[brake_j], U_brake[j[brake_j]])
-    free = np.flatnonzero(~violated)
+    free = (~violated).nonzero()[0]
     col = np.cumsum(~violated) - 1
     k, f = np.arange(i.size)[:, None], np.arange(free.size)
     A = np.zeros((i.size + 4 * free.size, 2 * free.size))
@@ -463,7 +475,7 @@ def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: 
 def _solve_centralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarray,
                        dp: np.ndarray, dist: np.ndarray):
     A, b, row_pairs = _ensemble_rows(ctx, violated, dp, dist)
-    free = np.flatnonzero(~violated)
+    free = (~violated).nonzero()[0]
     if not free.size:
         return _apply(ctx, np.zeros((ctx.n, 2)), violated), [qp.INFEASIBLE] * ctx.n, row_pairs
     sol = qp.solve(qp.QpProblem(U_nom[free].ravel(), A, b, ctx.box[free].ravel()),
@@ -485,16 +497,12 @@ def step_once(ctx: SimContext) -> StepRecord:
     """Advance the world by one step and return the post-step record."""
     scn = ctx.scenario
     P, V = ctx.P, ctx.V
-    finite = np.isfinite(P).all(axis=1) & np.isfinite(V).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise RuntimeError(
-            f"non-finite state for agent {ctx.params[i].id} at t={ctx.t:.6g}"
-        )
+    if not (np.isfinite(P).all() and np.isfinite(V).all()):  # then find the agent
+        i = int(np.argmin(np.isfinite(P).all(axis=1) & np.isfinite(V).all(axis=1)))
+        raise RuntimeError(f"non-finite state for agent {ctx.params[i].id} at t={ctx.t:.6g}")
     U_nom = goal_controller(P, V, ctx.goals, scn.k1, scn.k2, ctx.box)
-    carried = ctx.geometry  # the start's or last step's geometry, while P is its positions
-    dp, dist = carried[1:] if carried[0] is P else _pair_dist(ctx, P)
-    _require_apart(dist)
+    carried = ctx.geometry  # the start's or last step's, checked, while P is its positions
+    dp, dist = carried[1:] if carried[0] is P else _require_apart(*_pair_dist(ctx, P))
     U, statuses, row_pairs = _SOLVERS[scn.mode](ctx, U_nom, _violated(ctx, dist), dp, dist)
 
     if ctx.estimators is not None:  # one estimator shared by every agent
@@ -504,8 +512,7 @@ def step_once(ctx: SimContext) -> StepRecord:
     ctx.P, ctx.V = step(P, V, U, scn.dt)
     ctx.t += scn.dt
 
-    dp, dist = _pair_dist(ctx, ctx.P)
-    _require_apart(dist)
+    dp, dist = _require_apart(*_pair_dist(ctx, ctx.P))
     ctx.geometry = (ctx.P, dp, dist)
     h = _pair_h(ctx, dist, _pair_vbar(ctx, dp, dist, ctx.V))
     return StepRecord(

@@ -106,6 +106,25 @@ class TestParseScenario:
         assert f"error: key {key!r} in agents[1] must be finite\n" in err
         assert "Traceback" not in err and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("where, value, message", [
+        (("dt",), 10**400, "key 'dt' in scenario must be finite"),
+        (("agents", 0, "p0", 1), -10**400, "key 'p0' in agents[0] must hold finite numbers"),
+        (("agents", 1, "goal", 0), 10**400, "key 'goal' in agents[1] must hold finite numbers"),
+    ], ids=["dt", "p0", "goal"])
+    def test_huge_integer_literal_exits_1(self, tmp_path, capsys, where, value, message):
+        doc = two_agent_doc()
+        *path, last = where
+        entry = doc
+        for key in path:
+            entry = entry[key]
+        entry[last] = value  # a JSON integer of 400-odd digits, beyond any float
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps(doc))
+        assert run_command(["--scenario", str(scn), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}\n" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
     def test_ds_key_requires_fixed_mode(self):
         doc = two_agent_doc()
         doc["barrier"] = {"ds_mode": "sum_of_radii", "ds": 0.5}

@@ -244,6 +244,21 @@ class TestStepOnce:
         ctx.P[0, 0] = np.nan
         with pytest.raises(RuntimeError, match="non-finite"):
             step_once(ctx)
+        # The message names the first agent whose position or velocity is
+        # not finite, also when that agent is not the first.
+        three = Scenario(agents=[agent(7, (0, 0), (1, 0)), agent(8, (0, 2), (1, 2)),
+                                 agent(9, (0, 4), (1, 4))])
+        for edits, aid in (([("P", 2, np.nan)], 9), ([("V", 1, np.inf)], 8),
+                           ([("P", 2, -np.inf), ("V", 1, np.nan)], 8)):
+            ctx = SimContext(three)
+            step_once(ctx)
+            for field, k, value in edits:
+                state = getattr(ctx, field).copy()
+                state[k, 1] = value
+                setattr(ctx, field, state)
+            with pytest.raises(RuntimeError) as err:
+                step_once(ctx)
+            assert str(err.value) == f"non-finite state for agent {aid} at t=0.02"
 
 
 class TestRun:

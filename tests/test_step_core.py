@@ -457,6 +457,18 @@ def test_cached_layout_for_a_lone_agent_and_for_no_free_agent():
     assert ctx.warm.shape == (3, 0)
 
 
+def test_warm_bits_beyond_the_layout_are_cleared():
+    """A step clears each free agent's warm bits beyond its layout's width,
+    as left by a wider layout before it."""
+    ctx = SimContext(circle6("decentralized_C"))
+    step_once(ctx)
+    width = ctx.warm.shape[1]
+    ctx.warm = np.pad(ctx.warm, ((0, 0), (0, 3)), constant_values=True)
+    step_once(ctx)
+    assert ctx.layout.A.shape[1] == width and ctx.layout.free.size == ctx.n
+    assert ctx.warm.shape[1] == width + 3 and not ctx.warm[:, width:].any()
+
+
 def test_layout_arrays_are_shared_and_read_only():
     """Records stepped under one layout share its row_pairs; neither they
     nor the layout's templates can be written."""
