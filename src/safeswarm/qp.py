@@ -18,42 +18,37 @@ empty polytope.
 Tolerances: reported optima satisfy rows to 1e-8 and box bounds to 1e-10;
 multiplier sign checks use 1e-8. Tie-breaking is by row index, so equal
 problems produce identical solutions and active sets. The iteration limit
-is 10x the (expanded) row count; hitting it is treated as infeasible and
-logged distinctly. So is an iterate or working multiplier that overflows to
-a non-finite value, which near-parallel contradictory rows can cause; the
-solve stops at that step instead of pivoting on NaN.
+is max(10 m, 50) dual steps for m expanded rows; hitting it is treated as
+infeasible and logged distinctly. So is an iterate or working multiplier
+that overflows to a non-finite value, which near-parallel contradictory
+rows can cause; the solve stops at that step instead of pivoting on NaN.
 
 ``solve`` takes one problem of any dimension; the simulator's centralized
 mode hands it the single ensemble QP. ``solve_padded``, the lockstep
-kernel, runs the same method on K independent 2-variable problems, one per
-agent in the decentralized modes, laid out as (K, M, 2) rows and (K, M)
-bounds: problem k's rows, then its four box faces, then zero rows with an
-infinite bound up to the widest problem's M. Warm starts go in, and final
-working sets come out, as (K, M) bool masks. ``pad_rows`` builds the layout
-from rows given as one (R, 2) array with per-problem counts; the simulator
-builds it once per neighbour and violated set and fills in each step's
-rows itself.
+kernel, solves K independent 2-variable problems, one per agent in the
+decentralized modes, laid out as (K, M, 2) rows and (K, M) bounds: problem
+k's rows, then its four box faces, then zero rows with an infinite bound
+up to the widest problem's M. Warm starts go in, and final working sets
+come out, as (K, M) bool masks. ``pad_rows`` builds the layout from rows
+given as one (R, 2) array with per-problem counts; the simulator builds it
+once per neighbour and violated set and fills in each step's rows itself.
 
-Each pass of the kernel picks a row for every problem that has none and
-makes one dual step for every problem that has one, with the same pivots,
-tie-breaks (largest residual, then lowest index, warm rows first),
-iteration limits and warnings as ``solve``. Nearly every step only adds a
-row to a working set of 0 or 1 rows, so a pass first takes that step for
-every problem in closed form: ``z = a_p``, or ``r = row_dot(a1, a_p) /
-row_dot(a1, a1)`` (the 1x1 ``np.linalg.solve``) and ``z = a_p - a1 * r``,
-chosen by ``np.where`` so that signed zeros survive. One mask then sends
-the rest through the general step in the same pass: a row in the span of
-the working set, a working multiplier that hits zero first (its row drops
-out), a certificate of an empty polytope, a non-finite iterate, or a
-working set of k >= 2 rows. Those working sets use stacked ``matmul``
-and ``np.linalg.solve`` over (G, k, 2), grouped by k, which equal the
-per-problem calls; a closed-form 2x2 does not. The dependency test has a
-tolerance, so a working set can hold more than 2 rows, and a singular
-Gram matrix sends its group through ``_dual_coeffs`` one problem at a
-time, as in ``solve``.
+Nearly every problem needs only dual steps that add a row to a working set
+of 0 or 1 rows, so that is all the kernel does. Each pass picks a row for
+every unfinished problem, with ``solve``'s tie-breaks (largest residual,
+then lowest index, warm rows first), and adds it in closed form: ``z =
+a_p``, or ``r = row_dot(a1, a_p) / row_dot(a1, a1)`` (the 1x1
+``np.linalg.solve``) and ``z = a_p - a1 * r``, chosen by ``np.where`` so
+that signed zeros survive. A problem the closed form does not fit (a row
+in the span of its working set, a working multiplier that hits zero first,
+a non-finite sum, or a working set of 2 rows) is handed, with its iterate,
+working set, multipliers, the row it is adding and its step count, to
+``solve``'s own loop, which finishes it. Drops, certificates of an empty
+polytope, non-finite stops and the iteration limit exist only there, and
+a problem makes at most 2 steps in the lockstep.
 
-The kernel's answers, optimal flags and working-set masks equal ``solve``'s
-answers, statuses and active sets bit for bit. Its residuals come from one
+The kernel's answers, optimal flags, working-set masks and iteration
+counts equal ``solve``'s bit for bit. Its residuals come from one
 ``row_dot`` pass over all rows, which rounds like the 2-vector ``a @ b``,
 so the picked row's residual is also the step's numerator. ``A @ u``
 rounds differently and by row count, but only chooses rows.
@@ -180,33 +175,36 @@ def solve(problem: QpProblem, warm_start: tuple[int, ...] = ()) -> QpSolution:
     unique because the objective is strictly convex.
     """
     A, b = expanded_constraints(problem)
+    warm = frozenset(k for k in warm_start if 0 <= k < b.size)
+    return _solve_from(A, b, problem.u_hat, warm, problem.u_hat.copy(), [], [])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the loop's finite check stops an overflow
+def _solve_from(A: np.ndarray, b: np.ndarray, u_hat: np.ndarray, warm: frozenset[int],
+                u: np.ndarray, work: list[int], lam: list[float], p: int | None = None,
+                iters: int = 0) -> QpSolution:
+    """``solve``'s loop from the iterate u after ``iters`` dual steps, with
+    the working rows ``work`` in the order they joined and their multipliers
+    ``lam``. Given a row p, it starts by adding p, as ``solve_padded``
+    hands its problems over."""
     m, n = A.shape
-    u = problem.u_hat.copy()
-
-    resid = A @ u - b
-    if np.all(resid <= _SELECT_TOL):
-        return QpSolution(u, OPTIMAL, (), 0.0, np.zeros(0), 0)
-
-    work: list[int] = []
-    lam: list[float] = []
-    warm = frozenset(k for k in warm_start if 0 <= k < m)
     max_iter = max(10 * m, 50)
-    iters = 0
 
     while iters < max_iter:
-        resid = A @ u - b
-        if work:
-            resid[work] = 0.0  # working rows are tight by construction
-        violated = np.flatnonzero(resid > _SELECT_TOL)
-        if violated.size == 0:
-            order = np.argsort(work)
-            active = tuple(int(work[k]) for k in order)
-            mult = np.array([lam[k] for k in order])
-            obj = float((u - problem.u_hat) @ (u - problem.u_hat))
-            return QpSolution(u, OPTIMAL, active, obj, mult, iters)
-        preferred = [int(k) for k in violated if int(k) in warm]
-        pool = preferred if preferred else [int(k) for k in violated]
-        p = max(pool, key=lambda k: (resid[k], -k))
+        if p is None:
+            resid = A @ u - b
+            if work:
+                resid[work] = 0.0  # working rows are tight by construction
+            violated = np.flatnonzero(resid > _SELECT_TOL)
+            if violated.size == 0:
+                order = np.argsort(work)
+                active = tuple(int(work[k]) for k in order)
+                mult = np.array([lam[k] for k in order])
+                obj = float((u - u_hat) @ (u - u_hat))
+                return QpSolution(u, OPTIMAL, active, obj, mult, iters)
+            preferred = [int(k) for k in violated if int(k) in warm]
+            pool = preferred if preferred else [int(k) for k in violated]
+            p = max(pool, key=lambda k: (resid[k], -k))
         a_p = A[p]
         lam_p = 0.0
 
@@ -226,9 +224,8 @@ def solve(problem: QpProblem, warm_start: tuple[int, ...] = ()) -> QpSolution:
             t_block, k_block = _blocking_step(lam, r)
             drop = dep or t_block < t_full  # the blocking row leaves the working set
             t = t_block if drop else t_full
-            with np.errstate(over="ignore", invalid="ignore"):  # the finite check below stops it
-                lam = [lam_k - t * r_k for lam_k, r_k in zip(lam, r)]
-                u, lam_p = u - 0.5 * t * (np.zeros(n) if dep else z), lam_p + t
+            lam = [lam_k - t * r_k for lam_k, r_k in zip(lam, r)]
+            u, lam_p = u - 0.5 * t * (np.zeros(n) if dep else z), lam_p + t
             if drop:
                 del work[k_block], lam[k_block]
             else:
@@ -240,6 +237,7 @@ def solve(problem: QpProblem, warm_start: tuple[int, ...] = ()) -> QpSolution:
                                   np.zeros(0), iters)
             if not drop:
                 break
+        p = None
 
     logger.warning(
         "iteration limit (%d) hit on a %d-row problem; reporting infeasible",
@@ -285,7 +283,7 @@ def pad_rows(A: np.ndarray, b: np.ndarray, counts: np.ndarray,
     return AA, bb, m
 
 
-@np.errstate(all="ignore")  # the finite checks below stop an overflowing problem
+@np.errstate(all="ignore")  # a non-finite sum hands its problem to solve's loop
 def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray, m: np.ndarray,
                  warm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The lockstep kernel: ``solve`` on the K problems of a ``pad_rows`` layout.
@@ -295,46 +293,35 @@ def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray, m: np.ndarra
     the (K, 2) answers, the (K,) mask of optimal answers, the (K, M) mask
     of each problem's final working set (its active set, as a mask) and the
     (K,) iteration counts. Row indices below are local to a problem.
+
+    The lockstep only picks rows and adds them to working sets of 0 or 1
+    rows; every other step goes to ``solve``'s loop, which finishes the
+    problem and whose answer, active set, iteration count and status are
+    written back here.
     """
-    K, cols, ks = m.size, np.arange(bb.shape[1]), np.arange(m.size)
-    # A row is in its problem's working set at most once, so M columns hold
-    # any working set; work lists the rows in the order they were added.
-    work, lam = np.zeros(bb.shape, dtype=int), np.zeros(bb.shape)
+    K = m.size
+    # Each lockstep step adds a row, so a problem's step count is also the
+    # size of its working set, which stays below 3; work lists the rows in
+    # the order they joined, and lam their multipliers.
+    iters, work, lam = np.zeros(K, dtype=int), np.zeros((K, 2), dtype=int), np.zeros((K, 2))
     in_work = np.zeros(bb.shape, dtype=bool)
     u = u_hat.copy()
-    # Per problem: the row p being added, its residual a_p . u - b_p, its
-    # multiplier lam_p and the working-set size nw.
-    p, nw, iters = np.zeros(K, dtype=int), np.zeros(K, dtype=int), np.zeros(K, dtype=int)
-    gap, lam_p, stepping = np.zeros(K), np.zeros(K), np.zeros(K, dtype=bool)
-    done, failed = np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
+    handed, failed = np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
     # Positive doubles order as their bit patterns, so a top bit on the warm
     # rows ranks them first and leaves ties equal.
     warm_bit = warm.astype(np.uint64) << 63
-    # Each limit is max(10 m, 50), so none is reached in fewer passes than this.
-    passes, first_limit = 0, max(10 * min(m.tolist()), 50) if K else 0
 
     while True:
         # The largest violated residual, warm rows first, lowest index on ties.
-        pick = ~(done | stepping)
         resid = row_dot(AA, u[:, None, :]) - bb
         viol = (resid > _SELECT_TOL) & ~in_work
-        found = viol.any(axis=1) & pick
-        done |= pick ^ found
-        if np.count_nonzero(found):
-            first = ((resid.view(np.uint64) | warm_bit) * viol).argmax(axis=1)
-            np.copyto(p, first, where=found)
-            np.copyto(gap, resid[ks, first], where=found)
-            np.copyto(lam_p, 0.0, where=found)
-            stepping |= found
-        live = stepping.nonzero()[0]
+        live = (viol.any(axis=1) & ~handed).nonzero()[0]
         if not live.size:
             break
-        passes += 1
-        iters += stepping
+        p = ((resid.view(np.uint64) | warm_bit) * viol).argmax(axis=1).take(live)
         # The step that adds a_p, in closed form for working sets of 0 or 1
         # rows; ``general`` marks the problems it does not fit.
-        pl, nk = p.take(live), nw.take(live)
-        a_p = AA[live, pl]
+        nk, a_p, gap = iters.take(live), AA[live, p], resid[live, p]
         z, zz = a_p, row_dot(a_p, a_p)
         dep_scale, r1, lam1, t_block = np.maximum(1.0, zz), 0.0, 0.0, np.inf
         if np.count_nonzero(nk):
@@ -343,105 +330,33 @@ def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray, m: np.ndarra
             r1 = row_dot(a1, a_p) / np.where(one, row_dot(a1, a1), np.inf)  # 0 without a1
             z = np.where(one[:, None], a_p - a1 * r1[:, None], a_p)
             zz = row_dot(z, z)
-            # The step at which a1's multiplier hits zero; -inf sends k >= 2
-            # rows to the general step.
-            t_block = np.where(r1 > _DUAL_TOL, lam1 / r1, np.where(nk > 1, -np.inf, np.inf))
+            t_block = np.where(r1 > _DUAL_TOL, lam1 / r1, np.inf)  # a1's multiplier hits 0
         dep = zz <= _DEP_TOL * dep_scale  # a_p in the active span
-        t = 2.0 * gap.take(live) / zz
+        t = 2.0 * gap / zz  # also a_p's multiplier, which starts at 0
         u_add = u.take(live, 0) - 0.5 * t[:, None] * z
-        lam_p_add, lam1_add = lam_p.take(live) + t, lam1 - t * r1
+        lam1_add = lam1 - t * r1
         # A sum is non-finite if a term is; a false alarm (an overflowing sum,
-        # or the unused lam1 of an empty working set) costs a general step.
-        finite = np.isfinite(u_add[:, 0] + u_add[:, 1] + lam_p_add + lam1_add)
-        general = dep | (t_block < t) | ~finite
-        add = live
+        # or the unused lam1 of an empty working set) costs a hand-off.
+        finite = np.isfinite(u_add[:, 0] + u_add[:, 1] + t + lam1_add)
+        general = dep | (t_block < t) | ~finite | (nk > 1)
         if np.count_nonzero(general):
+            for k, pk in zip(live[general].tolist(), p[general].tolist()):
+                n, w = int(m[k]), int(iters[k])
+                sol = _solve_from(AA[k, :n], bb[k, :n], u_hat[k],
+                                  frozenset(np.flatnonzero(warm[k, :n]).tolist()), u[k],
+                                  work[k, :w].tolist(), lam[k, :w].tolist(), pk, w)
+                u[k], failed[k], iters[k] = sol.u_star, sol.status != OPTIMAL, sol.iterations
+                in_work[k] = False
+                in_work[k, list(sol.active_set)] = True
+            handed[live[general]] = True
             keep = ~general
-            add, pl, nk, u_add, lam_p_add, lam1_add = (
-                x[keep] for x in (live, pl, nk, u_add, lam_p_add, lam1_add))
-        u[add], lam[add, 0] = u_add, lam1_add
-        work[add, nk], lam[add, nk] = pl, lam_p_add
-        in_work[add, pl] = True
-        nw[add] = nk + 1
-        stepping[add] = False
-
-        if add.size < live.size:
-            # The general dual step: it may drop a blocking row, certify an
-            # empty polytope, stop a non-finite iterate or use k >= 2 rows.
-            g = general.nonzero()[0]
-            live, a_p, nk, z = live[g], a_p[g], nw[live[g]], z[g]
-            k_max = nk.max()
-            # One column of r even for empty working sets, where it is 0.
-            r = np.zeros((live.size, max(k_max, 1)))
-            if k_max:
-                r[:, 0] = np.where(one[g], r1[g], 0.0)
-            for k in range(2, k_max + 1):
-                w = (nk == k).nonzero()[0]
-                if w.size:
-                    r[w, :k], z[w] = _stacked_dual_coeffs(
-                        AA[live[w, None], work[live[w], :k]], a_p[w])
-            pos = r > _DUAL_TOL
-            unblocked = ~pos.any(axis=1)
-            # The largest multiplier step before a working multiplier hits zero.
-            ratio = np.divide(lam[live, :r.shape[1]], r, out=np.full(r.shape, np.inf), where=pos)
-            k_block = ratio.argmin(axis=1)
-            t_block = ratio[np.arange(live.size), k_block]
-            zz = row_dot(z, z)
-            dep = zz <= _DEP_TOL * np.maximum(1.0, row_dot(a_p, a_p))
-            cert = dep & unblocked  # nonnegative certificate of an empty polytope
-            t_full = 2.0 * gap[live] / zz
-            drop = dep | (t_block < t_full)
-            t = np.where(drop, t_block, t_full)[~cert]
-            z[dep] = 0.0
-            moved = live[~cert]
-            u[moved] = u[moved] - 0.5 * t[:, None] * z[~cert]
-            lam_p[moved] += t
-            lam[moved, :r.shape[1]] = lam[moved, :r.shape[1]] - t[:, None] * r[~cert]
-
-            out = drop & ~cert
-            if out.any():  # the blocking row leaves the working set
-                gone, k_out = live[out], k_block[out]
-                in_work[gone, work[gone, k_out]] = False
-                src = np.minimum(cols + (cols >= k_out[:, None]), cols.size - 1)
-                work[gone], lam[gone] = work[gone[:, None], src], lam[gone[:, None], src]
-                nw[gone] -= 1
-                gap[gone] = row_dot(a_p[out], u[gone]) - bb[gone, p[gone]]
-            added = live[~drop]  # a_p joins the working set
-            work[added, nw[added]], lam[added, nw[added]] = p[added], lam_p[added]
-            nw[added] += 1
-            in_work[added, p[added]] = True
-            stepping[added] = False
-
-            # A multiplier or iterate that overflowed stops its problem, as in solve.
-            finite = (np.isfinite(u[live]).all(axis=1) & np.isfinite(lam_p[live])
-                      & (np.isfinite(lam[live]) | (cols >= nw[live, None])).all(axis=1))
-            for k in live[~finite].tolist():
-                logger.warning("non-finite iterate on a %d-row problem; reporting infeasible", m[k])
-            stop = live[cert | ~finite]
-            done[stop] = failed[stop] = True
-            stepping[stop] = False
-        if passes >= first_limit:
-            max_iter = np.maximum(10 * m, 50)
-            spent = (iters >= max_iter) & ~done
-            for k in spent.nonzero()[0].tolist():
-                logger.warning("iteration limit (%d) hit on a %d-row problem; reporting infeasible",
-                               max_iter[k], m[k])
-            done |= spent
-            failed |= spent
-            stepping &= ~spent
+            live, p, nk, u_add, t, lam1_add = (x[keep] for x in (live, p, nk, u_add, t, lam1_add))
+        u[live], lam[live, 0] = u_add, lam1_add
+        work[live, nk], lam[live, nk] = p, t
+        in_work[live, p] = True
+        iters[live] = nk + 1
 
     return u, ~failed, in_work, iters
-
-
-def _stacked_dual_coeffs(active: np.ndarray, a_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_dual_coeffs`` for a (G, k, 2) stack of working sets and (G, 2) a_new."""
-    active_t = active.transpose(0, 2, 1)
-    try:
-        r = np.linalg.solve(active @ active_t, active @ a_new[:, :, None])[..., 0]
-    except np.linalg.LinAlgError:  # a singular Gram matrix in the stack
-        r, z = zip(*map(_dual_coeffs, active, a_new))
-        return np.array(r), np.array(z)
-    return r, a_new - (active_t @ r[:, :, None])[..., 0]
 
 
 def brute_force_oracle(problem: QpProblem, grid_step: float) -> QpSolution:

@@ -174,8 +174,10 @@ def braking_fallback(v: np.ndarray, accel_limit: float) -> np.ndarray:
 class _Start:
     """A scenario's checked start: ``Scenario.validate``'s checks, the pairs
     i < j in ``np.triu_indices`` order with each pair's safety distance and
-    summed acceleration limit, the start ``P`` and ``V``, and the pairs'
-    start ``dp``, ``dist`` and ``h``."""
+    summed acceleration limit, the start ``P`` and ``V``, the ``goals``, and
+    the pairs' start ``dp``, ``dist`` and ``h``. The nominal gains must be
+    nonnegative and finite, and so must every agent's unclamped nominal
+    control at the start."""
 
     def __init__(self, scn: Scenario):
         agents = scn.agents
@@ -190,6 +192,9 @@ class _Start:
         if floor is not None and not (0 < floor < math.inf and floor <= top):
             raise ScenarioError(f"alpha_floor must be positive, finite and at most the smallest "
                                 f"accel limit {top!r}, got {floor!r}")
+        for name, gain in (("k1", scn.k1), ("k2", scn.k2)):
+            if not 0 <= gain < math.inf:
+                raise ScenarioError(f"gain {name} must be nonnegative and finite, got {gain!r}")
         if scn.t_end < 0:
             raise ScenarioError(f"t_end must be nonnegative, got {scn.t_end!r}")
         if not math.isfinite(scn.t_end / scn.dt):
@@ -217,6 +222,13 @@ class _Start:
         self.pair_accel_sum = self.accel[self.pair_i] + self.accel[self.pair_j]
         self.P = np.array([a.state0.p for a in agents])
         self.V = np.array([a.state0.v for a in agents])
+        self.goals = np.array([a.goal for a in agents])
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            pd = goal_controller(self.P, self.V, self.goals, scn.k1, scn.k2, math.inf)
+        bad = np.flatnonzero(~np.isfinite(pd).all(axis=1))
+        if bad.size:
+            raise ScenarioError(f"agent {self.params[bad[0]].id} starts with a non-finite nominal "
+                                f"control under gains k1 = {scn.k1!r}, k2 = {scn.k2!r}")
         self.dp, self.dist = _pair_dist(self, self.P)
         with np.errstate(divide="ignore", invalid="ignore"):  # a coincident pair fails first
             self.h = _pair_h(self, self.dist, _pair_vbar(self, self.dp, self.dist, self.V))
@@ -254,7 +266,6 @@ class SimContext(_Start):
         self.scenario = scenario
         self.cfg = scenario.barrier_cfg
         self.n = len(scenario.agents)
-        self.goals = np.array([a.goal for a in scenario.agents])
         self.t = 0.0
         self.box = np.repeat(self.accel[:, None], 2, axis=1)  # per-axis control bounds
         self.speed = np.array([p.speed_limit for p in self.params])

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -179,6 +180,23 @@ class TestRunCommand:
         assert code == 1
         assert "error: " in err and "must be positive" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("gains, message", [
+        ({"k1": -1}, "gain k1 must be nonnegative and finite"),
+        ({"k2": -2.0}, "gain k2 must be nonnegative and finite"),
+        ({"k1": 1e308, "k2": 1e308}, "agent 1 starts with a non-finite nominal control"),
+    ])
+    def test_bad_nominal_gains_exit_1(self, tmp_path, capsys, gains, message):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(dict(two_agent_doc(), gains=gains)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_command(["--scenario", str(path), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {message}" in err
+        assert "Traceback" not in err and "Warning" not in err
         assert not (tmp_path / "out").exists()
 
     def test_file_scenario_writes_artifacts(self, tmp_path, capsys):

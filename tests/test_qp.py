@@ -1,6 +1,8 @@
+import contextlib
 import functools
 import json
 import warnings
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -116,18 +118,35 @@ def assert_batch_equals_solve(problems, warm_starts, stray=None):
     return batch
 
 
-@pytest.fixture
-def stacked_widths(monkeypatch):
-    """Working-set widths the batch handed to its stacked Gram solve."""
-    widths = []
-    inner = qp._stacked_dual_coeffs
+@contextlib.contextmanager
+def handoffs():
+    """Spies on the kernel's hand-offs to ``solve``'s loop. Yields a list
+    that gets, per hand-off, the working-set size ``rows`` and step count
+    ``iters`` the problem brought, the ``widths`` of the working sets the
+    loop then stepped from, and the ``solution`` it returned."""
+    handed, loop, dual = [], qp._solve_from, qp._dual_coeffs
+    widths = None
 
-    def spy(active, a_new):
-        widths.append(active.shape[1])
-        return inner(active, a_new)
+    def spy_loop(A, b, u_hat, warm, u, work, lam, p=None, iters=0):
+        nonlocal widths
+        if p is None:  # solve's own start, with no row being added
+            return loop(A, b, u_hat, warm, u, work, lam, p, iters)
+        widths = []
+        record = SimpleNamespace(rows=len(work), iters=iters, widths=widths)
+        record.solution = loop(A, b, u_hat, warm, u, work, lam, p, iters)
+        handed.append(record)
+        widths = None
+        return record.solution
 
-    monkeypatch.setattr(qp, "_stacked_dual_coeffs", spy)
-    return widths
+    def spy_dual(active, a_new):
+        if widths is not None:
+            widths.append(active.shape[0])
+        return dual(active, a_new)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "_solve_from", spy_loop)
+        mp.setattr(qp, "_dual_coeffs", spy_dual)
+        yield handed
 
 
 # Three near-parallel rows among five: the dependency test's tolerance lets
@@ -179,6 +198,28 @@ OVERFLOWING = QpProblem(
     np.full(2, 0.6753492917389613))
 
 
+# Near-parallel contradictory rows whose blocking ratio lam / r overflows
+# after about 110 iterations; from a hypothesis run of
+# test_pad_rows_and_kernel_equal_solve_batch, where solve let numpy's
+# overflow RuntimeWarning out.
+OVERFLOWING_RATIO = QpProblem(
+    np.array([0.7338929760776973, -2.58040574703147]),
+    np.array([[-0.2084802957244772, -0.8295847786511262],
+              [0.3305540762741986, -0.944707930172289],
+              [3.0000980480371515, 1.3316927473965312],
+              [3.0000900245140834, 1.331727969611043],
+              [-3.0000900245140834, -1.331727969611043],
+              [-3.000100010207979, -1.3317259045728236],
+              [-3.000464664686578, -1.3315504258204174],
+              [-0.110892319650308, -0.18537724945990666],
+              [-0.36036229302616424, -1.8850496387640097],
+              [-1.687100256360385, -0.006942224876431563]]),
+    np.array([1.462840283578671, 2.4555714766902366, -2.8265895874768203, -2.8266022808437516,
+              1.8350041380422022, 1.8350038732506646, 1.8350084188587397,
+              -0.6292497218797335, 2.1174786804179035, -0.16364063424375777]),
+    np.full(2, 1.843091944184046))
+
+
 class TestSolveBatch:
     """``pad_rows`` plus the lockstep kernel ``solve_padded`` against ``solve``."""
 
@@ -224,19 +265,21 @@ class TestSolveBatch:
         assert optimal.count(False) > 20
         assert max(map(len, batch.active_set)) >= 2
 
-    def test_two_row_working_set(self, stacked_widths):
+    def test_two_row_working_set(self):
         # Both axis rows join; the diagonal row then lies in their span and
         # replaces them.
         problem = QpProblem(np.array([2.0, 2.0]), *rows((1, 0, 0), (0, 1, 0), (0.25, 0.25, -0.125)),
                             np.full(2, 3.0))
-        batch = assert_batch_equals_solve([problem], [()])
+        with handoffs() as handed:
+            batch = assert_batch_equals_solve([problem], [()])
         assert batch.status == [OPTIMAL] and batch.active_set == [(2,)]
-        assert 2 in stacked_widths
+        assert [(h.rows, h.iters) for h in handed] == [(2, 2)]
 
-    def test_three_row_working_sets(self, stacked_widths, caplog):
-        batch = assert_batch_equals_solve(NEAR_PARALLEL, [(), ()])
+    def test_three_row_working_sets(self, caplog):
+        with handoffs() as handed:
+            batch = assert_batch_equals_solve(NEAR_PARALLEL, [(), ()])
         assert batch.status == [INFEASIBLE, INFEASIBLE]
-        assert max(stacked_widths) >= 3
+        assert max(w for h in handed for w in h.widths) >= 3
         assert [r.getMessage() for r in caplog.records] == [
             "iteration limit (90) hit on a 9-row problem; reporting infeasible"] * 2
 
@@ -248,19 +291,27 @@ class TestSolveBatch:
         assert [r.getMessage() for r in caplog.records] == [
             "non-finite iterate on a 15-row problem; reporting infeasible"] * 2
 
+    def test_overflowing_blocking_ratio_stops_as_infeasible(self, caplog):
+        with warnings.catch_warnings():  # the solvers' own log line is the only report
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = assert_batch_equals_solve([OVERFLOWING_RATIO], [()])
+        assert batch.status == [INFEASIBLE] and batch.iterations.tolist() == [111]
+        assert [r.getMessage() for r in caplog.records] == [
+            "non-finite iterate on a 14-row problem; reporting infeasible"] * 2
+
     def test_empty_polytope_certificate(self, caplog):
         problem = QpProblem(np.zeros(2), *rows((1, 0, -1), (-1, 0, -1)), np.full(2, 100.0))
         batch = assert_batch_equals_solve([problem, problem], [(), (1,)])
         assert batch.status == [INFEASIBLE, INFEASIBLE]
         assert not caplog.records  # a certificate, not the iteration limit
 
-    def test_closed_form_and_general_steps_share_passes(self, stacked_widths, caplog):
-        """A problem's j-th dual step is made in the kernel's j-th pass, so in
-        this one call: pass 1 adds a row to empty working sets and overflows
-        one; pass 2 adds at 1 row with and without r > 0 while others drop a
-        blocking row, certify an empty polytope or overflow; pass 3 adds at
-        0 rows next to a certificate from a 2-row working set; later passes
-        run on to an overflow and an iteration limit."""
+    def test_closed_form_and_general_steps_share_passes(self, caplog):
+        """Problems the kernel finishes itself, after adding a row at 0 or 1
+        rows with and without r > 0, share one call with problems it hands
+        to ``solve``'s loop: at 0 rows an overflow; at 1 row a blocking row
+        that drops, a certificate of an empty polytope and an overflow; at
+        2 rows a certificate, and runs on to an overflow and an iteration
+        limit."""
         problems = [
             QpProblem(np.array([0.5, -0.0]), *rows((1, 0, 0.25)), np.full(2, 3.0)),
             QpProblem(np.array([-0.0, 0.5]), *rows((-0.0, 1, 0.25)), np.full(2, 3.0)),
@@ -278,11 +329,15 @@ class TestSolveBatch:
         warm = [(), (), (), (), (), (0,), (), (), (0,), (0, 1), (), (1,)]
         assert_batch_equals_solve(problems, warm)  # logs each warning once from solve
         caplog.clear()
-        batch = batch_of(problems, warm)
+        with handoffs() as handed:
+            batch = batch_of(problems, warm)
         assert batch.iterations.tolist() == [1, 1, 0, 2, 2, 3, 2, 1, 2, 3, 90, 129]
         assert batch.status == [OPTIMAL] * 6 + [INFEASIBLE] * 6
         assert batch.active_set[:6] == [(0,), (0,), (), (0, 1), (0, 1), (1,)]
-        assert 2 in stacked_widths
+        # (rows, steps) brought to solve's loop, and the iterations it ends
+        # on: problem 7; then 5, 6 and 8; then 9, 10 and 11.
+        assert [(h.rows, h.iters, h.solution.iterations) for h in handed] == [
+            (0, 0, 1), (1, 1, 3), (1, 1, 2), (1, 1, 2), (2, 2, 3), (2, 2, 90), (2, 2, 129)]
         # Signed zeros come back as solve gives them: kept where the step
         # leaves a component alone, +0.0 where it subtracts -0.0.
         assert batch.u_star[:3].tolist() == [[0.25, -0.0], [0.0, 0.25], [-0.0, -0.0]]
@@ -295,27 +350,52 @@ class TestSolveBatch:
             "non-finite iterate on a 6-row problem; reporting infeasible",
         ]
 
-    def test_singular_gram_falls_back_like_solve(self):
+    def test_singular_gram_falls_back_like_solve(self, monkeypatch):
+        """A singular Gram matrix sends ``_dual_coeffs`` to ``lstsq``, in
+        ``solve`` and in the problems the kernel hands to its loop alike.
+        Real 2-variable problems reach one too rarely to test, so after an
+        exactly singular case every Gram matrix of 2 or more rows is
+        treated as singular; the kernel still returns ``solve``'s answers."""
         # (1, 0), (0, 1) and (1, 1) give an exactly singular 3x3 Gram matrix.
-        active = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
-                           [[2.0, 1.0], [1.0, 3.0], [0.5, -1.0]]])
-        a_new = np.array([[0.3, -0.7], [1.5, 0.25]])
+        active, a_new = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([0.3, -0.7])
+        gram, rhs = active @ active.T, active @ a_new
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(active[0] @ active[0].T, active[0] @ a_new[0])
-        r, z = qp._stacked_dual_coeffs(active, a_new)
-        for k in range(2):
-            ref_r, ref_z = qp._dual_coeffs(active[k], a_new[k])
-            assert r[k].tobytes() == ref_r.tobytes() and z[k].tobytes() == ref_z.tobytes()
+            np.linalg.solve(gram, rhs)
+        r, z = qp._dual_coeffs(active, a_new)
+        ref_r = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+        assert r.tobytes() == ref_r.tobytes() and z.tobytes() == (a_new - active.T @ ref_r).tobytes()
 
-    def test_stacked_gram_solve_equals_one_at_a_time(self):
-        rng = np.random.default_rng(49)
-        active = rng.normal(size=(200, 2, 2))
-        active[:, 1] = active[:, 0] + rng.normal(size=(200, 2)) * 1e-3
-        a_new = rng.normal(size=(200, 2))
-        r, z = qp._stacked_dual_coeffs(active, a_new)
-        for k in range(200):
-            ref_r, ref_z = qp._dual_coeffs(active[k], a_new[k])
-            assert r[k].tobytes() == ref_r.tobytes() and z[k].tobytes() == ref_z.tobytes()
+        inner = np.linalg.solve
+
+        def singular(gram, rhs):
+            if gram.shape[0] > 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inner(gram, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        rng = np.random.default_rng(50)
+        problems = NEAR_PARALLEL + [random_batch_problem(rng) for _ in range(100)]
+        with handoffs() as handed:
+            assert_batch_equals_solve(problems, [()] * len(problems))
+        assert max(w for h in handed for w in h.widths) >= 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
+    def test_lockstep_makes_at_most_two_steps(self, seed, k):
+        """A problem the kernel finishes itself reports at most 2 iterations,
+        and every hand-off brings at most 2 working rows and 2 steps, one
+        step per row."""
+        rng = np.random.default_rng(seed)
+        problems = [random_batch_problem(rng) for _ in range(k)]
+        warm = [tuple(int(j) for j in rng.integers(-3, 20, int(rng.integers(0, 4))))
+                for _ in problems]
+        with handoffs() as handed:
+            batch = batch_of(problems, warm)
+        assert all(h.rows == h.iters <= 2 for h in handed)
+        every, finished = Counter(batch.iterations.tolist()), Counter(
+            h.solution.iterations for h in handed)
+        assert finished <= every
+        assert max(every - finished, default=0) <= 2
 
     def test_no_problems(self):
         AA, bb, m = qp.pad_rows(np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int),
@@ -526,3 +606,15 @@ class TestKernelOnRealTraffic:
         # has active rows), and the circle6 runs infeasible problems.
         assert any(a.status == OPTIMAL and a.iterations > len(a.active_set) for a in answers)
         assert sum(a.status == INFEASIBLE for a in answers) >= infeasible
+
+    def test_hand_offs_bypass_solve(self, monkeypatch):
+        """The kernel hands problems to ``solve``'s loop and never calls
+        ``qp.solve``, so counters wrapped around ``qp.solve`` (perfbench's
+        traced ``qp.solve.*``) see only centralized QPs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("qp.solve called in a decentralized run")
+
+        monkeypatch.setattr(qp, "solve", refuse)
+        with handoffs() as handed:
+            metrics = run(circle6("decentralized_C"))[1]
+        assert handed and metrics.qp_infeasible_count >= 30

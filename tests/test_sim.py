@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +209,27 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="must be positive"):
             Scenario(agents=agents, **setting).validate()
         Scenario(agents=agents, alpha_floor=0.8).validate()
+
+    @pytest.mark.parametrize("gains, message", [
+        ({"k1": -1.0}, "gain k1 must be nonnegative and finite, got -1.0"),
+        ({"k2": -0.5}, "gain k2 must be nonnegative and finite, got -0.5"),
+        ({"k1": math.inf}, "gain k1 must be nonnegative and finite, got inf"),
+        ({"k2": math.nan}, "gain k2 must be nonnegative and finite, got nan"),
+        ({"k1": 1e308, "k2": 1e308}, "agent 1 starts with a non-finite nominal control"),
+    ])
+    def test_bad_nominal_gains_rejected(self, gains, message):
+        """A negative gain drives agents away from their goals, and one whose
+        PD term overflows at the start makes numpy warn on every step."""
+        agents = [agent(1, (-1.2, 0), (1.2, 0)), agent(2, (1.2, 0), (-1.2, 0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ScenarioError, match="^" + re.escape(message)):
+                Scenario(agents=agents, **gains).validate()
+
+    def test_zero_gains_and_large_finite_nominal_control_accepted(self):
+        agents = [agent(1, (-1.2, 0), (1.2, 0)), agent(2, (1.2, 0), (-1.2, 0))]
+        Scenario(agents=agents, k1=0.0, k2=0.0).validate()
+        Scenario(agents=agents, k1=1e307, k2=1e308).validate()
 
     def test_unknown_mode_rejected(self):
         scn = Scenario(agents=[agent(1, (0, 0), (1, 0))], mode="centralised")
