@@ -3,9 +3,15 @@
 
 Usage: PYTHONPATH=src python scripts/reference_runs.py
 
-Runs circle6, rect4, headon2 and scenarios/crossing_lanes.json, and the
-3x3 lanes tiles of ``tests/conftest.py::lanes_tiles``, under every mode,
-and writes one row per run to ``tests/reference_runs.json``: the step
+Runs circle6, rect4, headon2 and scenarios/crossing_lanes.json, the 3x3
+lanes tiles of ``tests/conftest.py::lanes_tiles``, three ring swaps of
+``tests/conftest.py::ring_swap`` (ring8: 1.75 m, alternating +-3 degrees;
+ring16: 3 m, ``default_rng(3).uniform(-0.3, 0.3, 16)`` degrees; ring24:
+4.58 m, alternating +-3 degrees), and circle6 and ring8 at dt = 0.01 and
+dt = 0.05, under every mode. The rings and their dt variants drive pairs
+inside the safety distance, so they pin the braking fallback; the known
+violations are pinned as they are. It writes one row per run to
+``tests/reference_runs.json``: the step
 count, SHA-256 digests of the raw float64 bytes of ``p``, ``v``,
 ``u_applied`` and ``u_nominal`` over the records, of the row pairs, and of
 the statuses, ``min_h`` and ``min_pair_dist`` (float hex) of each record,
@@ -28,23 +34,36 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from conftest import lanes_tiles  # noqa: E402
+from conftest import lanes_tiles, ring_swap  # noqa: E402
 from safeswarm.cli import parse_scenario  # noqa: E402
 from safeswarm.presets import PRESETS  # noqa: E402
 from safeswarm.sim import MODES, run  # noqa: E402
 
 REFERENCE = ROOT / "tests" / "reference_runs.json"
-SOURCES = ("circle6", "rect4", "headon2", "crossing_lanes", "lanes_tiles")
+SOURCES = ("circle6", "rect4", "headon2", "crossing_lanes", "lanes_tiles",
+           "ring8", "ring16", "ring24",
+           "circle6_dt0.01", "circle6_dt0.05", "ring8_dt0.01", "ring8_dt0.05")
+# The ring swaps' agent count, radius (m) and per-agent stagger (degrees).
+RINGS = {
+    "ring8": (8, 1.75, [3.0, -3.0] * 4),
+    "ring16": (16, 3.0, np.random.default_rng(3).uniform(-0.3, 0.3, 16)),
+    "ring24": (24, 4.58, [3.0, -3.0] * 12),
+}
 
 
 def scenario(source: str, mode: str):
+    source, _, dt = source.partition("_dt")
     if source in PRESETS:
         scn = PRESETS[source]()
     elif source == "lanes_tiles":
         scn = lanes_tiles()
+    elif source in RINGS:
+        scn = ring_swap(*RINGS[source], mode)
     else:
         scn = parse_scenario(ROOT / "scenarios" / f"{source}.json")
     scn.mode = mode  # as the CLI's --mode
+    if dt:
+        scn.dt = float(dt)
     return scn
 
 
