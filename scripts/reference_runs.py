@@ -8,9 +8,9 @@ lanes tiles of ``tests/conftest.py::lanes_tiles``, three ring swaps of
 ``tests/conftest.py::ring_swap`` (ring8: 1.75 m, alternating +-3 degrees;
 ring16: 3 m, ``default_rng(3).uniform(-0.3, 0.3, 16)`` degrees; ring24:
 4.58 m, alternating +-3 degrees), and circle6 and ring8 at dt = 0.01 and
-dt = 0.05, under every mode. The rings and their dt variants drive pairs
-inside the safety distance, so they pin the braking fallback; the known
-violations are pinned as they are. It writes one row per run to
+dt = 0.05, under every mode. The ring swaps drive pairs inside the safety
+distance, so they pin the braking fallback; the known violations are
+pinned as they are. It writes one row per run to
 ``tests/reference_runs.json``: the step
 count, SHA-256 digests of the raw float64 bytes of ``p``, ``v``,
 ``u_applied`` and ``u_nominal`` over the records, of the row pairs, and of

@@ -9,8 +9,10 @@ estimate toward any observation that exceeds it:
 
 Estimates start at a global floor, never decrease, and, because the
 observed magnitude of a box-limited control never exceeds the true limit,
-never overshoot it under noiseless observations. Underestimates keep the
-safety constraints they feed strictly more cautious than the truth.
+never overshoot it under noiseless observations while each Euler step
+moves an estimate at most all the way (gain * dt <= 1, which ``update``
+requires). Underestimates keep the safety constraints they feed strictly
+more cautious than the truth.
 
 Magnitudes use the max-abs (per-axis) norm, matching the box that bounds
 the controls being observed. One estimator tracks a fixed list of ids and
@@ -40,10 +42,10 @@ class LimitEstimator:
     """
 
     def __init__(self, neighbor_ids, accel_floor: float, gain: float):
-        if not accel_floor > 0:
-            raise ValueError(f"accel_floor must be positive, got {accel_floor!r}")
-        if not gain > 0:
-            raise ValueError(f"gain must be positive, got {gain!r}")
+        if not 0 < accel_floor < np.inf:
+            raise ValueError(f"accel_floor must be positive and finite, got {accel_floor!r}")
+        if not 0 < gain < np.inf:
+            raise ValueError(f"gain must be positive and finite, got {gain!r}")
         self.accel_floor = float(accel_floor)
         self.gain = float(gain)
         self.ids = list(dict.fromkeys(int(j) for j in neighbor_ids))
@@ -70,6 +72,8 @@ class LimitEstimator:
         """One Euler step of the adaptation law for every tracked agent."""
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt!r}")
+        if dt * self.gain > 1:
+            raise ValueError(f"gain * dt must be at most 1, got {self.gain!r} * {dt!r}")
         est = self._est
         self._est = est + dt * self.gain * (np.maximum(est, self._obs) - est)
         self.estimates.update(zip(self.ids, self._est.tolist()))

@@ -2,9 +2,13 @@
 
 Every step takes one synchronous snapshot of all agents, computes each
 agent's nominal goal-seeking control, builds the safety rows prescribed by
-the scenario mode, solves the projection QP(s), falls back to maximum
-braking when a QP is infeasible or a pair is already inside its safety
-distance, and only then integrates everyone forward. Runs are fully
+the scenario mode and solves the projection QP(s). The mode's solver
+returns the QP answers as an (N, 2) array, an (N,) brake mask and the row
+pairs. An agent brakes when a pair it is in is at or inside its safety
+distance (it then has no QP) or when its QP, or the ensemble QP, has no
+solution. ``step_once`` clamps every answer to the box, overwrites the
+braking rows with one ``braking_fallback`` call, reads each status off the
+mask, and only then integrates everyone forward. Runs are fully
 deterministic for a given scenario.
 
 The run state is the (N, 2) arrays ``SimContext.P`` and ``V``; a step runs
@@ -163,12 +167,14 @@ def goal_controller(p: np.ndarray, v: np.ndarray, goal: np.ndarray, k1: float, k
     return np.minimum(np.maximum(u, -accel_limit), accel_limit)
 
 
-def braking_fallback(v: np.ndarray, accel_limit: float) -> np.ndarray:
-    """Maximum per-axis deceleration along the velocity v of one agent."""
-    peak = float(np.max(np.abs(v)))
-    if peak < 1e-12:
-        return np.zeros(2)
-    return np.clip(-accel_limit * v / peak, -accel_limit, accel_limit)
+def braking_fallback(v: np.ndarray, accel_limit) -> np.ndarray:
+    """Maximum per-axis deceleration along the velocity v, zero at rest (both
+    speeds below 1e-12). Broadcasts over (N, 2) arrays of agents, with one
+    row of limits per agent, as ``goal_controller``."""
+    peak = np.max(np.abs(v), axis=-1, keepdims=True)
+    rest = peak < 1e-12
+    u = np.clip(-accel_limit * v / np.where(rest, 1.0, peak), -accel_limit, accel_limit)
+    return np.where(rest, 0.0, u)
 
 
 class _Start:
@@ -188,6 +194,9 @@ class _Start:
         if not 0 < scn.estimator_gain < math.inf:
             raise ScenarioError(f"estimator gain k must be positive and finite, got "
                                 f"{scn.estimator_gain!r}")
+        if scn.estimator_gain * scn.dt > 1:  # past 1 an estimator step overshoots its target
+            raise ScenarioError(f"estimator gain k times dt must be at most 1, got "
+                                f"{scn.estimator_gain!r} * {scn.dt!r}")
         floor, top = scn.alpha_floor, min(a.params.accel_limit for a in agents)
         if floor is not None and not (0 < floor < math.inf and floor <= top):
             raise ScenarioError(f"alpha_floor must be positive, finite and at most the smallest "
@@ -348,14 +357,6 @@ def _violated(ctx: SimContext, dist: np.ndarray) -> np.ndarray:
     return violated
 
 
-def _apply(ctx: SimContext, U: np.ndarray, brake: np.ndarray) -> np.ndarray:
-    # The QP answers clamped to the box, and braking where ``brake`` is set.
-    U = np.minimum(np.maximum(U, -ctx.box), ctx.box)
-    for i in brake.nonzero()[0].tolist():
-        U[i] = braking_fallback(ctx.V[i], ctx.accel[i])
-    return U
-
-
 # The per-agent row bound of each decentralized mode, over directed pairs.
 _BOUNDS = {
     "decentralized_A": barrier.rate_split_bounds,
@@ -425,7 +426,6 @@ def _agent_qps(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
     # p_own - p_oth afresh, not a negated pair dp: a zero must keep its sign.
     dp = P[own] - P[oth]
     dist = dist[lay.pair]
-    barrier.guard_pairs(own, oth, dist, lay.ds)
     accel_other = lay.accel_other if ctx.estimators is None else ctx.estimators[0]._est[oth]
     A, b = lay.A.copy(), lay.b.copy()
     A.reshape(-1, 2)[lay.bar] = -dp
@@ -444,12 +444,9 @@ def _solve_decentralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarra
     ctx.warm[free, :width] = active
     if ctx.warm.shape[1] > width:  # clear the bits beyond a narrower layout
         ctx.warm[free, width:] = False
-    U = np.zeros((ctx.n, 2))
-    U[free] = np.where(optimal[:, None], u, 0.0)
-    brake = violated.copy()
-    brake[free] = ~optimal
-    statuses = [qp.INFEASIBLE if x else qp.OPTIMAL for x in brake.tolist()]
-    return _apply(ctx, U, brake), statuses, lay.row_pairs
+    U, brake = np.zeros((ctx.n, 2)), violated.copy()  # a copy: the layout keeps ``violated``
+    U[free], brake[free] = u, ~optimal
+    return U, brake, lay.row_pairs
 
 
 def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: np.ndarray):
@@ -463,12 +460,11 @@ def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: 
     V = ctx.V
     keep = ~(violated[ctx.pair_i] & violated[ctx.pair_j])
     i, j, dp, ds = ctx.pair_i[keep], ctx.pair_j[keep], dp[keep], ctx.pair_ds[keep]
-    barrier.guard_pairs(i, j, dist[keep], ds)
     b = barrier.centralized_bounds(dp, dist[keep], V[i] - V[j], ctx.pair_accel_sum[keep],
                                    ctx.gain[i], ds, ctx.cfg.epsilon)
     brake_i, brake_j = violated[i], violated[j]
     if violated.any():
-        U_brake = _apply(ctx, np.zeros((ctx.n, 2)), violated)
+        U_brake = braking_fallback(V, ctx.box)
         b[brake_i] -= row_dot(-dp[brake_i], U_brake[i[brake_i]])
         b[brake_j] -= row_dot(dp[brake_j], U_brake[j[brake_j]])
     free = (~violated).nonzero()[0]
@@ -486,18 +482,14 @@ def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: 
 def _solve_centralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarray,
                        dp: np.ndarray, dist: np.ndarray):
     A, b, row_pairs = _ensemble_rows(ctx, violated, dp, dist)
-    free = (~violated).nonzero()[0]
+    free, U = (~violated).nonzero()[0], np.zeros((ctx.n, 2))
     if not free.size:
-        return _apply(ctx, np.zeros((ctx.n, 2)), violated), [qp.INFEASIBLE] * ctx.n, row_pairs
+        return U, violated, row_pairs
     sol = qp.solve(qp.QpProblem(U_nom[free].ravel(), A, b, ctx.box[free].ravel()),
                    warm_start=ctx.ensemble_warm)
     ctx.ensemble_warm = sol.active_set
-    optimal = sol.status == qp.OPTIMAL
-    U = np.zeros((ctx.n, 2))
-    if optimal:
-        U[free] = sol.u_star.reshape(-1, 2)
-    statuses = [qp.OPTIMAL if optimal and not v else qp.INFEASIBLE for v in violated.tolist()]
-    return _apply(ctx, U, violated | (not optimal)), statuses, row_pairs
+    U[free] = sol.u_star.reshape(-1, 2)
+    return U, violated | (sol.status != qp.OPTIMAL), row_pairs
 
 
 _SOLVERS = {mode: _solve_decentralized for mode in _BOUNDS}
@@ -514,7 +506,10 @@ def step_once(ctx: SimContext) -> StepRecord:
     U_nom = goal_controller(P, V, ctx.goals, scn.k1, scn.k2, ctx.box)
     carried = ctx.geometry  # the start's or last step's, checked, while P is its positions
     dp, dist = carried[1:] if carried[0] is P else _require_apart(*_pair_dist(ctx, P))
-    U, statuses, row_pairs = _SOLVERS[scn.mode](ctx, U_nom, _violated(ctx, dist), dp, dist)
+    U, brake, row_pairs = _SOLVERS[scn.mode](ctx, U_nom, _violated(ctx, dist), dp, dist)
+    U = np.minimum(np.maximum(U, -ctx.box), ctx.box)
+    if brake.any():
+        U[brake] = braking_fallback(V[brake], ctx.box[brake])
 
     if ctx.estimators is not None:  # one estimator shared by every agent
         ctx.estimators[0].observe(V, scn.dt)
@@ -532,7 +527,7 @@ def step_once(ctx: SimContext) -> StepRecord:
         v=ctx.V,
         u_applied=U,
         u_nominal=U_nom,
-        qp_status=statuses,
+        qp_status=[qp.INFEASIBLE if x else qp.OPTIMAL for x in brake.tolist()],
         min_h=float(h[h.argmin()]) if h.size else math.inf,  # the first minimum, as min()
         min_pair_dist=float(dist.min()) if dist.size else math.inf,
         row_pairs=row_pairs,

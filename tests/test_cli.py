@@ -182,6 +182,17 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_estimator_gain_times_dt_above_one_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(dict(two_agent_doc(), mode="decentralized_C_estimated",
+                                         estimator={"k": 60.0})))
+        code = run_command(["--scenario", str(path), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: estimator gain k times dt must be at most 1, got 60.0 * 0.02" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("gains, message", [
         ({"k1": -1}, "gain k1 must be nonnegative and finite"),
         ({"k2": -2.0}, "gain k2 must be nonnegative and finite"),

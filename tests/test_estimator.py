@@ -28,6 +28,18 @@ class TestInit:
         with pytest.raises(ValueError):
             LimitEstimator([1], 0.5, -1.0)
 
+    @pytest.mark.parametrize("floor, gain, message", [
+        (math.inf, 1.0, "accel_floor must be positive and finite, got inf"),
+        (math.nan, 1.0, "accel_floor must be positive and finite, got nan"),
+        (0.5, math.inf, "gain must be positive and finite, got inf"),
+        (0.5, math.nan, "gain must be positive and finite, got nan"),
+    ])
+    def test_rejects_non_finite_floor_or_gain(self, floor, gain, message):
+        """Either would make the first update's estimate NaN (inf * 0 or
+        inf - inf)."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LimitEstimator([1], floor, gain)
+
 
 class TestObserve:
     def test_first_observation_only_stores_velocity(self):
@@ -91,6 +103,23 @@ class TestUpdate:
         assert est.observed_accel(2) == pytest.approx(1.0)
         est.update(0.1)
         assert est.estimates[2] == pytest.approx(0.55)
+
+    def test_step_of_gain_times_dt_one_lands_on_the_observation(self):
+        est = LimitEstimator([2], 0.5, gain=4.0)
+        est.observe(np.zeros((1, 2)), 0.25)
+        est.observe(np.array([[0.25 / SMOOTHING, 0.0]]), 0.25)  # observation of 1.0 m/s^2
+        est.update(0.25)
+        assert est.estimates[2] == est.observed_accel(2) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("gain, dt", [(60.0, 0.02), (500.0, 0.02), (1.0, 1.5)])
+    def test_rejects_gain_times_dt_above_one(self, gain, dt):
+        """Past gain * dt = 1 an Euler step overshoots the observation it
+        moves toward, and so the true limit behind it."""
+        est = LimitEstimator([2], 0.5, gain)
+        est.observe(np.zeros((1, 2)), dt)
+        with pytest.raises(ValueError, match="gain \\* dt must be at most 1"):
+            est.update(dt)
+        assert est.estimates[2] == 0.5
 
     def test_exponential_convergence_to_sustained_observation(self):
         gain, dt, target = 2.0, 0.01, 1.0

@@ -18,6 +18,7 @@ from safeswarm import (
     saturate_box,
     step,
 )
+from safeswarm.presets import circle6
 from safeswarm.sim import (
     DEADLOCK_WINDOW,
     AgentSetup,
@@ -90,6 +91,36 @@ class TestBrakingFallback:
         for _ in range(100):
             v = rng.uniform(-3, 3, 2)
             assert np.max(np.abs(braking_fallback(v, 0.9))) <= 0.9 + 1e-12
+
+    @staticmethod
+    def one_agent(v, limit):
+        # The one-agent formula in Python floats: numpy's clip is
+        # min(max(x, lo), hi), and -limit * v / peak rounds left to right.
+        peak = max(abs(v[0]), abs(v[1]))
+        if peak < 1e-12:
+            return [0.0, 0.0]
+        return [min(max(-limit * c / peak, -limit), limit) for c in v]
+
+    # Speeds at rest, signed zeros, either side of the 1e-12 rest threshold,
+    # and ordinary ones.
+    SPEEDS = (st.sampled_from([0.0, -0.0, 1e-12, -1e-12, math.nextafter(1e-12, 0.0),
+                               -math.nextafter(1e-12, 0.0), math.nextafter(1e-12, 1.0), 5e-13,
+                               1e-300, -5e-324])
+              | st.floats(-5.0, 5.0, allow_nan=False))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(SPEEDS, SPEEDS, st.floats(0.05, 3.0)), min_size=1, max_size=12))
+    def test_rows_with_their_own_limits_match_one_agent_formula(self, rows):
+        """Over (N, 2) velocities with one row of limits per agent, as the
+        step's box, every row equals the one-agent formula bit for bit, and
+        so does a one-agent call."""
+        V = np.array([r[:2] for r in rows])
+        limit = np.array([r[2] for r in rows])
+        ref = np.array([self.one_agent(v, a) for v, a in zip(V.tolist(), limit.tolist())])
+        U = braking_fallback(V, np.repeat(limit[:, None], 2, axis=1))
+        assert U.shape == V.shape and U.tobytes() == ref.tobytes()
+        for k in range(len(rows)):
+            assert braking_fallback(V[k], float(limit[k])).tobytes() == ref[k].tobytes()
 
 
 def synthetic_log(positions, velocities, goals, dt=0.1):
@@ -200,15 +231,27 @@ class TestScenarioValidation:
             Scenario(agents=twins[:1] + fast + twins[1:]).validate()
 
     @pytest.mark.parametrize("setting", [{"estimator_gain": math.inf}, {"alpha_floor": math.inf},
-                                         {"alpha_floor": 0.9}])
+                                         {"alpha_floor": 0.9},
+                                         {"estimator_gain": 60.0, "dt": 0.02}])
     def test_estimator_settings_that_overestimate_rejected(self, setting):
         """Estimates start at alpha_floor and only grow; they stay at or below
         each true limit only from a finite floor at most the smallest one,
-        moved by a finite gain."""
+        moved by a finite gain k whose Euler step, k * dt, is at most 1."""
         agents = [agent(1, (0, 0), (1, 0)), agent(2, (3, 0), (0, 0), accel=0.8)]
-        with pytest.raises(ScenarioError, match="must be positive"):
+        with pytest.raises(ScenarioError, match="must be positive|k times dt must be at most 1"):
             Scenario(agents=agents, **setting).validate()
         Scenario(agents=agents, alpha_floor=0.8).validate()
+        Scenario(agents=agents, estimator_gain=40.0, dt=0.02).validate()
+
+    def test_estimates_stay_within_true_limits_at_the_largest_gain(self):
+        """circle6 under decentralized_C_estimated with k * dt = 1: every
+        estimate stays at or below the limit of the agent it estimates."""
+        scn = circle6("decentralized_C_estimated")
+        scn.estimator_gain = 1.0 / scn.dt
+        ctx = SimContext(scn)
+        for _ in range(600):
+            step_once(ctx)
+            assert (ctx.estimators[0]._est <= ctx.accel).all()
 
     @pytest.mark.parametrize("gains, message", [
         ({"k1": -1.0}, "gain k1 must be nonnegative and finite, got -1.0"),

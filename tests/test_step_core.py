@@ -298,6 +298,49 @@ def test_ensemble_rows_match_scalar_formulas(case):
     assert row_pairs.shape == (len(pairs), 2) and row_pairs.tolist() == pairs
 
 
+@settings(max_examples=150, deadline=None)
+@given(ensembles() | ensembles(inside=True))
+def test_no_row_pair_at_or_inside_its_safety_distance(case):
+    """Every pair the step builds a barrier row for is outside its Ds: a
+    pair at or inside it marks both agents as braking, so no free agent
+    owns its row and the ensemble drops it."""
+    ctx, P, _ = case
+    dp, dist = sim._pair_dist(ctx, P)
+    violated = sim._violated(ctx, dist)
+    if ctx.scenario.mode == "centralized":
+        row_pairs = sim._ensemble_rows(ctx, violated, dp, dist)[2]
+    else:
+        row_pairs = sim._agent_qps(ctx, violated, dist)[0].row_pairs
+    for i, j in row_pairs.tolist():
+        assert _rel(P, ctx.V, i, j)[2] > ctx.safety_dist[i, j]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_step_with_every_agent_inside_a_pair_brakes_without_a_qp(mode, monkeypatch):
+    """Two pairs, each inside its Ds: every agent brakes at its own limit,
+    every status is INFEASIBLE, no barrier row is built and ``qp.solve``
+    is never called."""
+    agents = _headon(mode).agents + [
+        AgentSetup(AgentParams(4, 0.5, 0.6, 1.0, 0.3), AgentState((0.0, -3.0), (0.0, 0.0)),
+                   (0.0, 3.0))]
+    ctx = SimContext(Scenario(agents, mode=mode))
+    P = ctx.P.copy()
+    P[1] = P[0] + [ctx.safety_dist[0, 1] * 0.9, 0.0]
+    P[3] = P[2] + [0.0, -ctx.safety_dist[2, 3] * 0.5]
+    ctx.P, ctx.V = P, np.array([[0.4, -0.1], [0.0, 0.0], [-0.2, 0.5], [1e-13, -0.3]])
+    V = ctx.V.copy()
+
+    def no_qp(*args, **kwargs):
+        raise AssertionError("qp.solve was called")
+
+    monkeypatch.setattr(sim.qp, "solve", no_qp)
+    rec = step_once(ctx)
+    assert rec.qp_status == [INFEASIBLE] * 4
+    assert rec.row_pairs.shape == (0, 2)
+    brake = np.array([_brake(V[i], ctx.params[i].accel_limit) for i in range(4)])
+    assert rec.u_applied.tobytes() == brake.tobytes()
+
+
 def test_guard_names_the_first_pair_inside_its_safety_distance():
     with pytest.raises(AlreadyViolatedError) as err:
         barrier.guard_pairs(np.array([0, 2, 3]), np.array([1, 0, 1]),
