@@ -26,7 +26,8 @@ def main():
     print(header)
     print("-" * len(header))
     for mode in MODES:
-        scenario = PRESETS[args.preset](mode=mode)
+        scenario = PRESETS[args.preset]()
+        scenario.mode = mode
         start = time.perf_counter()
         log, metrics = run(scenario)
         wall = time.perf_counter() - start

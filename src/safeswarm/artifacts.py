@@ -41,40 +41,11 @@ def _csv_chunks(log: TrajectoryLog):
                       for aid, row, status in zip(ids, values, rec.qp_status))
 
 
-def trajectory_csv_text(log: TrajectoryLog) -> str:
-    """Render the log as CSV: one row per agent per step, post-step state
-    plus the controls that produced it."""
-    return "".join(_csv_chunks(log))
-
-
 def write_trajectory_csv(log: TrajectoryLog, path) -> None:
-    """Write ``trajectory_csv_text(log)`` to path, one record at a time."""
+    """Write the log to path as CSV, one record at a time: one row per agent
+    per step, post-step state plus the controls that produced it."""
     with Path(path).open("w") as f:
         f.writelines(_csv_chunks(log))
-
-
-def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    """Parse a trajectory CSV back into column arrays."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header in {path}")
-    cols = CSV_HEADER.split(",")
-    data: dict[str, list] = {c: [] for c in cols}
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(cols):
-            raise ValueError(f"malformed CSV row: {line!r}")
-        for c, part in zip(cols, parts):
-            data[c].append(part)
-    out: dict[str, np.ndarray] = {}
-    for c in cols:
-        if c == "qp_status":
-            out[c] = np.array(data[c])
-        elif c == "agent_id":
-            out[c] = np.array([int(x) for x in data[c]])
-        else:
-            out[c] = np.array([float(x) for x in data[c]])
-    return out
 
 
 def metrics_to_dict(metrics: RunMetrics) -> dict:

@@ -122,8 +122,16 @@ def guard_pairs(owner, other, dist: np.ndarray, safety_dist) -> None:
 
 def _pow(x: np.ndarray, y: float) -> np.ndarray:
     # Per element through C pow, as Python's float ** rounds; numpy's **
-    # differs in a few percent of cases.
-    return np.array(list(map(math.pow, x.tolist(), itertools.repeat(y))))
+    # differs in a few percent of cases. An element whose C pow overflows,
+    # which math.pow raises on, takes numpy's IEEE result, +-inf.
+    try:
+        return np.array(list(map(math.pow, x.tolist(), itertools.repeat(y))))
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            out = np.power(x, y)
+        finite = np.isfinite(out)
+        out[finite] = list(map(math.pow, x[finite].tolist(), itertools.repeat(y)))
+        return out
 
 
 # The bound functions below give the right-hand side b of the row
@@ -318,7 +326,8 @@ def neighbor_radius(
             raise ValueError(f"{name} must be positive, got {value!r}")
     accel_sum = params_i.accel_limit + min_other_accel
     reach = np.cbrt(2.0 * accel_sum / params_i.barrier_gain) + params_i.speed_limit + max_other_speed
-    return float(safety_dist + reach**2 / (2.0 * accel_sum))
+    with np.errstate(over="ignore"):  # past the float range every agent is a neighbour
+        return float(safety_dist + reach**2 / (2.0 * accel_sum))
 
 
 def neighbors(i: int, states: list[AgentState], radius: float) -> set[int]:

@@ -99,9 +99,3 @@ def step(p: np.ndarray, v: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.nda
     v_next = v + np.asarray(u, dtype=float) * dt
     return p + v_next * dt, v_next
 
-
-def saturate_box(u: np.ndarray, accel_limit) -> np.ndarray:
-    """Clamp each control component to [-accel_limit, accel_limit] (broadcast), as np.clip."""
-    if not np.all(np.asarray(accel_limit) > 0):
-        raise ValueError(f"accel_limit must be positive, got {accel_limit!r}")
-    return np.minimum(np.maximum(np.asarray(u, dtype=float), -accel_limit), accel_limit)

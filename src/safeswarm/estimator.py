@@ -15,8 +15,9 @@ requires). Underestimates keep the safety constraints they feed strictly
 more cautious than the truth.
 
 Magnitudes use the max-abs (per-axis) norm, matching the box that bounds
-the controls being observed. One estimator tracks a fixed list of ids and
-applies the law to all of them at once, as arrays in the order of ``ids``.
+the controls being observed. One estimator tracks agents 0 .. n - 1 by
+index and applies the law to all of them at once, as the arrays ``est``
+(the estimates) and ``obs`` (the smoothed observations).
 """
 
 from __future__ import annotations
@@ -27,45 +28,52 @@ SMOOTHING = 0.2  # weight of each new finite-difference sample in the observatio
 
 
 class LimitEstimator:
-    """Running estimates of other agents' acceleration limits.
+    """Running estimates of n agents' acceleration limits.
 
     Parameters
     ----------
-    neighbor_ids:
-        Ids this estimator will track, in the order of the rows that
-        ``observe`` takes; repeated ids count once. Estimates for all of
-        them start at ``accel_floor``.
+    n:
+        Number of agents tracked, by index; row k of the velocities that
+        ``observe`` takes belongs to agent k. Every estimate starts at
+        ``accel_floor``.
     accel_floor:
         Global conservative lower bound on any agent's acceleration limit.
     gain:
         Adaptation rate (1/s) of the estimate toward large observations.
     """
 
-    def __init__(self, neighbor_ids, accel_floor: float, gain: float):
+    def __init__(self, n: int, accel_floor: float, gain: float):
         if not 0 < accel_floor < np.inf:
             raise ValueError(f"accel_floor must be positive and finite, got {accel_floor!r}")
         if not 0 < gain < np.inf:
             raise ValueError(f"gain must be positive and finite, got {gain!r}")
-        self.accel_floor = float(accel_floor)
         self.gain = float(gain)
-        self.ids = list(dict.fromkeys(int(j) for j in neighbor_ids))
-        self.estimates: dict[int, float] = dict.fromkeys(self.ids, self.accel_floor)  # _est by id
-        self._est = np.full(len(self.ids), self.accel_floor)
-        self._obs = np.zeros(len(self.ids))
+        self.est = np.full(n, float(accel_floor))
+        self.obs = np.zeros(n)
         self._last_v: np.ndarray | None = None
+        self._by_index: dict[int, float] | None = None
+
+    @property
+    def estimates(self) -> dict[int, float]:
+        """The estimates by agent index, ``dict(enumerate(est.tolist()))``: a
+        read-only view, built once per update for readers that look up
+        every agent after every step."""
+        if self._by_index is None:
+            self._by_index = dict(enumerate(self.est.tolist()))
+        return self._by_index
 
     def observe(self, V: np.ndarray, dt: float) -> None:
         """Fold one velocity observation of every tracked agent (row k of
-        the (len(ids), 2) array ``V`` belongs to ``ids[k]``) into its
-        smoothed acceleration magnitude. The first observation only stores V."""
+        the (n, 2) array ``V`` belongs to agent k) into its smoothed
+        acceleration magnitude. The first observation only stores V."""
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt!r}")
         V = np.array(V, dtype=float)
-        if V.shape != (len(self.ids), 2):
-            raise ValueError(f"expected velocities of shape ({len(self.ids)}, 2), got {V.shape}")
+        if V.shape != (len(self.est), 2):
+            raise ValueError(f"expected velocities of shape ({len(self.est)}, 2), got {V.shape}")
         if self._last_v is not None:
             raw = np.abs(V - self._last_v).max(axis=1) / dt
-            self._obs = (1.0 - SMOOTHING) * self._obs + SMOOTHING * raw
+            self.obs = (1.0 - SMOOTHING) * self.obs + SMOOTHING * raw
         self._last_v = V
 
     def update(self, dt: float) -> None:
@@ -74,10 +82,6 @@ class LimitEstimator:
             raise ValueError(f"dt must be positive, got {dt!r}")
         if dt * self.gain > 1:
             raise ValueError(f"gain * dt must be at most 1, got {self.gain!r} * {dt!r}")
-        est = self._est
-        self._est = est + dt * self.gain * (np.maximum(est, self._obs) - est)
-        self.estimates.update(zip(self.ids, self._est.tolist()))
-
-    def observed_accel(self, j: int) -> float:
-        """Current smoothed acceleration magnitude for neighbor j."""
-        return float(self._obs[self.ids.index(j)])
+        est = self.est
+        self.est = est + dt * self.gain * (np.maximum(est, self.obs) - est)
+        self._by_index = None

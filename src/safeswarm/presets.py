@@ -1,5 +1,6 @@
 """Built-in scenarios: a heterogeneous circle exchange, a two-class
-rectangle exchange, and a two-agent head-on encounter."""
+rectangle exchange, and a two-agent head-on encounter. Each is fixed and
+takes no arguments; set ``mode`` on the returned scenario to change it."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .sim import AgentSetup, Scenario
 _CIRCLE6_STAGGER_DEG = (4.0, -7.0, 3.0, -5.0, 6.5, -3.5)
 
 
-def circle6(mode: str = "decentralized_C") -> Scenario:
+def circle6() -> Scenario:
     """Six agents on a 1.75 m circle swapping with their antipodes.
 
     One large, cumbersome agent (0.6 m/s^2, 0.4 m radius) and five small,
@@ -38,10 +39,10 @@ def circle6(mode: str = "decentralized_C") -> Scenario:
             radius=0.4 if large else 0.2,
         )
         agents.append(AgentSetup(params, AgentState(p0, np.zeros(2)), -p0))
-    return Scenario(agents=agents, dt=0.02, t_end=60.0, mode=mode)
+    return Scenario(agents=agents, dt=0.02, t_end=60.0)
 
 
-def rect4(mode: str = "decentralized_C") -> Scenario:
+def rect4() -> Scenario:
     """Three agile agents and one cumbersome agent exchanging across the
     diagonals of a 3 m x 2 m rectangle.
 
@@ -69,34 +70,26 @@ def rect4(mode: str = "decentralized_C") -> Scenario:
         agents.append(
             AgentSetup(params, AgentState(np.array(corner), np.zeros(2)), np.array(goal))
         )
-    return Scenario(agents=agents, dt=0.02, t_end=45.0, mode=mode)
+    return Scenario(agents=agents, dt=0.02, t_end=45.0)
 
 
-def headon2(
-    gamma_left: float = 1.0,
-    gamma_right: float = 1.0,
-    mode: str = "decentralized_C",
-) -> Scenario:
+def headon2() -> Scenario:
     """Two equal agents swapping ends of a 3 m corridor, nearly head-on.
 
     A small lateral offset keeps the encounter out of the unstable exactly
-    collinear configuration; with equal gains the geometry is point
-    symmetric, so the two avoidance maneuvers mirror each other.
+    collinear configuration; the geometry is point symmetric, so the two
+    avoidance maneuvers mirror each other.
     """
     offset = 0.03  # m
-    left = AgentSetup(
-        AgentParams(id=1, accel_limit=1.2, speed_limit=0.6,
-                    barrier_gain=gamma_left, radius=0.2),
-        AgentState(np.array([-1.5, offset]), np.zeros(2)),
-        np.array([1.5, offset]),
-    )
-    right = AgentSetup(
-        AgentParams(id=2, accel_limit=1.2, speed_limit=0.6,
-                    barrier_gain=gamma_right, radius=0.2),
-        AgentState(np.array([1.5, -offset]), np.zeros(2)),
-        np.array([-1.5, -offset]),
-    )
-    return Scenario(agents=[left, right], dt=0.02, t_end=30.0, mode=mode)
+    agents = [
+        AgentSetup(
+            AgentParams(id=k + 1, accel_limit=1.2, speed_limit=0.6, barrier_gain=1.0, radius=0.2),
+            AgentState(np.array([-1.5 * side, offset * side]), np.zeros(2)),
+            np.array([1.5 * side, offset * side]),
+        )
+        for k, side in enumerate((1.0, -1.0))
+    ]
+    return Scenario(agents=agents, dt=0.02, t_end=30.0)
 
 
 PRESETS = {

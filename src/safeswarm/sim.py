@@ -160,9 +160,9 @@ class RunMetrics:
 
 def goal_controller(p: np.ndarray, v: np.ndarray, goal: np.ndarray, k1: float, k2: float,
                     accel_limit) -> np.ndarray:
-    """Saturated PD control toward a fixed goal position. Broadcasts over
-    (N, 2) arrays of agents, with one row of positive limits per agent
-    (``saturate_box`` without its check, which ``AgentParams`` makes)."""
+    """Saturated PD control toward a fixed goal position, clamped to the
+    box. Broadcasts over (N, 2) arrays of agents, with one row of positive
+    limits per agent (``AgentParams`` checks that they are)."""
     u = -k1 * (p - np.asarray(goal, dtype=float)) - k2 * v
     return np.minimum(np.maximum(u, -accel_limit), accel_limit)
 
@@ -261,13 +261,13 @@ class SimContext(_Start):
     every pair twice, once per owner, in owner-major order, with the
     owner's neighbour radius ``dir_radius``.
 
-    In the estimated mode ``estimators[i]`` is agent i's estimator of the
-    others' limits. Every agent observes every other agent with the same
-    law, floor and gain, so one estimator over all ids serves
-    them all and ``estimators`` holds it N times; the step observes and
-    updates it once. Observing only the agents in each one's interaction
-    radius (ROADMAP item 2) would bring back per-agent state, as one
-    (N, N) array.
+    In the estimated mode one estimator serves every agent, since all
+    observe all others with the same law, floor and gain; the step
+    observes and updates it once and reads its ``est``. ``estimators``
+    holds it N times, agent i's at ``estimators[i]``, because
+    ``perfbench/run.py`` reads ``estimators[i].estimates``. Observing only
+    the agents in each one's interaction radius (ROADMAP item 2) would
+    bring back per-agent state, as one (N, N) array.
     """
 
     def __init__(self, scenario: Scenario):
@@ -287,7 +287,7 @@ class SimContext(_Start):
         self.dir_radius = self.neighbor_radius[self.dir_own]
         self.estimators: list[LimitEstimator] | None = None
         if scenario.mode == "decentralized_C_estimated":
-            shared = LimitEstimator(range(self.n), scenario.resolved_alpha_floor(),
+            shared = LimitEstimator(self.n, scenario.resolved_alpha_floor(),
                                     scenario.estimator_gain)
             self.estimators = [shared] * self.n
         self.warm = np.zeros((self.n, 0), dtype=bool)  # (N, W), grown as layouts widen
@@ -386,7 +386,6 @@ class _Layout:
     """
 
     def __init__(self, ctx: SimContext, near: np.ndarray, violated: np.ndarray):
-        self.near, self.violated = near, violated
         self.key = near.tobytes() + violated.tobytes()
         mine = near & ~violated[ctx.dir_own]  # the directed pairs free agents own
         self.own, self.oth, self.pair = own, oth, pair = (
@@ -426,7 +425,7 @@ def _agent_qps(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
     # p_own - p_oth afresh, not a negated pair dp: a zero must keep its sign.
     dp = P[own] - P[oth]
     dist = dist[lay.pair]
-    accel_other = lay.accel_other if ctx.estimators is None else ctx.estimators[0]._est[oth]
+    accel_other = lay.accel_other if ctx.estimators is None else ctx.estimators[0].est[oth]
     A, b = lay.A.copy(), lay.b.copy()
     A.reshape(-1, 2)[lay.bar] = -dp
     flat = b.reshape(-1)
@@ -444,9 +443,9 @@ def _solve_decentralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarra
     ctx.warm[free, :width] = active
     if ctx.warm.shape[1] > width:  # clear the bits beyond a narrower layout
         ctx.warm[free, width:] = False
-    U, brake = np.zeros((ctx.n, 2)), violated.copy()  # a copy: the layout keeps ``violated``
-    U[free], brake[free] = u, ~optimal
-    return U, brake, lay.row_pairs
+    U = np.zeros((ctx.n, 2))
+    U[free], violated[free] = u, ~optimal  # the brake mask: violated or without an optimum
+    return U, violated, lay.row_pairs
 
 
 def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: np.ndarray):

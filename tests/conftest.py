@@ -7,7 +7,7 @@ import pytest
 
 from safeswarm import AgentParams, AgentState, pair_barrier, relative_state
 from safeswarm.cli import scenario_from_dict
-from safeswarm.presets import circle6
+from safeswarm.presets import PRESETS, circle6
 from safeswarm.sim import AgentSetup, Scenario, run
 
 
@@ -51,6 +51,13 @@ def circle6_run():
     log, metrics = run(scenario)
     wall = time.perf_counter() - start
     return scenario, log, metrics, wall
+
+
+def preset(name, mode):
+    """The named preset under ``mode``, set as the CLI's --mode sets it."""
+    scenario = PRESETS[name]()
+    scenario.mode = mode
+    return scenario
 
 
 def lanes_tiles(tiles=3, spacing=8.0):

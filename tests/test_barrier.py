@@ -19,6 +19,7 @@ from safeswarm import (
     strategy_b_rows,
     strategy_c_row,
 )
+from safeswarm import barrier
 from safeswarm.barrier import centralized_bound
 
 from conftest import as_ensemble, random_safe_pair
@@ -292,3 +293,23 @@ class TestDenominatorFloor:
         floored = centralized_bound(rel, 2.4, 1.0, 0.6, 1e-6)
         exact = centralized_bound(rel, 2.4, 1.0, 0.6, 1e-12)
         assert floored == pytest.approx(exact, abs=1e-12)
+
+
+class TestOverflow:
+    """A pair near the top of the float range: starts at x = -+1e160 m, so
+    2e160 m apart, whose squared distance is past it."""
+
+    def test_pow_is_ieee_inf_where_math_pow_overflows(self):
+        x = np.array([2e160, -2e160, 1e103, 3.0, -0.5, 1e100])
+        cube = barrier._pow(x, 3.0)
+        assert cube[:3].tolist() == [math.inf, -math.inf, math.inf]
+        assert cube[3:].tolist() == [math.pow(v, 3.0) for v in x[3:].tolist()]
+        square = barrier._pow(x, 2.0)
+        assert square[:2].tolist() == [math.inf, math.inf]
+        assert square[2:].tolist() == [math.pow(v, 2.0) for v in x[2:].tolist()]
+
+    def test_centralized_bound_of_the_far_pair_is_inf(self):
+        dp, dist = np.array([[-2e160, 0.0]]), np.array([2e160])
+        with np.errstate(over="ignore"):  # gamma * h^3 * dist overflows in numpy's multiply
+            b = barrier.centralized_bounds(dp, dist, np.zeros((1, 2)), 2.4, 1.0, 0.4, 1e-6)
+        assert b.tolist() == [math.inf]

@@ -13,10 +13,9 @@ import pytest
 import safeswarm
 from safeswarm import DegenerateGeometryError, cli, run
 from safeswarm.artifacts import (
+    CSV_HEADER,
     metrics_to_dict,
-    read_trajectory_csv,
     render_svg,
-    trajectory_csv_text,
     write_metrics_json,
     write_trajectory_csv,
 )
@@ -132,12 +131,26 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="ds"):
             scenario_from_dict(doc)
 
+    # Not UTF-8; nested past the recursion limit; an integer literal past
+    # Python's 4300-digit limit on int parsing, which json.loads raises on.
+    BAD_JSON = (b"{not json", b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000,
+                b'{"dt": ' + b"1" * 5000 + b', "agents": []}')
+
     def test_bad_json_named(self, tmp_path):
         path = tmp_path / "broken.json"
-        for text in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
+        for text in self.BAD_JSON:
             path.write_bytes(text)
-            with pytest.raises(ScenarioError, match="JSON"):
+            with pytest.raises(ScenarioError, match="is not valid JSON"):
                 parse_scenario(path)
+
+    def test_bad_json_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        for text in self.BAD_JSON:
+            path.write_bytes(text)
+            assert run_command(["--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert f"error: scenario file {path} is not valid JSON: " in err
+            assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     def test_infinite_step_count_rejected(self, tmp_path, capsys):
         doc = dict(two_agent_doc(), dt=1e-10, t_end=1e300)
@@ -251,6 +264,24 @@ class TestRunCommand:
         assert metrics["min_h_mps"] >= -1e-6
         assert max(metrics["goal_errors_m"].values()) <= 0.05
 
+    def test_huge_speed_limit_runs_without_a_warning(self, tmp_path):
+        """A finite speed limit of 1e160 m/s overflows the neighbour radius to
+        inf, every agent a neighbour; every mode exits 0 with nothing on
+        stderr, in development mode with RuntimeWarnings raised as errors."""
+        doc = two_agent_doc()
+        doc["agents"][1]["beta"] = 1e160
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(safeswarm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = ("import sys; from safeswarm.cli import run_command; from safeswarm.sim import MODES; "
+                 "sys.exit(max(run_command([*sys.argv[1:], '--mode', m]) for m in MODES))")
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", "-c", probe,
+             "--scenario", str(path), "--out-dir", str(tmp_path / "out"), "--quiet"],
+            env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     @pytest.mark.parametrize("preset", ["circle6", "rect4"])
     def test_presets_run_and_exit_0(self, tmp_path, preset):
         out = tmp_path / preset
@@ -322,6 +353,11 @@ class TestRunCommand:
         assert "error: cannot write artifacts" in err and "Traceback" not in err
 
 
+def read_csv(path):
+    """A trajectory CSV's columns by header name, as a structured array."""
+    return np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def short_run():
     scn = scenario_from_dict(two_agent_doc())
@@ -334,8 +370,8 @@ class TestCsvArtifacts:
         scn, log, _ = short_run
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(log, path)
-        assert path.read_text() == trajectory_csv_text(log)  # one formatting path
-        cols = read_trajectory_csv(path)
+        cols = read_csv(path)
+        assert cols.dtype.names == tuple(CSV_HEADER.split(","))
         n = len(scn.agents)
         assert cols["t"].size == n * len(log.records)
         for k, rec in enumerate(log.records):
@@ -345,7 +381,7 @@ class TestCsvArtifacts:
                 assert abs(cols["vx"][r] - rec.v[i, 0]) <= 1e-9 * max(1, abs(rec.v[i, 0]))
                 assert abs(cols["uy"][r] - rec.u_applied[i, 1]) <= 1e-9
 
-    def test_numbers_render_as_format_12g(self):
+    def test_numbers_render_as_format_12g(self, tmp_path):
         # Signed zeros, subnormals, extremes and exact ties at the 12th digit
         # (2**-18 = 3.814697265625e-06 and 13-digit integers).
         values = [-0.0, 0.0, 5e-324, -2.5e-320, 1e300, -1e-300, 1e-300, -1.7976931348623157e308,
@@ -357,7 +393,8 @@ class TestCsvArtifacts:
                               qp_status=["optimal", "infeasible"] * (n // 2) + ["optimal"])
         agents = [SimpleNamespace(params=SimpleNamespace(id=7 + i)) for i in range(n)]
         log = SimpleNamespace(scenario=SimpleNamespace(agents=agents), records=[rec])
-        lines = trajectory_csv_text(log).splitlines()
+        write_trajectory_csv(log, tmp_path / "trajectory.csv")
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert len(lines) == n + 1
         for i, line in enumerate(lines[1:]):
             expected = [format(rec.t, ".12g"), str(7 + i)]
@@ -369,7 +406,7 @@ class TestCsvArtifacts:
         _, log, _ = short_run
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(log, path)
-        cols = read_trajectory_csv(path)
+        cols = read_csv(path)
         for aid in np.unique(cols["agent_id"]):
             t = cols["t"][cols["agent_id"] == aid]
             assert np.all(np.diff(t) > 0)
@@ -381,7 +418,7 @@ class TestCsvArtifacts:
         write_trajectory_csv(log, csv_path)
         write_metrics_json(metrics, json_path)
         doc = json.loads(json_path.read_text())
-        cols = read_trajectory_csv(csv_path)
+        cols = read_csv(csv_path)
 
         ids = [a.params.id for a in scn.agents]
         n = len(ids)
@@ -422,13 +459,12 @@ class TestCsvArtifacts:
         infeasible = int(np.sum(cols["qp_status"] == "infeasible"))
         assert doc["qp_infeasible_count"] == infeasible
 
-    def test_empty_run_yields_header_only(self):
+    def test_empty_run_yields_header_only(self, tmp_path):
         scn = scenario_from_dict({**MINIMAL, "t_end": 0.0})
         log, _ = run(scn)
-        text = trajectory_csv_text(log)
-        assert text.strip().splitlines() == [
-            "t,agent_id,px,py,vx,vy,ux,uy,ux_nom,uy_nom,qp_status"
-        ]
+        write_trajectory_csv(log, tmp_path / "trajectory.csv")
+        assert (tmp_path / "trajectory.csv").read_text() == (
+            "t,agent_id,px,py,vx,vy,ux,uy,ux_nom,uy_nom,qp_status\n")
 
 
 class TestSvg:

@@ -8,7 +8,6 @@ from safeswarm import (
     AgentState,
     DegenerateGeometryError,
     relative_state,
-    saturate_box,
     step,
 )
 
@@ -109,18 +108,3 @@ class TestStep:
             p, v = step(P[k], V[k], U[k], 0.02)
             assert P1[k].tobytes() == p.tobytes() and V1[k].tobytes() == v.tobytes()
 
-
-class TestSaturateBox:
-    def test_inside_box_unchanged(self):
-        assert np.allclose(saturate_box(np.array([0.5, -0.5]), 1.0), [0.5, -0.5])
-
-    def test_clamps_both_axes(self):
-        assert np.allclose(saturate_box(np.array([2.0, -3.0]), 1.0), [1.0, -1.0])
-
-    def test_boundary_preserved(self):
-        assert np.allclose(saturate_box(np.array([1.2, 0.6]), 1.2), [1.2, 0.6])
-
-    @given(finite, finite, st.floats(1e-3, 10.0))
-    def test_result_always_in_box(self, ux, uy, limit):
-        out = saturate_box(np.array([ux, uy]), limit)
-        assert np.max(np.abs(out)) <= limit

@@ -20,14 +20,13 @@ from safeswarm import (
     strategy_c_row,
 )
 from safeswarm import qp, sim
-from safeswarm.artifacts import trajectory_csv_text
+from safeswarm.artifacts import write_trajectory_csv
 from safeswarm.barrier import BarrierConfig
 from safeswarm.cli import scenario_from_dict
-from safeswarm.presets import circle6
 from safeswarm.qp import expanded_constraints
 from safeswarm.sim import run
 
-from conftest import random_safe_pair
+from conftest import preset, random_safe_pair
 
 CFG = BarrierConfig(ds_mode="fixed", ds=0.6)
 
@@ -593,15 +592,17 @@ class TestKernelOnRealTraffic:
     write the same trajectory CSV, on whatever platform the tests run."""
 
     @pytest.mark.parametrize("scenario, infeasible", [
-        (lambda: circle6("decentralized_C"), 30),
-        (lambda: circle6("decentralized_C_estimated"), 30),
+        (lambda: preset("circle6", "decentralized_C"), 30),
+        (lambda: preset("circle6", "decentralized_C_estimated"), 30),
         (lambda: crossing_lanes("decentralized_B"), 0),
     ], ids=["circle6-C", "circle6-C_estimated", "crossing_lanes-B"])
-    def test_trajectory_csv_equals_per_problem_solve(self, monkeypatch, scenario, infeasible):
-        kernel_csv = trajectory_csv_text(run(scenario())[0])
+    def test_trajectory_csv_equals_per_problem_solve(self, monkeypatch, tmp_path, scenario,
+                                                     infeasible):
+        write_trajectory_csv(run(scenario())[0], tmp_path / "kernel.csv")
         answers = []
         monkeypatch.setattr(sim.qp, "solve_padded", functools.partial(solve_each, answers))
-        assert trajectory_csv_text(run(scenario())[0]) == kernel_csv
+        write_trajectory_csv(run(scenario())[0], tmp_path / "solve.csv")
+        assert (tmp_path / "solve.csv").read_bytes() == (tmp_path / "kernel.csv").read_bytes()
         # The runs cover dropped rows (an optimum after more steps than it
         # has active rows), and the circle6 runs infeasible problems.
         assert any(a.status == OPTIMAL and a.iterations > len(a.active_set) for a in answers)
@@ -616,5 +617,5 @@ class TestKernelOnRealTraffic:
 
         monkeypatch.setattr(qp, "solve", refuse)
         with handoffs() as handed:
-            metrics = run(circle6("decentralized_C"))[1]
+            metrics = run(preset("circle6", "decentralized_C"))[1]
         assert handed and metrics.qp_infeasible_count >= 30

@@ -15,10 +15,8 @@ from safeswarm import (
     goal_controller,
     pair_barrier,
     relative_state,
-    saturate_box,
     step,
 )
-from safeswarm.presets import circle6
 from safeswarm.sim import (
     DEADLOCK_WINDOW,
     AgentSetup,
@@ -33,7 +31,7 @@ from safeswarm.sim import (
     step_once,
 )
 
-from conftest import lanes_tiles
+from conftest import lanes_tiles, preset
 
 
 def agent(aid, p0, goal, accel=1.2, speed=0.6, gain=1.0, radius=0.2, v0=(0.0, 0.0)):
@@ -246,12 +244,12 @@ class TestScenarioValidation:
     def test_estimates_stay_within_true_limits_at_the_largest_gain(self):
         """circle6 under decentralized_C_estimated with k * dt = 1: every
         estimate stays at or below the limit of the agent it estimates."""
-        scn = circle6("decentralized_C_estimated")
+        scn = preset("circle6", "decentralized_C_estimated")
         scn.estimator_gain = 1.0 / scn.dt
         ctx = SimContext(scn)
         for _ in range(600):
             step_once(ctx)
-            assert (ctx.estimators[0]._est <= ctx.accel).all()
+            assert (ctx.estimators[0].est <= ctx.accel).all()
 
     @pytest.mark.parametrize("gains, message", [
         ({"k1": -1.0}, "gain k1 must be nonnegative and finite, got -1.0"),
@@ -476,10 +474,6 @@ class TestMetrics:
         log, metrics = run(scn)
         # the closest approach is at t=0; later they drift nowhere
         assert metrics.min_pair_dist <= 0.7 + 1e-9
-
-    def test_saturate_box_applied_to_nominal(self):
-        u = saturate_box(np.array([99.0, -99.0]), 1.2)
-        assert np.allclose(u, [1.2, -1.2])
 
     def test_compute_metrics_matches_recorded_minimum(self):
         scn = two_agent_headon()

@@ -35,7 +35,7 @@ from safeswarm.estimator import SMOOTHING
 from safeswarm.presets import circle6
 from safeswarm.sim import MODES, AgentSetup, Scenario, ScenarioError, SimContext, step_once
 
-from conftest import lanes_tiles, ring_swap
+from conftest import lanes_tiles, preset, ring_swap
 
 # Relative offsets from a critical distance: just inside, on it (up to the
 # rounding of the placement) and just outside.
@@ -148,8 +148,8 @@ def test_violated_set_matches_scalar_test(case):
 @given(ensembles(DECENTRALIZED))
 def test_directed_neighbor_rows_match_neighbors(case):
     """The directed pairs list every (owner, other) in row-major order, and
-    the layout's ``near`` over them lists each agent's ``barrier.neighbors``
-    in ascending order."""
+    the barrier rows of a layout with no violated agent list each agent's
+    ``barrier.neighbors`` in ascending order."""
     ctx, P, V = case
     own, oth, pair = ctx.dir_own, ctx.dir_oth, ctx.dir_pair
     assert np.array((own, oth)).T.tolist() == [
@@ -158,8 +158,8 @@ def test_directed_neighbor_rows_match_neighbors(case):
     assert np.array_equal(np.maximum(own, oth), ctx.pair_j[pair])
     assert np.array_equal(ctx.dir_radius, ctx.neighbor_radius[own])
     dist = sim._pair_dist(ctx, P)[1]
-    near = sim._agent_qps(ctx, sim._violated(ctx, dist), dist)[0].near
-    assert np.array((own[near], oth[near])).T.tolist() == [
+    lay = sim._agent_qps(ctx, np.zeros(ctx.n, dtype=bool), dist)[0]
+    assert lay.row_pairs.tolist() == [
         [i, j] for i in range(ctx.n)
         for j in sorted(neighbors(i, _states(P, V), ctx.neighbor_radius[i]))]
 
@@ -397,7 +397,7 @@ def test_one_checked_start_per_context(monkeypatch, tmp_path, capsys):
     init, pair_dist = sim._Start.__init__, sim._pair_dist
     monkeypatch.setattr(sim._Start, "__init__", lambda s, scn: builds.append(1) or init(s, scn))
     monkeypatch.setattr(sim, "_pair_dist", lambda c, P: dists.append(1) or pair_dist(c, P))
-    log, _ = sim.run(circle6("decentralized_C"))
+    log, _ = sim.run(circle6())
     assert (len(builds), len(dists)) == (2, len(log.records) + 2) == (2, 801)
     builds.clear()
     dists.clear()
@@ -411,7 +411,7 @@ def test_step_record_min_h_is_the_scalar_minimum():
     """Every record's min_h is, bit for bit, min() over ``pair_barrier``
     of every pair on the post-step states; inf when there is no pair."""
     for mode in MODES:
-        ctx = SimContext(circle6(mode))
+        ctx = SimContext(preset("circle6", mode))
         for _ in range(120):
             rec = step_once(ctx)
             ref = [pair_barrier(rel, ctx.params[i].accel_limit + ctx.params[j].accel_limit,
@@ -468,7 +468,7 @@ def _step_against_cold_layout(ctx, steps):
 
 @pytest.mark.parametrize("mode", DECENTRALIZED)
 def test_cached_layout_equals_cold_layout_on_circle6(mode):
-    ctx = SimContext(circle6(mode))
+    ctx = SimContext(preset("circle6", mode))
     assert _step_against_cold_layout(ctx, 300)[0] > 150
 
 
@@ -483,7 +483,7 @@ def test_cached_layout_equals_cold_layout_while_braking():
     from step 124, so the violated set changes under the cache."""
     ctx = SimContext(ring_swap(8, 1.75, [3.0, -3.0] * 4, "decentralized_B"))
     hits, infeasible = _step_against_cold_layout(ctx, 130)
-    assert hits > 65 and infeasible and ctx.layout.violated.any()
+    assert hits > 65 and infeasible and ctx.layout.free.size < ctx.n
 
 
 def test_cached_layout_for_a_lone_agent_and_for_no_free_agent():
@@ -503,7 +503,7 @@ def test_cached_layout_for_a_lone_agent_and_for_no_free_agent():
 def test_warm_bits_beyond_the_layout_are_cleared():
     """A step clears each free agent's warm bits beyond its layout's width,
     as left by a wider layout before it."""
-    ctx = SimContext(circle6("decentralized_C"))
+    ctx = SimContext(circle6())
     step_once(ctx)
     width = ctx.warm.shape[1]
     ctx.warm = np.pad(ctx.warm, ((0, 0), (0, 3)), constant_values=True)
@@ -515,7 +515,7 @@ def test_warm_bits_beyond_the_layout_are_cleared():
 def test_layout_arrays_are_shared_and_read_only():
     """Records stepped under one layout share its row_pairs; neither they
     nor the layout's templates can be written."""
-    ctx = SimContext(circle6("decentralized_C"))
+    ctx = SimContext(circle6())
     first, second = step_once(ctx), step_once(ctx)
     assert second.row_pairs is first.row_pairs and len(first.row_pairs)
     for shared in (first.row_pairs, ctx.layout.A, ctx.layout.b):
@@ -527,11 +527,12 @@ def test_shared_estimator_matches_one_estimator_per_agent():
     """The estimated mode's one shared estimator holds, for every agent i
     and other agent j, the same estimate as an estimator of agent i's own
     over the others, observed on the same pre-step velocities."""
-    scn = circle6(mode="decentralized_C_estimated")
+    scn = preset("circle6", "decentralized_C_estimated")
     ctx = SimContext(scn)
     assert all(e is ctx.estimators[0] for e in ctx.estimators)
     others = [[j for j in range(ctx.n) if j != i] for i in range(ctx.n)]
-    own = [LimitEstimator(ids, scn.resolved_alpha_floor(), scn.estimator_gain) for ids in others]
+    own = [LimitEstimator(ctx.n - 1, scn.resolved_alpha_floor(), scn.estimator_gain)
+           for _ in range(ctx.n)]
     moved = False
     for _ in range(400):
         V = ctx.V.copy()
@@ -541,18 +542,18 @@ def test_shared_estimator_matches_one_estimator_per_agent():
             est.update(scn.dt)
         for i, ids in enumerate(others):
             shared = np.array([ctx.estimators[i].estimates[j] for j in ids])
-            assert shared.tobytes() == np.array([own[i].estimates[j] for j in ids]).tobytes()
-        moved |= max(own[0].estimates.values()) > scn.resolved_alpha_floor()
+            assert shared.tobytes() == own[i].est.tobytes()
+        moved |= own[0].est.max() > scn.resolved_alpha_floor()
     assert moved  # the estimates left their floor
 
 
 class ScalarLaw:
-    """The estimator's law, transcribed id by id in plain Python floats."""
+    """The estimator's law, transcribed agent by agent in plain Python floats."""
 
-    def __init__(self, ids, floor, gain):
+    def __init__(self, n, floor, gain):
         self.gain = gain
-        self.est = {j: floor for j in ids}
-        self.obs = {j: 0.0 for j in ids}
+        self.est = {j: floor for j in range(n)}
+        self.obs = {j: 0.0 for j in range(n)}
         self.last = {}
 
     def observe(self, j, v, dt):
@@ -577,16 +578,15 @@ class ScalarLaw:
 )
 def test_estimator_matches_scalar_law(k, floor, gain, dt, seed):
     rng = np.random.default_rng(seed)
-    ids = [int(j) for j in rng.permutation(20)[:k]]
-    est = LimitEstimator(ids, floor, gain)
-    ref = ScalarLaw(ids, floor, gain)
+    est = LimitEstimator(k, floor, gain)
+    ref = ScalarLaw(k, floor, gain)
     V = rng.uniform(-1.0, 1.0, (k, 2))
     for _ in range(30):
         V = V + rng.uniform(-3.0, 3.0, (k, 2)) * dt
         est.observe(V, dt)
         est.update(dt)
-        for row, j in enumerate(ids):
-            ref.observe(j, V[row].tolist(), dt)
+        for j in range(k):
+            ref.observe(j, V[j].tolist(), dt)
             ref.update(j, dt)
         assert est.estimates == ref.est
-        assert [est.observed_accel(j) for j in ids] == [ref.obs[j] for j in ids]
+        assert est.obs.tolist() == [ref.obs[j] for j in range(k)]
