@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record the reference runs that pin trajectories in tier-1.
 
-Usage: PYTHONPATH=src python scripts/reference_runs.py
+Usage: PYTHONPATH=src python scripts/reference_runs.py [--digests-only]
 
 Runs circle6, rect4, headon2 and scenarios/crossing_lanes.json, the 3x3
 lanes tiles of ``tests/conftest.py::lanes_tiles``, three ring swaps of
@@ -10,23 +10,40 @@ ring16: 3 m, ``default_rng(3).uniform(-0.3, 0.3, 16)`` degrees; ring24:
 4.58 m, alternating +-3 degrees), and circle6 and ring8 at dt = 0.01 and
 dt = 0.05, under every mode. The ring swaps drive pairs inside the safety
 distance, so they pin the braking fallback; the known violations are
-pinned as they are. It writes one row per run to
-``tests/reference_runs.json``: the step
-count, SHA-256 digests of the raw float64 bytes of ``p``, ``v``,
+pinned as they are. ``tests/test_reference_runs.py`` reruns the same set
+and checks each run against two files.
+
+``tests/reference_runs.json`` holds one row of exact digests per run: the
+step count, SHA-256 digests of the raw float64 bytes of ``p``, ``v``,
 ``u_applied`` and ``u_nominal`` over the records, of the row pairs, and of
 the statuses, ``min_h`` and ``min_pair_dist`` (float hex) of each record,
 plus the run's ``min_h`` and ``min_pair_dist``, its infeasible count and
-its deadlock onset. ``tests/test_reference_runs.py`` reruns the same set
-and compares. Float digests are exact only under the numpy version
-recorded with them. Rewrite the file only with a change that alters
-trajectories on purpose, and list every row that changed.
+its deadlock onset. Float digests are exact only under the recorded numpy
+version and platform ``fingerprint``: the BLAS kernel, numpy's SIMD
+dispatch and the libm all round differently.
+
+``tests/reference_runs.npz`` is the tolerance record, which holds
+anywhere: per run, the positions every ``SAMPLE`` steps, each step's
+min h, min distance and infeasible count, the step count, the deadlock
+onset (nan without one) and the horizon, the number of leading steps that
+``departure`` compares. A run is compared whole unless a 1-ulp nudge of
+agent 0's or agent 1's start x (both ways) departs from it; then its
+horizon is half the earliest step at which a nudge departs (``nudged``),
+and the step count and onset are not compared.
+
+Rewrite the digests only with a change that alters trajectories on
+purpose, and list every row that changed; a change that keeps every run
+within the tolerance record rewrites the digests alone (``--digests-only``).
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import io
 import json
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +53,15 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from conftest import lanes_tiles, ring_swap  # noqa: E402
 from safeswarm.cli import parse_scenario  # noqa: E402
+from safeswarm.dynamics import row_dot  # noqa: E402
 from safeswarm.presets import PRESETS  # noqa: E402
+from safeswarm.qp import INFEASIBLE  # noqa: E402
 from safeswarm.sim import MODES, run  # noqa: E402
 
 REFERENCE = ROOT / "tests" / "reference_runs.json"
+TOLERANCE_RECORD = ROOT / "tests" / "reference_runs.npz"
+SAMPLE = 25  # steps between recorded positions
+TOL = 1e-6  # m on positions and distances, m/s on min h
 SOURCES = ("circle6", "rect4", "headon2", "crossing_lanes", "lanes_tiles",
            "ring8", "ring16", "ring24",
            "circle6_dt0.01", "circle6_dt0.05", "ring8_dt0.01", "ring8_dt0.05")
@@ -92,15 +114,145 @@ def digest(log, metrics) -> dict:
     }
 
 
+def fingerprint() -> str:
+    """SHA-256 of what the operations a step rounds through give on fixed
+    seeded inputs: stacked ``row_dot``, 1-D and 2-D ``@``,
+    ``np.linalg.solve``, ``np.hypot``, ``np.sqrt`` and a multiply chain.
+    Where it differs from the recorded one, so may the digests."""
+    rng = np.random.default_rng(0)
+    x = np.ldexp(rng.normal(size=(4096, 2)), rng.integers(-10, 11, (4096, 1)))
+    y = rng.normal(size=(4096, 2))
+    out = [row_dot(x, y), np.hypot(x[:, 0], x[:, 1]), np.sqrt(np.abs(x)),
+           x[:, 0] * x[:, 0] * x[:, 0] * y[:, 1]]
+    for n in (1, 2, 3, 4, 5, 8, 9, 13, 16, 33, 100):
+        A, u = rng.normal(size=(n, n + 2)), rng.normal(size=n + 2)
+        gram = A @ A.T + np.eye(n)
+        out += [A[0] @ A[-1], A @ u, A[:, :2] @ u[:2], gram, np.linalg.solve(gram, A @ u)]
+    h = hashlib.sha256()
+    for arr in out:
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def record(log, metrics) -> dict[str, np.ndarray]:
+    """One run's tolerance record, without its horizon."""
+    recs, n = log.records, len(log.scenario.agents)
+    onset = metrics.deadlock_onset
+    return {
+        "p": np.array([rec.p for rec in recs[SAMPLE - 1::SAMPLE]]).reshape(-1, n, 2),
+        "min_h": np.array([rec.min_h for rec in recs]),
+        "min_dist": np.array([rec.min_pair_dist for rec in recs]),
+        "infeasible": np.array([rec.qp_status.count(INFEASIBLE) for rec in recs], dtype=np.int32),
+        "steps": np.array(len(recs)),
+        "deadlock_onset": np.array(np.nan if onset is None else onset),
+    }
+
+
+def departure(expected: dict, actual: dict, horizon: int | None = None):
+    """(step, what) of the first step, counted from 1, among the first
+    ``horizon`` of ``expected`` (default: all, with the step count and the
+    deadlock onset) at which ``actual`` moves a position, min h or min
+    distance by more than ``TOL`` or changes an infeasible count; None if
+    it stays within."""
+    steps = int(expected["steps"])
+    whole = horizon is None or horizon >= steps
+    horizon = steps if whole else horizon
+    n = min(horizon, int(actual["steps"]))
+    found = []
+    for key in ("min_h", "min_dist"):
+        off = ~np.isclose(actual[key][:n], expected[key][:n], rtol=0.0, atol=TOL)
+        if off.any():
+            k = int(off.argmax())
+            found.append((k + 1, f"{key} {actual[key][k]!r}, recorded {expected[key][k]!r}"))
+    off = actual["infeasible"][:n] != expected["infeasible"][:n]
+    if off.any():
+        k = int(off.argmax())
+        found.append((k + 1, f"{actual['infeasible'][k]} infeasible QPs, "
+                             f"recorded {expected['infeasible'][k]}"))
+    moved = np.abs(actual["p"][:n // SAMPLE] - expected["p"][:n // SAMPLE]).max(axis=(1, 2),
+                                                                              initial=0.0)
+    off = ~(moved <= TOL)
+    if off.any():
+        k = int(off.argmax())
+        found.append((SAMPLE * (k + 1), f"a position moved by {moved[k]:.3g} m"))
+    if n < horizon:
+        found.append((n + 1, f"the run ended after {n} steps"))
+    elif whole and int(actual["steps"]) != steps:
+        found.append((steps + 1, f"{int(actual['steps'])} steps, recorded {steps}"))
+    elif whole and not np.array_equal(actual["deadlock_onset"], expected["deadlock_onset"],
+                                      equal_nan=True):
+        found.append((steps, f"deadlock onset {actual['deadlock_onset']}, "
+                             f"recorded {expected['deadlock_onset']}"))
+    return min(found) if found else None
+
+
+def nudged(source: str, mode: str, base: dict) -> int | None:
+    """The earliest step at which a run with agent 0's or agent 1's start x
+    moved 1 ulp either way departs from ``base``, or None."""
+    first = []
+    for agent in (0, 1):
+        for direction in (-np.inf, np.inf):
+            scn = scenario(source, mode)
+            p = scn.agents[agent].state0.p
+            p[0] = np.nextafter(p[0], direction)
+            gone = departure(base, record(*run(scn)))
+            if gone is not None:
+                first.append(gone[0])
+    return min(first, default=None)
+
+
+def load_records(path: Path = TOLERANCE_RECORD) -> dict[str, dict[str, np.ndarray]]:
+    """The tolerance record of every run, by name."""
+    records: dict[str, dict[str, np.ndarray]] = {}
+    with np.load(path) as npz:
+        for key in npz.files:
+            name, _, field = key.rpartition(":")
+            records.setdefault(name, {})[field] = npz[key]
+    return records
+
+
+def write_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    """``np.savez_compressed`` with a fixed timestamp on every member, so the
+    same arrays give the same bytes."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        for key, value in arrays.items():
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, np.asarray(value), allow_pickle=False)
+            zf.writestr(zipfile.ZipInfo(f"{key}.npy"), buf.getvalue(), zipfile.ZIP_DEFLATED)
+
+
 def runs():
     """(name, source, mode) of every reference run."""
     return [(f"{source}-{mode}", source, mode) for source in SOURCES for mode in MODES]
 
 
-def main() -> None:
-    rows = {name: digest(*run(scenario(source, mode))) for name, source, mode in runs()}
-    REFERENCE.write_text(json.dumps({"numpy": np.__version__, "runs": rows}, indent=1) + "\n")
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--digests-only", action="store_true",
+                        help=f"rewrite {REFERENCE.name} and keep {TOLERANCE_RECORD.name}")
+    args = parser.parse_args(argv)
+    rows, arrays = {}, {}
+    for name, source, mode in runs():
+        log, metrics = run(scenario(source, mode))
+        rows[name] = digest(log, metrics)
+        if args.digests_only:
+            continue
+        rec = record(log, metrics)
+        del log
+        first = nudged(source, mode, rec)
+        rec["nudged"] = np.array(0 if first is None else first)
+        rec["horizon"] = np.array(int(rec["steps"]) if first is None else first // 2)
+        arrays.update({f"{name}:{key}": value for key, value in rec.items()})
+        print(f"{name}: {int(rec['steps'])} steps, "
+              + ("compared whole" if first is None
+                 else f"a nudge departs at step {first}, horizon {int(rec['horizon'])}"))
+    REFERENCE.write_text(json.dumps({"numpy": np.__version__, "fingerprint": fingerprint(),
+                                     "runs": rows}, indent=1) + "\n")
     print(f"wrote {len(rows)} runs to {REFERENCE.relative_to(ROOT)} (numpy {np.__version__})")
+    if not args.digests_only:
+        write_npz(TOLERANCE_RECORD, arrays)
+        print(f"wrote {TOLERANCE_RECORD.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
 """Pinned trajectories: every reference run reproduces its recorded row.
 
-``scripts/reference_runs.py`` wrote ``tests/reference_runs.json``; a change
-that keeps trajectories the same leaves every row equal, bit for bit. The
-digests hash float64 bytes, which only the recorded numpy version is held
-to, so under another version the test skips and names both.
+``scripts/reference_runs.py`` wrote ``tests/reference_runs.json`` and
+``tests/reference_runs.npz``; each run is run once and checked against
+both. The tolerance record holds anywhere: positions, min h and min
+distance within 1e-6, infeasible counts exact, over each run's horizon.
+The digests hash float64 bytes, which only the recorded numpy version on
+a platform with the recorded ``fingerprint`` is held to, so elsewhere the
+exact test skips and names both.
 """
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -17,15 +21,47 @@ from safeswarm.sim import run
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import reference_runs  # noqa: E402
+from reference_runs import departure  # noqa: E402
 
 RECORDED = json.loads(reference_runs.REFERENCE.read_text())
+TOLERANCE = reference_runs.load_records()
+RUNS = pytest.mark.parametrize("name, source, mode", reference_runs.runs(),
+                               ids=[name for name, _, _ in reference_runs.runs()])
 
 
-@pytest.mark.parametrize("name, source, mode", reference_runs.runs(),
-                         ids=[name for name, _, _ in reference_runs.runs()])
+@functools.cache
+def observed(source, mode):
+    """One run's digest row and tolerance record, shared by both tests."""
+    log, metrics = run(reference_runs.scenario(source, mode))
+    return reference_runs.digest(log, metrics), reference_runs.record(log, metrics)
+
+
+@RUNS
+def test_run_within_tolerance(name, source, mode):
+    expected = TOLERANCE[name]
+    gone = departure(expected, observed(source, mode)[1], int(expected["horizon"]))
+    assert gone is None, f"departs from the tolerance record at step {gone[0]}: {gone[1]}"
+
+
+@RUNS
 def test_run_matches_reference(name, source, mode):
-    if np.__version__ != RECORDED["numpy"]:
-        pytest.skip(f"digests recorded under numpy {RECORDED['numpy']}, "
-                    f"running numpy {np.__version__}")
-    row = reference_runs.digest(*run(reference_runs.scenario(source, mode)))
-    assert row == RECORDED["runs"][name]
+    here = (np.__version__, reference_runs.fingerprint())
+    if here != (RECORDED["numpy"], RECORDED["fingerprint"]):
+        pytest.skip(f"digests recorded under numpy {RECORDED['numpy']} with fingerprint "
+                    f"{RECORDED['fingerprint']}, running numpy {here[0]} with fingerprint {here[1]}")
+    assert observed(source, mode)[0] == RECORDED["runs"][name]
+
+
+@pytest.mark.parametrize("field, index, change", [
+    ("p", (3, 1, 0), 1e-5), ("min_h", 100, 1e-5), ("min_dist", 100, -1e-5), ("infeasible", 7, 1)])
+def test_tolerance_comparison_catches_a_change(field, index, change):
+    """One position moved by 1e-5 m, one min h by 1e-5 m/s, one min
+    distance by 1e-5 m or one infeasible count by one departs; the record
+    itself does not."""
+    expected = TOLERANCE["ring8-decentralized_C"]
+    horizon = int(expected["horizon"])
+    assert departure(expected, expected, horizon) is None
+    changed = dict(expected, **{field: expected[field].copy()})
+    changed[field][index] += change
+    step = departure(expected, changed, horizon)[0]
+    assert step == (25 * (index[0] + 1) if field == "p" else index + 1)
