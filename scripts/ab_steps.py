@@ -5,9 +5,9 @@ Usage:
     python scripts/ab_steps.py A_CHECKOUT B_CHECKOUT [--source SOURCE] [--rounds N]
                                [--repeats R]
 
-SOURCE is ``paper-suite`` (the default: circle6, rect4, headon2 and
-scenarios/crossing_lanes.json, each under every mode), or one preset name
-or scenario file, run under its own mode.
+SOURCE is ``paper-suite`` (the default: circle6, rect4, headon2 and this
+checkout's scenarios/crossing_lanes.json, each under every mode), or one
+preset name or scenario file, run under its own mode.
 
 Separate benchmark processes on a shared machine drift apart by a fifth or
 more, so both trees run in one process here. Each checkout's
@@ -30,7 +30,8 @@ import tempfile
 import time
 from pathlib import Path
 
-SUITE = ("circle6", "rect4", "headon2", "scenarios/crossing_lanes.json")
+ROOT = Path(__file__).resolve().parent.parent
+SUITE = ("circle6", "rect4", "headon2", str(ROOT / "scenarios" / "crossing_lanes.json"))
 
 
 class Side:

@@ -27,8 +27,6 @@ is written once, as an array function over many pairs
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,20 +118,6 @@ def guard_pairs(owner, other, dist: np.ndarray, safety_dist) -> None:
                                    float(np.broadcast_to(safety_dist, dist.shape)[k]))
 
 
-def _pow(x: np.ndarray, y: float) -> np.ndarray:
-    # Per element through C pow, as Python's float ** rounds; numpy's **
-    # differs in a few percent of cases. An element whose C pow overflows,
-    # which math.pow raises on, takes numpy's IEEE result, +-inf.
-    try:
-        return np.array(list(map(math.pow, x.tolist(), itertools.repeat(y))))
-    except OverflowError:
-        with np.errstate(over="ignore"):
-            out = np.power(x, y)
-        finite = np.isfinite(out)
-        out[finite] = list(map(math.pow, x[finite].tolist(), itertools.repeat(y)))
-        return out
-
-
 # The bound functions below give the right-hand side b of the row
 # -dp . u_owner <= b (the owner's share) or -dp . u_i + dp . u_j <= b (the
 # ensemble row) for every row k of their (E, 2) and (E,) array arguments:
@@ -147,7 +131,7 @@ def centralized_bounds(dp, dist, dv, accel_sum, gamma, safety_dist, epsilon):
     dpdv = row_dot(dp, dv)
     h = barrier_values(dist, dpdv / dist, accel_sum, safety_dist)
     denom = np.sqrt(2.0 * accel_sum * np.maximum(dist - safety_dist, epsilon))
-    return (gamma * _pow(h, 3.0) * dist - _pow(dpdv, 2.0) / _pow(dist, 2.0)
+    return (gamma * h * h * h * dist - dpdv * dpdv / (dist * dist)
             + row_dot(dv, dv) + accel_sum * dpdv / denom)
 
 
@@ -159,8 +143,8 @@ def rate_split_bounds(dp, dist, dv, v_self, accel_self, accel_other, gamma_self,
     dpdv, dpv = row_dot(dp, dv), row_dot(dp, v_self)
     h = barrier_values(dist, dpdv / dist, accel_sum, safety_dist)
     denom = np.sqrt(2.0 * accel_sum * np.maximum(dist - safety_dist, epsilon))
-    return ((accel_self / accel_sum) * gamma_self * _pow(h, 3.0) * dist
-            + row_dot(dv, v_self) - dpdv * dpv / _pow(dist, 2.0) + accel_sum * dpv / denom)
+    return ((accel_self / accel_sum) * gamma_self * h * h * h * dist
+            + row_dot(dv, v_self) - dpdv * dpv / (dist * dist) + accel_sum * dpv / denom)
 
 
 def bound_split_bounds(dp, dist, dv, v_self, accel_self, accel_other, gamma_self,
@@ -181,9 +165,9 @@ def hybrid_bounds(dp, dist, dv, v_self, accel_self, accel_other, gamma_self,
     dpdv, dpv = row_dot(dp, dv), row_dot(dp, v_self)
     h = barrier_values(dist, dpdv / dist, accel_sum, safety_dist)
     denom = np.sqrt(2.0 * np.maximum(dist - safety_dist, epsilon))
-    return (-dpdv * dpv / _pow(dist, 2.0) + row_dot(dv, v_self)
+    return (-dpdv * dpv / (dist * dist) + row_dot(dv, v_self)
             + (accel_self / accel_sum)
-            * (gamma_self * _pow(h, 3.0) * dist + np.sqrt(accel_sum) * dpdv / denom))
+            * (gamma_self * h * h * h * dist + np.sqrt(accel_sum) * dpdv / denom))
 
 
 def _one(bounds, rel: RelativeState, *args) -> float:
@@ -332,6 +316,6 @@ def neighbor_radius(
 
 def neighbors(i: int, states: list[AgentState], radius: float) -> set[int]:
     """Indices of agents within agent i's interaction radius (inclusive), at
-    the ``math.hypot`` distance that ``relative_state`` measures."""
+    the ``np.hypot`` distance that ``relative_state`` measures."""
     p = states[i].p
-    return {j for j, sj in enumerate(states) if j != i and math.hypot(*(p - sj.p)) <= radius}
+    return {j for j, sj in enumerate(states) if j != i and np.hypot(*(p - sj.p)) <= radius}

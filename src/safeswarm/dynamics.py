@@ -77,7 +77,7 @@ def relative_state(si: AgentState, sj: AgentState) -> RelativeState:
     """
     dp = si.p - sj.p
     dv = si.v - sj.v
-    dist = math.hypot(dp[0], dp[1])  # scales correctly for tiny separations
+    dist = float(np.hypot(dp[0], dp[1]))  # scales correctly for tiny separations
     if dist == 0.0:
         raise DegenerateGeometryError("coincident agent positions")
     vbar = float(dp @ dv) / dist

@@ -397,6 +397,6 @@ def brute_force_oracle(problem: QpProblem, grid_step: float) -> QpSolution:
     if not np.any(feasible):
         return QpSolution(problem.u_hat.copy(), INFEASIBLE, (), float("nan"))
     kept = points[feasible]
-    objectives = np.sum((kept - problem.u_hat) ** 2, axis=1)
+    objectives = np.sum(np.square(kept - problem.u_hat), axis=1)
     best = int(np.argmin(objectives))
     return QpSolution(kept[best], OPTIMAL, (), float(objectives[best]))

@@ -13,7 +13,7 @@ deterministic for a given scenario.
 
 The run state is the (N, 2) arrays ``SimContext.P`` and ``V``; a step runs
 on per-step arrays. Pair geometry runs over the pairs i < j in
-``np.triu_indices`` order, with one ``math.hypot`` distance per pair. The
+``np.triu_indices`` order, with one ``np.hypot`` distance per pair. The
 start's dp and dist are computed once, when the context is built, and a
 step's post-step ones are carried over as the next step's pre-step values
 (``SimContext.geometry``, keyed by the identity of ``P``; reassign ``P``
@@ -326,11 +326,16 @@ def _speed_bounds(speed: np.ndarray, V: np.ndarray, dt: float) -> np.ndarray:
     return out.reshape(-1, 4)
 
 
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Length of each row of a (..., 2) array, by ``np.hypot``, which does
+    not overflow where the squared length would."""
+    return np.hypot(x[..., 0], x[..., 1])
+
+
 def _pair_dist(ctx: _Start, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dp and dist of every pair i < j, as ``relative_state`` computes them
-    (math.hypot: np.hypot rounds differently)."""
+    """dp and dist of every pair i < j, as ``relative_state`` computes them."""
     dp = P[ctx.pair_i] - P[ctx.pair_j]
-    return dp, np.array(list(map(math.hypot, dp[:, 0].tolist(), dp[:, 1].tolist())))
+    return dp, _norm(dp)
 
 
 def _require_apart(dp: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -545,8 +550,8 @@ def detect_deadlock(log: TrajectoryLog) -> tuple[bool, float | None]:
     dt = log.scenario.dt
     span = max(1, int(round(DEADLOCK_WINDOW / dt)))
     goals = np.array([a.goal for a in log.scenario.agents])
-    speeds = np.linalg.norm(np.array([r.v for r in records]), axis=2)  # (T, N)
-    goal_dist = np.linalg.norm(np.array([r.p for r in records]) - goals, axis=2)
+    speeds = _norm(np.array([r.v for r in records]))  # (T, N)
+    goal_dist = _norm(np.array([r.p for r in records]) - goals)
     stuck = (speeds < DEADLOCK_SPEED_EPS) & (goal_dist > DEADLOCK_GOAL_EPS)
     # Stuck steps of each agent in every window [start, start + span).
     counts = np.cumsum(np.vstack((np.zeros_like(stuck[:1], dtype=int), stuck)), axis=0)
@@ -565,10 +570,10 @@ def compute_metrics(log: TrajectoryLog) -> RunMetrics:
         min_h = min(min_h, rec.min_h)
 
     goal_errors = {
-        a.params.id: float(np.linalg.norm(positions[-1, i] - a.goal))
+        a.params.id: float(_norm(positions[-1, i] - a.goal))
         for i, a in enumerate(scn.agents)
     }
-    total = np.linalg.norm(np.diff(positions, axis=0), axis=2).sum(axis=0)
+    total = _norm(np.diff(positions, axis=0)).sum(axis=0)
     path_lengths = {a.params.id: float(total[i]) for i, a in enumerate(scn.agents)}
     infeasible = sum(
         status == qp.INFEASIBLE for rec in log.records for status in rec.qp_status
@@ -593,9 +598,7 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
     n_steps = int(round(scenario.t_end / scenario.dt))
     for _ in range(n_steps):
         records.append(step_once(ctx))
-        # Goal distances round like np.linalg.norm.
-        to_goal = ctx.P - ctx.goals
-        if (np.sqrt(row_dot(to_goal, to_goal)).max() <= GOAL_STOP_TOL
+        if (_norm(ctx.P - ctx.goals).max() <= GOAL_STOP_TOL
                 and np.abs(ctx.V).max() <= GOAL_STOP_SPEED):
             break
     log = TrajectoryLog(scenario, records)

@@ -2,8 +2,9 @@
 
 ``scripts/reference_runs.py`` wrote ``tests/reference_runs.json`` and
 ``tests/reference_runs.npz``; each run is run once and checked against
-both. The tolerance record holds anywhere: positions, min h and min
-distance within 1e-6, infeasible counts exact, over each run's horizon.
+both. The tolerance record is checked under any numpy and platform:
+positions, min h and min distance within 1e-6, infeasible counts exact,
+over each run's horizon.
 The digests hash float64 bytes, which only the recorded numpy version on
 a platform with the recorded ``fingerprint`` is held to, so elsewhere the
 exact test skips and names both.
@@ -25,6 +26,7 @@ from reference_runs import departure  # noqa: E402
 
 RECORDED = json.loads(reference_runs.REFERENCE.read_text())
 TOLERANCE = reference_runs.load_records()
+HERE = (np.__version__, reference_runs.fingerprint())
 RUNS = pytest.mark.parametrize("name, source, mode", reference_runs.runs(),
                                ids=[name for name, _, _ in reference_runs.runs()])
 
@@ -38,17 +40,16 @@ def observed(source, mode):
 
 @RUNS
 def test_run_within_tolerance(name, source, mode):
-    expected = TOLERANCE[name]
-    gone = departure(expected, observed(source, mode)[1], int(expected["horizon"]))
+    gone = departure(TOLERANCE[name], observed(source, mode)[1])
     assert gone is None, f"departs from the tolerance record at step {gone[0]}: {gone[1]}"
 
 
 @RUNS
 def test_run_matches_reference(name, source, mode):
-    here = (np.__version__, reference_runs.fingerprint())
-    if here != (RECORDED["numpy"], RECORDED["fingerprint"]):
+    if HERE != (RECORDED["numpy"], RECORDED["fingerprint"]):
         pytest.skip(f"digests recorded under numpy {RECORDED['numpy']} with fingerprint "
-                    f"{RECORDED['fingerprint']}, running numpy {here[0]} with fingerprint {here[1]}")
+                    f"{RECORDED['fingerprint']}, running numpy {HERE[0]} with fingerprint "
+                    f"{HERE[1]}")
     assert observed(source, mode)[0] == RECORDED["runs"][name]
 
 
@@ -59,9 +60,8 @@ def test_tolerance_comparison_catches_a_change(field, index, change):
     distance by 1e-5 m or one infeasible count by one departs; the record
     itself does not."""
     expected = TOLERANCE["ring8-decentralized_C"]
-    horizon = int(expected["horizon"])
-    assert departure(expected, expected, horizon) is None
+    assert departure(expected, expected) is None
     changed = dict(expected, **{field: expected[field].copy()})
     changed[field][index] += change
-    step = departure(expected, changed, horizon)[0]
+    step = departure(expected, changed)[0]
     assert step == (25 * (index[0] + 1) if field == "p" else index + 1)

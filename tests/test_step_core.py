@@ -170,7 +170,7 @@ def test_directed_neighbor_rows_match_neighbors(case):
 
 def _rel(P, V, i, j):
     dp, dv = P[i] - P[j], V[i] - V[j]
-    dist = math.hypot(dp[0], dp[1])
+    dist = float(np.hypot(dp[0], dp[1]))
     return dp, dv, dist, float(dp @ dv) / dist
 
 
@@ -182,7 +182,8 @@ def _centralized_b(dp, dv, dist, vbar, accel_sum, gamma, ds, eps):
     h = _h(dist, vbar, accel_sum, ds)
     dpdv = float(dp @ dv)
     denom = np.sqrt(2.0 * accel_sum * max(dist - ds, eps))
-    return float(gamma * h**3 * dist - dpdv**2 / dist**2 + dv @ dv + accel_sum * dpdv / denom)
+    return float(gamma * h * h * h * dist - dpdv * dpdv / (dist * dist) + dv @ dv
+                 + accel_sum * dpdv / denom)
 
 
 def _agent_b(mode, dp, dv, dist, vbar, v_self, a_self, a_other, gamma, ds, eps):
@@ -193,11 +194,11 @@ def _agent_b(mode, dp, dv, dist, vbar, v_self, a_self, a_other, gamma, ds, eps):
     dpdv, dpv = float(dp @ dv), float(dp @ v_self)
     if mode == "decentralized_A":
         denom = np.sqrt(2.0 * accel_sum * max(dist - ds, eps))
-        return float((a_self / accel_sum) * gamma * h**3 * dist + dv @ v_self
-                     - dpdv * dpv / dist**2 + accel_sum * dpv / denom)
+        return float((a_self / accel_sum) * gamma * h * h * h * dist + dv @ v_self
+                     - dpdv * dpv / (dist * dist) + accel_sum * dpv / denom)
     denom = np.sqrt(2.0 * max(dist - ds, eps))
-    return float(-dpdv * dpv / dist**2 + dv @ v_self
-                 + (a_self / accel_sum) * (gamma * h**3 * dist + np.sqrt(accel_sum) * dpdv / denom))
+    return float(-dpdv * dpv / (dist * dist) + dv @ v_self
+                 + (a_self / accel_sum) * (gamma * h * h * h * dist + np.sqrt(accel_sum) * dpdv / denom))
 
 
 def _speed_rows(speed, v, dt):
