@@ -195,7 +195,7 @@ def _solve_from(A: np.ndarray, b: np.ndarray, u_hat: np.ndarray, warm: frozenset
             resid = A @ u - b
             if work:
                 resid[work] = 0.0  # working rows are tight by construction
-            violated = np.flatnonzero(resid > _SELECT_TOL)
+            violated = np.flatnonzero(~(resid <= _SELECT_TOL))  # NaN counts as violated
             if violated.size == 0:
                 order = np.argsort(work)
                 active = tuple(int(work[k]) for k in order)
@@ -314,7 +314,7 @@ def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray, m: np.ndarra
     while True:
         # The largest violated residual, warm rows first, lowest index on ties.
         resid = row_dot(AA, u[:, None, :]) - bb
-        viol = (resid > _SELECT_TOL) & ~in_work
+        viol = ~(resid <= _SELECT_TOL) & ~in_work  # NaN counts as violated
         live = (viol.any(axis=1) & ~handed).nonzero()[0]
         if not live.size:
             break

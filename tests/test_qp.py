@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import json
+import math
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -431,6 +432,16 @@ class TestSolveExamples:
 
     def test_zero_row_with_negative_bound_infeasible(self):
         assert solve(QpProblem(np.zeros(2), *rows((0, 0, -1)), np.ones(2))).status == INFEASIBLE
+
+    def test_nan_bound_is_violated_not_ignored(self, caplog):
+        """A row whose bound is NaN is never satisfied, so neither solver
+        hands back the nominal control as optimal; both stop on the
+        non-finite iterate it leads to."""
+        problem = QpProblem(np.array([0.5, 0.2]), *rows((1, 0, math.nan)), np.ones(2))
+        assert solve(problem).status == INFEASIBLE
+        assert batch_of([problem]).status == [INFEASIBLE]
+        assert [r.getMessage() for r in caplog.records] == [
+            "non-finite iterate on a 5-row problem; reporting infeasible"] * 2
 
 
 class TestOracleExamples:

@@ -325,6 +325,24 @@ class TestStepOnce:
             assert str(err.value) == f"non-finite state for agent {aid} at t=0.02"
 
 
+    def test_nan_ensemble_bound_brakes(self):
+        """Two agents at x = -+1e160 m under centralized: once they move, the
+        pair's bound is inf/inf = NaN. That ensemble QP reads infeasible and
+        both agents brake back to rest, where the bound is +inf and the QP
+        optimal again."""
+        scn = Scenario([agent(1, (-1e160, 0.0), (1e160, 0.0)),
+                        agent(2, (1e160, 0.0), (-1e160, 0.0), accel=0.8)],
+                       t_end=0.2, mode="centralized")
+        ctx = SimContext(scn)
+        statuses = []
+        with np.errstate(over="ignore", invalid="ignore"):  # the bound's own overflow
+            for _ in range(10):
+                moving = bool(ctx.V.any())
+                statuses.append(step_once(ctx).qp_status)
+                assert statuses[-1] == ["infeasible" if moving else "optimal"] * 2
+        assert statuses[1::2] == [["infeasible"] * 2] * 5
+
+
 class TestRun:
     def test_zero_duration_run(self):
         scn = Scenario(agents=[agent(1, (0, 0), (1, 0))], t_end=0.0)
