@@ -32,8 +32,12 @@ horizon is half the earliest step at which a nudge departs (``nudged``),
 and the step count and onset are not compared.
 
 Rewrite the digests only with a change that alters trajectories on
-purpose, and list every row that changed; a change that keeps every run
-within the tolerance record rewrites the digests alone (``--digests-only``).
+purpose, and list every row that changed; the script prints each row whose
+digest changed, with its min h before and after. A change that keeps every
+run within the tolerance record rewrites the digests alone
+(``--digests-only``): that first compares every run with ``departure``
+against the tolerance record and, if any departs, names each such run and
+its step, writes nothing and exits 1.
 """
 
 from __future__ import annotations
@@ -220,17 +224,35 @@ def runs():
     return [(f"{source}-{mode}", source, mode) for source in SOURCES for mode in MODES]
 
 
-def main(argv=None) -> None:
+def changed_rows(before: dict, after: dict) -> list[str]:
+    """One line per run whose digest row changed: its name and min h."""
+    lines = []
+    for name, row in after.items():
+        old = before.get(name)
+        if row != old:
+            was = "new" if old is None else f"{float.fromhex(old['min_h']):.6f}"
+            lines.append(f"{name}: min h {was} -> {float.fromhex(row['min_h']):.6f}")
+    return lines
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--digests-only", action="store_true",
-                        help=f"rewrite {REFERENCE.name} and keep {TOLERANCE_RECORD.name}")
+                        help=f"rewrite {REFERENCE.name} and keep {TOLERANCE_RECORD.name}, "
+                             "unless a run departs from the latter")
     args = parser.parse_args(argv)
-    rows, arrays = {}, {}
+    before = json.loads(REFERENCE.read_text())["runs"] if REFERENCE.exists() else {}
+    kept = load_records() if args.digests_only else {}
+    rows, arrays, departed = {}, {}, []
     for name, source, mode in runs():
         log, metrics = run(scenario(source, mode))
         rows[name] = digest(log, metrics)
         if args.digests_only:
+            gone = departure(kept[name], record(log, metrics))
+            if gone is not None:
+                departed.append(f"{name} departs from the tolerance record at step "
+                                f"{gone[0]}: {gone[1]}")
             continue
         rec = record(log, metrics)
         del log
@@ -241,13 +263,19 @@ def main(argv=None) -> None:
         print(f"{name}: {int(rec['steps'])} steps, "
               + ("compared whole" if first is None
                  else f"a nudge departs at step {first}, horizon {int(rec['horizon'])}"))
+    if departed:
+        print("\n".join(departed) + "\nwrote nothing", file=sys.stderr)
+        return 1
+    changed = changed_rows(before, rows)
+    print("\n".join(changed) if changed else "no digest row changed")
     REFERENCE.write_text(json.dumps({"numpy": np.__version__, "fingerprint": fingerprint(),
                                      "runs": rows}, indent=1) + "\n")
-    print(f"wrote {len(rows)} runs to {REFERENCE.relative_to(ROOT)} (numpy {np.__version__})")
+    print(f"wrote {len(rows)} runs to {REFERENCE} (numpy {np.__version__})")
     if not args.digests_only:
         write_npz(TOLERANCE_RECORD, arrays)
-        print(f"wrote {TOLERANCE_RECORD.relative_to(ROOT)}")
+        print(f"wrote {TOLERANCE_RECORD}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -65,3 +65,23 @@ def test_tolerance_comparison_catches_a_change(field, index, change):
     changed[field][index] += change
     step = departure(expected, changed)[0]
     assert step == (25 * (index[0] + 1) if field == "p" else index + 1)
+
+
+def test_digests_only_checks_the_tolerance_record_first(monkeypatch, tmp_path, capsys):
+    """``--digests-only`` on a run that departs from its tolerance record
+    names the run and the step, writes nothing and exits 1; on one that
+    stays within, it writes the digests and prints each changed row."""
+    name = "headon2-decentralized_C"
+    target = tmp_path / "reference_runs.json"
+    target.write_text('{"runs": {}}')
+    monkeypatch.setattr(reference_runs, "REFERENCE", target)
+    monkeypatch.setattr(reference_runs, "runs", lambda: [(name, "headon2", "decentralized_C")])
+    moved = dict(TOLERANCE[name], min_h=TOLERANCE[name]["min_h"] + 1e-5)
+    monkeypatch.setattr(reference_runs, "load_records", lambda: {name: moved})
+    assert reference_runs.main(["--digests-only"]) == 1
+    assert f"{name} departs from the tolerance record at step 1: min_h" in capsys.readouterr().err
+    assert target.read_text() == '{"runs": {}}'
+    monkeypatch.setattr(reference_runs, "load_records", lambda: {name: TOLERANCE[name]})
+    assert reference_runs.main(["--digests-only"]) == 0
+    row = json.loads(target.read_text())["runs"][name]
+    assert f"{name}: min h new -> {float.fromhex(row['min_h']):.6f}" in capsys.readouterr().out
