@@ -225,13 +225,20 @@ def runs():
 
 
 def changed_rows(before: dict, after: dict) -> list[str]:
-    """One line per run whose digest row changed: its name and min h."""
+    """One line per run whose digest row changed: its name and its min h
+    before and after, with the change when there is one."""
     lines = []
     for name, row in after.items():
         old = before.get(name)
-        if row != old:
-            was = "new" if old is None else f"{float.fromhex(old['min_h']):.6f}"
-            lines.append(f"{name}: min h {was} -> {float.fromhex(row['min_h']):.6f}")
+        if row == old:
+            continue
+        now = float.fromhex(row["min_h"])
+        if old is None:
+            lines.append(f"{name}: min h new -> {now:.6f}")
+            continue
+        was = float.fromhex(old["min_h"])
+        moved = f" ({now - was:+.1e})" if now != was else ""
+        lines.append(f"{name}: min h {was:.6f} -> {now:.6f}{moved}")
     return lines
 
 

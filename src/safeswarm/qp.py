@@ -18,20 +18,24 @@ empty polytope.
 Tolerances: reported optima satisfy rows to 1e-8 and box bounds to 1e-10;
 multiplier sign checks use 1e-8. Tie-breaking is by row index, so equal
 problems produce identical solutions and active sets. The iteration limit
-is max(10 m, 50) dual steps for m expanded rows; hitting it is treated as
-infeasible and logged distinctly. So is an iterate or working multiplier
-that overflows to a non-finite value, which near-parallel contradictory
-rows can cause; the solve stops at that step instead of pivoting on NaN.
+is max(10 m, 50) dual steps for the m expanded rows whose bound is not
++inf; hitting it is treated as infeasible and logged distinctly. So is an
+iterate or working multiplier that overflows to a non-finite value, which
+near-parallel contradictory rows can cause; the solve stops at that step
+instead of pivoting on NaN. A NaN bound or residual counts as violated,
+so it ends in such a stop rather than passing as no constraint.
 
 ``solve`` takes one problem of any dimension; the simulator's centralized
 mode hands it the single ensemble QP. ``solve_padded``, the lockstep
 kernel, solves K independent 2-variable problems, one per agent in the
 decentralized modes, laid out as (K, M, 2) rows and (K, M) bounds: problem
-k's rows, then its four box faces, then zero rows with an infinite bound
-up to the widest problem's M. Warm starts go in, and final working sets
-come out, as (K, M) bool masks. ``pad_rows`` builds the layout from rows
-given as one (R, 2) array with per-problem counts; the simulator builds it
-once per neighbour and violated set and fills in each step's rows itself.
+k's rows, then zero rows with an infinite bound up to the widest problem's
+M. The kernel knows no box: a problem that has one brings it as rows, as
+the simulator brings each agent's four faces. Warm starts go in, and final
+working sets come out, as (K, M) bool masks. ``pad_rows`` builds the
+layout from rows given as one (R, 2) array with per-problem counts; the
+simulator builds it once per neighbour and violated set and fills in each
+step's rows itself.
 
 Nearly every problem needs only dual steps that add a row to a working set
 of 0 or 1 rows, so that is all the kernel does. Each pass picks a row for
@@ -43,9 +47,10 @@ that signed zeros survive. A problem the closed form does not fit (a row
 in the span of its working set, a working multiplier that hits zero first,
 a non-finite sum, or a working set of 2 rows) is handed, with its iterate,
 working set, multipliers, the row it is adding and its step count, to
-``solve``'s own loop, which finishes it. Drops, certificates of an empty
-polytope, non-finite stops and the iteration limit exist only there, and
-a problem makes at most 2 steps in the lockstep.
+``solve``'s own loop, which finishes it on the problem's whole padded row.
+Drops, certificates of an empty polytope, non-finite stops and the
+iteration limit exist only there, and a problem makes at most 2 steps in
+the lockstep.
 
 The kernel's answers, optimal flags, working-set masks and iteration
 counts equal ``solve``'s bit for bit. Its residuals come from one
@@ -134,19 +139,19 @@ class QpSolution:
     u_star: np.ndarray
     status: str
     active_set: tuple[int, ...]
-    objective: float
     multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
     iterations: int = 0
 
 
 def expanded_constraints(problem: QpProblem) -> tuple[np.ndarray, np.ndarray]:
     """Stack user rows then box faces (+e_c, -e_c per component) as a.u <= b."""
-    return (np.concatenate((problem.A, _box_faces(problem.u_hat.size))),
+    return (np.concatenate((problem.A, box_faces(problem.u_hat.size))),
             np.concatenate((problem.b, np.repeat(problem.box, 2))))
 
 
 @functools.cache
-def _box_faces(n: int) -> np.ndarray:
+def box_faces(n: int) -> np.ndarray:
+    """The read-only (2n, n) normals +e_0, -e_0, +e_1, ... of a box's faces."""
     faces = np.zeros((2 * n, n))
     faces[np.arange(2 * n), np.repeat(np.arange(n), 2)] = np.tile([1.0, -1.0], n)
     faces.flags.writeable = False
@@ -186,8 +191,10 @@ def _solve_from(A: np.ndarray, b: np.ndarray, u_hat: np.ndarray, warm: frozenset
     """``solve``'s loop from the iterate u after ``iters`` dual steps, with
     the working rows ``work`` in the order they joined and their multipliers
     ``lam``. Given a row p, it starts by adding p, as ``solve_padded``
-    hands its problems over."""
-    m, n = A.shape
+    hands its problems over. Rows bounded by +inf, such as the kernel's
+    padding, are never violated and do not count towards the limit."""
+    n = A.shape[1]
+    m = int(np.count_nonzero(b != np.inf))
     max_iter = max(10 * m, 50)
 
     while iters < max_iter:
@@ -200,8 +207,7 @@ def _solve_from(A: np.ndarray, b: np.ndarray, u_hat: np.ndarray, warm: frozenset
                 order = np.argsort(work)
                 active = tuple(int(work[k]) for k in order)
                 mult = np.array([lam[k] for k in order])
-                obj = float((u - u_hat) @ (u - u_hat))
-                return QpSolution(u, OPTIMAL, active, obj, mult, iters)
+                return QpSolution(u, OPTIMAL, active, mult, iters)
             preferred = [int(k) for k in violated if int(k) in warm]
             pool = preferred if preferred else [int(k) for k in violated]
             p = max(pool, key=lambda k: (resid[k], -k))
@@ -216,10 +222,7 @@ def _solve_from(A: np.ndarray, b: np.ndarray, u_hat: np.ndarray, warm: frozenset
             dep = zz <= _DEP_TOL * max(1.0, float(a_p @ a_p))  # a_p in the active span
             if dep and not np.any(r > _DUAL_TOL):
                 # Nonnegative certificate of an empty polytope.
-                return QpSolution(
-                    u, INFEASIBLE, tuple(sorted(work)), float("nan"),
-                    np.zeros(0), iters,
-                )
+                return QpSolution(u, INFEASIBLE, tuple(sorted(work)), np.zeros(0), iters)
             t_full = np.inf if dep else 2.0 * float(a_p @ u - b[p]) / zz
             t_block, k_block = _blocking_step(lam, r)
             drop = dep or t_block < t_full  # the blocking row leaves the working set
@@ -233,8 +236,7 @@ def _solve_from(A: np.ndarray, b: np.ndarray, u_hat: np.ndarray, warm: frozenset
                 lam.append(lam_p)
             if not (np.isfinite(u).all() and np.isfinite(lam_p) and np.isfinite(lam).all()):
                 logger.warning("non-finite iterate on a %d-row problem; reporting infeasible", m)
-                return QpSolution(u, INFEASIBLE, tuple(sorted(work)), float("nan"),
-                                  np.zeros(0), iters)
+                return QpSolution(u, INFEASIBLE, tuple(sorted(work)), np.zeros(0), iters)
             if not drop:
                 break
         p = None
@@ -243,7 +245,7 @@ def _solve_from(A: np.ndarray, b: np.ndarray, u_hat: np.ndarray, warm: frozenset
         "iteration limit (%d) hit on a %d-row problem; reporting infeasible",
         max_iter, m,
     )
-    return QpSolution(u, INFEASIBLE, tuple(sorted(work)), float("nan"), np.zeros(0), iters)
+    return QpSolution(u, INFEASIBLE, tuple(sorted(work)), np.zeros(0), iters)
 
 
 def _blocking_step(lam: list[float], r: np.ndarray) -> tuple[float, int]:
@@ -258,33 +260,25 @@ def _blocking_step(lam: list[float], r: np.ndarray) -> tuple[float, int]:
     return t_block, k_block
 
 
-def pad_rows(A: np.ndarray, b: np.ndarray, counts: np.ndarray,
-             box: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pad_rows(A: np.ndarray, b: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The padded layout of K 2-variable problems.
 
     Problem k has the k-th block of ``counts[k]`` rows of the (R, 2) array
-    A, with bounds b, and the per-axis bounds ``box[k]``. Returns the
-    (K, M, 2) rows AA, the (K, M) bounds bb and the (K,) row counts
-    m = counts + 4. Row k of AA holds problem k's expanded rows: its
-    ``counts[k]`` rows, then its box faces (+e_0, -e_0, +e_1, -e_1, bounded
-    by box[k]), then zero rows with an infinite bound, which are never
-    violated. M is the largest m. A's rows land on the slots
-    ``np.flatnonzero(np.arange(M) < counts[:, None])`` of ``AA.reshape(-1, 2)``,
-    in order.
+    A, with bounds b. Returns the (K, M, 2) rows AA and the (K, M) bounds
+    bb, M the largest count: row k holds problem k's rows, then zero rows
+    with an infinite bound, which are never violated. A's rows land on the
+    slots ``np.flatnonzero(np.arange(M) < counts[:, None])`` of
+    ``AA.reshape(-1, 2)``, in order.
     """
-    K = counts.size
-    m = counts + 4
-    cols = np.arange(m.max(initial=0))
-    AA, bb = np.zeros((K, cols.size, 2)), np.full((K, cols.size), np.inf)
-    user = cols < counts[:, None]
-    AA[user], bb[user] = A, b
-    faces = (np.arange(K)[:, None], counts[:, None] + np.arange(4))
-    AA[faces], bb[faces] = _box_faces(2), box.repeat(2, axis=1)
-    return AA, bb, m
+    cols = np.arange(counts.max(initial=0))
+    AA, bb = np.zeros((counts.size, cols.size, 2)), np.full((counts.size, cols.size), np.inf)
+    rows = cols < counts[:, None]
+    AA[rows], bb[rows] = A, b
+    return AA, bb
 
 
 @np.errstate(all="ignore")  # a non-finite sum hands its problem to solve's loop
-def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray, m: np.ndarray,
+def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray,
                  warm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The lockstep kernel: ``solve`` on the K problems of a ``pad_rows`` layout.
 
@@ -292,14 +286,16 @@ def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray, m: np.ndarra
     padding rows are ignored, since those rows are never violated. Returns
     the (K, 2) answers, the (K,) mask of optimal answers, the (K, M) mask
     of each problem's final working set (its active set, as a mask) and the
-    (K,) iteration counts. Row indices below are local to a problem.
+    (K,) iteration counts. Row indices below are local to a problem. Each
+    problem's answer is ``solve``'s on its whole padded row with an
+    infinite box.
 
     The lockstep only picks rows and adds them to working sets of 0 or 1
     rows; every other step goes to ``solve``'s loop, which finishes the
     problem and whose answer, active set, iteration count and status are
     written back here.
     """
-    K = m.size
+    K = bb.shape[0]
     # Each lockstep step adds a row, so a problem's step count is also the
     # size of its working set, which stays below 3; work lists the rows in
     # the order they joined, and lam their multipliers.
@@ -341,9 +337,9 @@ def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray, m: np.ndarra
         general = dep | (t_block < t) | ~finite | (nk > 1)
         if np.count_nonzero(general):
             for k, pk in zip(live[general].tolist(), p[general].tolist()):
-                n, w = int(m[k]), int(iters[k])
-                sol = _solve_from(AA[k, :n], bb[k, :n], u_hat[k],
-                                  frozenset(np.flatnonzero(warm[k, :n]).tolist()), u[k],
+                w = int(iters[k])
+                sol = _solve_from(AA[k], bb[k], u_hat[k],
+                                  frozenset(np.flatnonzero(warm[k]).tolist()), u[k],
                                   work[k, :w].tolist(), lam[k, :w].tolist(), pk, w)
                 u[k], failed[k], iters[k] = sol.u_star, sol.status != OPTIMAL, sol.iterations
                 in_work[k] = False
@@ -395,8 +391,7 @@ def brute_force_oracle(problem: QpProblem, grid_step: float) -> QpSolution:
 
     feasible = np.all(A @ points.T <= b[:, None] + tol, axis=0)
     if not np.any(feasible):
-        return QpSolution(problem.u_hat.copy(), INFEASIBLE, (), float("nan"))
+        return QpSolution(problem.u_hat.copy(), INFEASIBLE, ())
     kept = points[feasible]
-    objectives = np.sum(np.square(kept - problem.u_hat), axis=1)
-    best = int(np.argmin(objectives))
-    return QpSolution(kept[best], OPTIMAL, (), float(objectives[best]))
+    best = int(np.argmin(np.sum(np.square(kept - problem.u_hat), axis=1)))
+    return QpSolution(kept[best], OPTIMAL, ())

@@ -24,20 +24,23 @@ all neighbour pairs in one call.
 
 In the decentralized modes every free agent's QP is one row of the padded
 layout that ``qp.solve_padded`` takes: (K, M, 2) rows and (K, M) bounds,
-in the order barrier rows, four speed rows, four box faces, padding. What
-fixes that layout, the slots of the barrier and speed rows, templates
-holding the speed normals, box faces and padding, the row pairs, the
-per-row lookups and the speed limits, depends only on the (neighbour mask,
+in the order barrier rows, four face rows +e_0, -e_0, +e_1, -e_1, padding.
+Face row +-e_c bounds +-u_c by min(accel_limit, (speed_limit -+ v_c) / dt):
+the box and the speed cap bound the same interval on each axis, so one row
+per side poses both. What fixes that layout, the slots of the barrier and
+face rows, templates holding the face normals and padding, the row pairs,
+the per-row lookups and the limits, depends only on the (neighbour mask,
 violated mask) pair; it is cached on ``SimContext.layout`` while the bytes
 of that pair are unchanged, and each step writes its barrier rows and
 bounds into copies of the templates; empty scatters are skipped.
 Warm starts are one (N, W) bool mask, ``SimContext.warm``, sliced into the
 kernel and written back from its final working sets. The centralized QP
-embeds the rows in one dense array and goes to ``qp.solve``. In the
-estimated mode one ``LimitEstimator`` serves every agent. Every value is
-bit-identical to what the scalar functions (``relative_state``,
-``pair_barrier``, ``barrier.neighbors``, the row builders, a ``qp.solve``
-per agent and one estimator per agent) give.
+embeds the rows, and four speed rows per free agent, in one dense array
+and goes to ``qp.solve`` with the symmetric box. In the estimated mode one
+``LimitEstimator`` serves every agent. Every value is bit-identical to
+what the scalar functions (``relative_state``, ``pair_barrier``,
+``barrier.neighbors``, the row builders, a ``qp.solve`` per agent on its
+folded rows and one estimator per agent) give.
 
 Modes
 -----
@@ -311,13 +314,13 @@ class SimContext(_Start):
             self.params, min_accel.tolist(), max_speed.tolist(), ds_worst.tolist())])
 
 
-# Normals of each agent's four speed rows, +e_0, -e_0, +e_1, -e_1. The
-# negative faces are -e, with -0.0 off the diagonal.
-_SPEED_A = np.array([[1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [-0.0, -1.0]])
+# The normals +e_0, -e_0, +e_1, -e_1 of an agent's four speed rows
+# (centralized) or face rows (decentralized).
+_FACES = qp.box_faces(2)
 
 
 def _speed_bounds(speed: np.ndarray, V: np.ndarray, dt: float) -> np.ndarray:
-    # (N, 4) bounds of the rows _SPEED_A: per-axis cap on the next-step
+    # (N, 4) bounds of the rows _FACES: per-axis cap on the next-step
     # velocity, |v_c + u_c dt| <= speed_limit.
     out, speed = np.empty((len(V), 2, 2)), speed[:, None]
     np.subtract(speed, V, out=out[..., 0])
@@ -378,16 +381,17 @@ class _Layout:
 
     Free agent ``free[k]`` owns problem k: its barrier rows against each
     neighbour (the ``near`` directed pairs it owns) in ascending order, its
-    four speed rows, its four box faces, then padding. A violated agent has
-    no problem. Rows against braking (violated-pair) agents stay in force:
-    any pair involving a non-violated agent is still outside its safety
-    distance. ``A`` and ``b`` hold the speed normals, box faces, face bounds
-    and padding; the step writes the barrier rows and all bounds that move
-    into copies of them at the flat slots ``bar`` and ``speed``. ``own``,
-    ``oth``, ``pair``, ``ds``, ``accel``, ``accel_other`` and ``gain`` are
-    per barrier row, and ``row_pairs`` is their (E, 2) (owner, other)
-    array, and ``vmax`` the free agents' speed limits. ``key`` is the
-    masks' bytes. Every array a step record or template shares is read-only.
+    four face rows, then padding. A violated agent has no problem. Rows
+    against braking (violated-pair) agents stay in force: any pair
+    involving a non-violated agent is still outside its safety distance.
+    ``A`` and ``b`` hold the face normals and the padding; the step writes
+    the barrier rows and every bound into copies of them, at the flat slots
+    ``bar`` and the (K, 4) flat slots ``faces``. ``own``, ``oth``, ``pair``,
+    ``ds``, ``accel``, ``accel_other`` and ``gain`` are per barrier row, and
+    ``row_pairs`` is their (E, 2) (owner, other) array; ``vmax`` holds the
+    free agents' speed limits and ``amax`` their acceleration limits, as a
+    column. ``key`` is the masks' bytes. Every array a step record or
+    template shares is read-only.
     """
 
     def __init__(self, ctx: SimContext, near: np.ndarray, violated: np.ndarray):
@@ -396,18 +400,15 @@ class _Layout:
         self.own, self.oth, self.pair = own, oth, pair = (
             ctx.dir_own[mine], ctx.dir_oth[mine], ctx.dir_pair[mine])
         self.free = np.flatnonzero(~violated)
-        counts = np.bincount(own, minlength=ctx.n)[self.free] + 4
-        rows = np.zeros((counts.sum(), 2))
-        speed = np.zeros(len(rows), dtype=bool)
-        speed[(np.cumsum(counts) - 4)[:, None] + np.arange(4)] = True
-        rows[speed] = np.tile(_SPEED_A, (self.free.size, 1))
-        self.A, self.b, self.m = qp.pad_rows(rows, np.zeros(len(rows)), counts,
-                                             ctx.box[self.free])
-        slots = np.flatnonzero(np.arange(self.A.shape[1]) < counts[:, None])
-        self.bar, self.speed = slots[~speed], slots[speed]
+        bars = np.bincount(own, minlength=ctx.n)[self.free]
+        self.A, self.b = qp.pad_rows(np.zeros((bars.sum() + 4 * bars.size, 2)), 0.0, bars + 4)
+        width = self.b.shape[1]
+        self.bar = np.flatnonzero(np.arange(width) < bars[:, None])
+        self.faces = (bars + width * np.arange(bars.size))[:, None] + np.arange(4)
+        self.A.reshape(-1, 2)[self.faces] = _FACES
         self.ds = ctx.pair_ds[pair]
         self.accel, self.accel_other, self.gain = ctx.accel[own], ctx.accel[oth], ctx.gain[own]
-        self.vmax = ctx.speed[self.free]
+        self.vmax, self.amax = ctx.speed[self.free], ctx.accel[self.free, None]
         self.row_pairs = np.array((own, oth)).T
         for shared in (self.A, self.b, self.row_pairs):
             shared.flags.writeable = False
@@ -436,7 +437,7 @@ def _agent_qps(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
     flat = b.reshape(-1)
     flat[lay.bar] = _BOUNDS[ctx.scenario.mode](dp, dist, V[own] - V[oth], V[own], lay.accel,
                                                accel_other, lay.gain, lay.ds, ctx.cfg.epsilon)
-    flat[lay.speed] = _speed_bounds(lay.vmax, V[lay.free], ctx.scenario.dt).ravel()
+    flat[lay.faces] = np.minimum(_speed_bounds(lay.vmax, V[lay.free], ctx.scenario.dt), lay.amax)
     return lay, A, b
 
 
@@ -444,7 +445,7 @@ def _solve_decentralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarra
                          dp: np.ndarray, dist: np.ndarray):
     lay, A, b = _agent_qps(ctx, violated, dist)
     free, width = lay.free, b.shape[1]
-    u, optimal, active, _ = qp.solve_padded(U_nom[free], A, b, lay.m, ctx.warm[free, :width])
+    u, optimal, active, _ = qp.solve_padded(U_nom[free], A, b, ctx.warm[free, :width])
     ctx.warm[free, :width] = active
     if ctx.warm.shape[1] > width:  # clear the bits beyond a narrower layout
         ctx.warm[free, width:] = False
@@ -478,7 +479,7 @@ def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: 
     A[k[~brake_i], 2 * col[i[~brake_i], None] + [0, 1]] = -dp[~brake_i]
     A[k[~brake_j], 2 * col[j[~brake_j], None] + [0, 1]] = dp[~brake_j]
     A[i.size + 4 * f[:, None, None] + np.arange(4)[:, None],
-      2 * f[:, None, None] + np.arange(2)] = _SPEED_A
+      2 * f[:, None, None] + np.arange(2)] = _FACES
     b = np.concatenate((b, _speed_bounds(ctx.speed[free], V[free], ctx.scenario.dt).ravel()))
     return A, b, np.array((i, j)).T
 

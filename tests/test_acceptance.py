@@ -29,7 +29,7 @@ from safeswarm.qp import OPTIMAL, expanded_constraints
 from safeswarm.sim import AgentSetup, Scenario, run
 
 from conftest import as_ensemble, random_safe_pair
-from test_qp import batch_of, random_problem
+from test_qp import batch_of, objective, random_problem
 
 CFG = BarrierConfig(ds_mode="fixed", ds=0.6)
 
@@ -152,8 +152,8 @@ def test_criterion_5_qp_against_oracle():
             verdicts_agree &= status == ref.status
             if status != OPTIMAL:
                 continue
-            worst_obj = max(worst_obj, abs(float((u - problem.u_hat) @ (u - problem.u_hat))
-                                           - ref.objective))
+            worst_obj = max(worst_obj, abs(objective(u, problem.u_hat)
+                                           - objective(ref.u_star, problem.u_hat)))
             A, b = expanded_constraints(problem)
             if np.all(A @ problem.u_hat <= b + 1e-12):
                 nominal_kept &= bool(np.linalg.norm(u - problem.u_hat) <= 1e-10)

@@ -38,6 +38,12 @@ def rows(*abc):
     return table[:, :2], table[:, 2]
 
 
+def objective(u, u_hat):
+    """||u - u_hat||^2, the objective every projection minimizes."""
+    d = np.asarray(u) - np.asarray(u_hat)
+    return float(d @ d)
+
+
 def random_problem(rng):
     """A 2-variable projection problem with rows built from random safe
     two-agent states, plus a box of random size."""
@@ -79,22 +85,25 @@ def random_batch_problem(rng):
 def batch_of(problems, warm_starts=None, stray=None):
     """``pad_rows`` plus ``solve_padded``, the decentralized step's solver,
     over a list of 2-variable problems, with answers in ``solve``'s terms.
+    The kernel knows no box, so each problem's box goes in as rows, its
+    ``expanded_constraints``.
 
     warm_starts[k] is problem k's warm start as in ``solve``; its indices
     outside the problem's rows are dropped. ``stray`` (a random generator)
     also sets random warm bits on padding rows, which the kernel ignores.
-    Also returns the layout: ``AA``, ``bb`` and ``m``."""
-    counts = np.array([p.b.size for p in problems], dtype=int)
-    AA, bb, m = qp.pad_rows(np.concatenate([p.A for p in problems]).reshape(-1, 2),
-                            np.concatenate([p.b for p in problems]), counts,
-                            np.array([p.box for p in problems]).reshape(-1, 2))
+    Also returns the layout, ``AA`` and ``bb``, and each problem's row
+    count ``m``."""
+    expanded = [expanded_constraints(p) for p in problems]
+    m = np.array([b.size for _, b in expanded])
+    AA, bb = qp.pad_rows(np.concatenate([A for A, _ in expanded]),
+                         np.concatenate([b for _, b in expanded]), m)
     warm = np.zeros(bb.shape, dtype=bool)
     if stray is not None:
         warm = (stray.random(bb.shape) < 0.3) & (np.arange(bb.shape[1]) >= m[:, None])
     for k, rows in enumerate(warm_starts or ()):
         warm[k, [j for j in rows if 0 <= j < m[k]]] = True
     u, optimal, in_work, iters = qp.solve_padded(
-        np.array([p.u_hat for p in problems]).reshape(-1, 2), AA, bb, m, warm)
+        np.array([p.u_hat for p in problems]).reshape(-1, 2), AA, bb, warm)
     return SimpleNamespace(
         u_star=u, status=[OPTIMAL if ok else INFEASIBLE for ok in optimal.tolist()],
         active_set=[tuple(np.flatnonzero(row).tolist()) for row in in_work],
@@ -238,18 +247,17 @@ class TestSolveBatch:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
     def test_pad_rows_and_kernel_equal_solve_batch(self, seed, k):
-        """``pad_rows`` gives each problem its rows plus four box faces, and
-        the kernel, given the warm starts as a mask with stray bits on
-        padding rows, returns the answers, statuses, active sets and
-        iterations it returns without them, which are ``solve``'s."""
+        """``pad_rows`` gives each problem its rows and only them, and the
+        kernel, given the warm starts as a mask with stray bits on padding
+        rows, returns the answers, statuses, active sets and iterations it
+        returns without them, which are ``solve``'s."""
         rng = np.random.default_rng(seed)
         problems = [random_batch_problem(rng) for _ in range(k)]
         warm = [tuple(int(j) for j in rng.integers(-3, 20, int(rng.integers(0, 4))))
                 for _ in problems]
         clean = batch_of(problems, warm)
         stray = assert_batch_equals_solve(problems, warm, stray=rng)
-        counts = np.array([p.b.size for p in problems])
-        assert stray.m.tolist() == (counts + 4).tolist()
+        assert stray.AA.shape[1] == max(p.b.size for p in problems) + 4
         assert stray.u_star.tobytes() == clean.u_star.tobytes()
         assert stray.status == clean.status and stray.active_set == clean.active_set
         assert stray.iterations.tobytes() == clean.iterations.tobytes()
@@ -398,9 +406,8 @@ class TestSolveBatch:
         assert max(every - finished, default=0) <= 2
 
     def test_no_problems(self):
-        AA, bb, m = qp.pad_rows(np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int),
-                                np.zeros((0, 2)))
-        u, optimal, in_work, iters = qp.solve_padded(np.zeros((0, 2)), AA, bb, m,
+        AA, bb = qp.pad_rows(np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int))
+        u, optimal, in_work, iters = qp.solve_padded(np.zeros((0, 2)), AA, bb,
                                                      np.zeros(bb.shape, dtype=bool))
         assert u.shape == (0, 2) and optimal.shape == iters.shape == (0,)
         assert in_work.shape == (0, 0)
@@ -411,14 +418,14 @@ class TestSolveExamples:
         sol = solve(QpProblem(np.array([0.3, -0.4]), *rows(), np.ones(2)))
         assert sol.status == OPTIMAL
         assert np.allclose(sol.u_star, [0.3, -0.4])
-        assert sol.objective == 0.0
+        assert objective(sol.u_star, [0.3, -0.4]) == 0.0
         assert sol.active_set == ()
 
     def test_projection_onto_halfspace(self):
         sol = solve(QpProblem(np.array([1.0, 0.0]), *rows((1, 0, 0)), np.full(2, 2.0)))
         assert sol.status == OPTIMAL
         assert np.allclose(sol.u_star, [0.0, 0.0], atol=1e-12)
-        assert sol.objective == pytest.approx(1.0, abs=1e-12)
+        assert objective(sol.u_star, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_contradictory_rows_infeasible(self):
         problem = QpProblem(
@@ -449,7 +456,7 @@ class TestOracleExamples:
         problem = QpProblem(np.array([1.0, 0.0]), *rows((1, 0, 0)), np.full(2, 2.0))
         ref = brute_force_oracle(problem, grid_step=0.1)
         assert ref.status == OPTIMAL
-        assert ref.objective == pytest.approx(1.0, abs=1e-9)
+        assert objective(ref.u_star, problem.u_hat) == pytest.approx(1.0, abs=1e-9)
 
     def test_reports_empty_polytope(self):
         problem = QpProblem(
@@ -471,7 +478,8 @@ class TestSolveAgainstOracle:
             ref = brute_force_oracle(problem, grid_step=float(problem.box[0]) / 20)
             assert sol.status == ref.status
             if sol.status == OPTIMAL:
-                assert abs(sol.objective - ref.objective) <= 1e-4
+                assert abs(objective(sol.u_star, problem.u_hat)
+                           - objective(ref.u_star, problem.u_hat)) <= 1e-4
 
     def test_nominal_kept_when_feasible(self):
         rng = np.random.default_rng(43)
@@ -577,14 +585,15 @@ class TestProblemValidation:
         assert np.array_equal(sol.u_star, np.array([ux, uy]))
 
 
-def solve_each(answers, u_hat, AA, bb, m, warm):
+def solve_each(answers, u_hat, AA, bb, warm):
     """``solve_padded``'s outputs from ``solve`` on each problem of the
-    layout, its warm mask turned into a tuple; each ``QpSolution`` is also
-    appended to ``answers``."""
+    layout, its whole padded row with an infinite box, its warm mask turned
+    into a tuple; each ``QpSolution`` is also appended to ``answers``."""
+    K = bb.shape[0]
     u, in_work = np.empty_like(u_hat), np.zeros(bb.shape, dtype=bool)
-    optimal, iters = np.zeros(m.size, dtype=bool), np.zeros(m.size, dtype=int)
-    for k, n in enumerate((m - 4).tolist()):  # the problem's rows, then its 4 box faces
-        sol = solve(QpProblem(u_hat[k], AA[k, :n], bb[k, :n], bb[k, n:n + 4:2]),
+    optimal, iters = np.zeros(K, dtype=bool), np.zeros(K, dtype=int)
+    for k in range(K):
+        sol = solve(QpProblem(u_hat[k], AA[k], bb[k], np.full(2, np.inf)),
                     warm_start=tuple(np.flatnonzero(warm[k]).tolist()))
         u[k], optimal[k], iters[k] = sol.u_star, sol.status == OPTIMAL, sol.iterations
         in_work[k, list(sol.active_set)] = True

@@ -392,7 +392,6 @@ class TestRun:
     def test_minimal_invasiveness_whenever_nominal_is_feasible(self):
         from safeswarm import strategy_c_row
         from safeswarm.qp import QpProblem, expanded_constraints
-        from safeswarm.sim import _SPEED_A, _speed_bounds
 
         scn = two_agent_headon()
         log, _ = run(scn)
@@ -401,18 +400,21 @@ class TestRun:
         P = np.array([a.state0.p for a in scn.agents])
         V = np.array([a.state0.v for a in scn.agents])
         params = [a.params for a in scn.agents]
-        speed = np.array([p.speed_limit for p in params])
+        speed = np.array([p.speed_limit for p in params])[:, None]
+        # Each agent's own speed rows, |v_c + u_c dt| <= speed_limit, and
+        # its box, unfolded: an independent reference for the step's faces.
+        speed_A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         quiet = 0
         for rec in log.records:
             states = [AgentState(P[k], V[k]) for k in range(2)]
-            speed_b = _speed_bounds(speed, V, scn.dt)
+            speed_b = np.stack([speed - V, speed + V], axis=2).reshape(-1, 4) / scn.dt
             for i in range(2):
                 j = 1 - i
                 row = strategy_c_row(
                     i, j, states, params[i], params[j].accel_limit,
                     scn.barrier_cfg, safety_dist=0.4,
                 )
-                problem = QpProblem(rec.u_nominal[i], np.vstack([row.a, _SPEED_A]),
+                problem = QpProblem(rec.u_nominal[i], np.vstack([row.a, speed_A]),
                                     np.concatenate([[row.b], speed_b[i]]), np.full(2, 1.2))
                 A, b = expanded_constraints(problem)
                 if np.all(A @ rec.u_nominal[i] <= b + 1e-12):

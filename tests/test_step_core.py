@@ -4,10 +4,13 @@ Every array the step computes must equal, bit for bit, what the scalar
 reference computes on the same states: ``relative_state`` for dist and
 vbar, ``pair_barrier`` for h, ``barrier.neighbors`` for the neighbour test
 over the directed pairs and the ``dist <= Ds`` test for the violated set.
-The barrier, speed and ensemble rows every mode hands to its QPs must
-equal a plain-Python transcription of the scalar row formulas, compared by
-``tobytes`` so that signed zeros count. ``LimitEstimator`` must equal a
-plain-Python transcription of its law.
+The rows every mode hands to its QPs must equal a plain-Python
+transcription of the scalar row formulas, compared by ``tobytes`` so that
+signed zeros count: a decentralized QP's barrier rows and four face rows,
+each face bounded by the smaller of its box and speed bounds, and the
+ensemble's barrier and speed rows. Folding each speed row into its face
+must leave every decentralized answer as it was. ``LimitEstimator`` must
+equal a plain-Python transcription of its law.
 """
 
 import math
@@ -24,6 +27,7 @@ from safeswarm import (
     AlreadyViolatedError,
     BarrierConfig,
     INFEASIBLE,
+    OPTIMAL,
     DegenerateGeometryError,
     LimitEstimator,
     neighbors,
@@ -206,7 +210,7 @@ def _speed_rows(speed, v, dt):
     for c in range(2):
         e = np.zeros(2)
         e[c] = 1.0
-        rows += [(e, (speed - v[c]) / dt), (-e, (speed + v[c]) / dt)]
+        rows += [(e, (speed - v[c]) / dt), (0.0 - e, (speed + v[c]) / dt)]  # +0.0 off e's axis
     return rows
 
 
@@ -229,6 +233,13 @@ def _box_rows(limit):
     return [(np.array(face), limit) for face in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0])]
 
 
+def _face_rows(limit, speed, v, dt):
+    """The four box faces, each bounded by the smaller of the box and the
+    speed row on its side."""
+    return [(a, min(box, bound))
+            for (a, box), (_, bound) in zip(_box_rows(limit), _speed_rows(speed, v, dt))]
+
+
 def _same_bytes(rows, A, b):
     ref_A = np.array([a for a, _ in rows]).reshape(A.shape)
     assert A.tobytes() == ref_A.tobytes()
@@ -238,15 +249,15 @@ def _same_bytes(rows, A, b):
 @settings(max_examples=150, deadline=None)
 @given(ensembles(DECENTRALIZED))
 def test_agent_rows_match_scalar_formulas(case):
-    """Problem k of the padded layout is free agent k's barrier rows, speed
-    rows and box faces, then zero rows with an infinite bound."""
+    """Problem k of the padded layout is free agent k's barrier rows and
+    face rows, then zero rows with an infinite bound."""
     ctx, P, V = case
     scn, params = ctx.scenario, ctx.params
     violated = _violated_ref(ctx, P, V)
     lay, A, b = sim._agent_qps(ctx, np.array(violated), sim._pair_dist(ctx, P)[1])
     free = [i for i in range(ctx.n) if not violated[i]]
     assert lay.free.tolist() == free and A.shape[0] == b.shape[0] == len(free)
-    pairs = []
+    pairs, width = [], 0
     for k, i in enumerate(free):
         rows = []
         for j in sorted(neighbors(i, _states(P, V), ctx.neighbor_radius[i])):
@@ -257,12 +268,43 @@ def test_agent_rows_match_scalar_formulas(case):
                                        other, params[i].barrier_gain, ctx.safety_dist[i, j],
                                        ctx.cfg.epsilon)))
             pairs.append([i, j])
-        rows += _speed_rows(params[i].speed_limit, V[i], scn.dt) + _box_rows(params[i].accel_limit)
-        assert lay.m[k] == len(rows)
+        rows += _face_rows(params[i].accel_limit, params[i].speed_limit, V[i], scn.dt)
+        width = max(width, len(rows))
         rows += [(np.zeros(2), math.inf)] * (A.shape[1] - len(rows))
         _same_bytes(rows, A[k], b[k])
-    assert A.shape[1] == max(lay.m, default=0)
+    assert A.shape[1] == width
     assert lay.row_pairs.shape == (len(pairs), 2) and lay.row_pairs.tolist() == pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(ensembles(DECENTRALIZED) | ensembles(DECENTRALIZED, inside=True),
+       st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+def test_folded_faces_keep_the_unfolded_answer(case, shift):
+    """Each free agent's QP as the step poses it, its barrier rows and four
+    face rows with no box, ends with the status of the unfolded QP, its
+    barrier rows, four speed rows and the symmetric box, and within 1e-12
+    of its answer. Every optimal answer keeps the next velocity within the
+    speed cap and the control within the box, to the solver's 1e-10 on box
+    bounds (an active face can round to one ulp past it)."""
+    ctx, P, V = case
+    params, dt = ctx.params, ctx.scenario.dt
+    dist = sim._pair_dist(ctx, P)[1]
+    lay, A, b = sim._agent_qps(ctx, sim._violated(ctx, dist), dist)
+    scn = ctx.scenario
+    U_nom = sim.goal_controller(P, V, ctx.goals, scn.k1, scn.k2, ctx.box) + shift
+    for k, i in enumerate(lay.free.tolist()):
+        bar = np.count_nonzero(lay.own == i)
+        speed = _speed_rows(params[i].speed_limit, V[i], dt)
+        unfolded = sim.qp.solve(sim.qp.QpProblem(
+            U_nom[i], np.vstack([A[k, :bar]] + [a for a, _ in speed]),
+            np.concatenate([b[k, :bar], [bound for _, bound in speed]]), ctx.box[i]))
+        folded = sim.qp.solve(sim.qp.QpProblem(U_nom[i], A[k], b[k], np.full(2, np.inf)))
+        assert folded.status == unfolded.status
+        if folded.status != OPTIMAL:
+            continue
+        assert np.abs(folded.u_star - unfolded.u_star).max() <= 1e-12
+        assert np.all(np.abs(V[i] + folded.u_star * dt) <= params[i].speed_limit + 1e-9)
+        assert np.all(np.abs(folded.u_star) <= params[i].accel_limit + 1e-10)
 
 
 @settings(max_examples=150, deadline=None)
@@ -425,11 +467,11 @@ def test_step_record_min_h_is_the_scalar_minimum():
 
 def _step_against_cold_layout(ctx, steps):
     """Step ``ctx``, checking at every step that the cached layout gives
-    the same padded rows, bounds, m, row pairs and answers, by bytes, as a
+    the same padded rows, bounds, row pairs and answers, by bytes, as a
     layout rebuilt with the cache cleared; that the carried (dp, dist) are
     the post-step ``_pair_dist``; and that each free agent's warm row is the
-    active set a ``qp.solve`` replay of its problem ends on, from its last
-    warm row. Returns the number of steps whose layout came from the cache
+    active set a ``qp.solve`` replay of its problem (its whole padded row,
+    with an infinite box) ends on, from its last warm row. Returns the number of steps whose layout came from the cache
     and the number of free agents whose QP went infeasible."""
     scn, hits, infeasible = ctx.scenario, 0, 0
     for _ in range(steps):
@@ -442,12 +484,12 @@ def _step_against_cold_layout(ctx, steps):
         ctx.layout = None
         cold, A0, b0 = sim._agent_qps(ctx, violated, dist)
         assert cold is not lay
-        for x, y in ((A, A0), (b, b0), (lay.m, cold.m), (lay.row_pairs, cold.row_pairs)):
+        for x, y in ((A, A0), (b, b0), (lay.row_pairs, cold.row_pairs)):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
         width = b.shape[1]
         U_nom = sim.goal_controller(ctx.P, ctx.V, ctx.goals, scn.k1, scn.k2, ctx.box)
-        hot = sim.qp.solve_padded(U_nom[lay.free], A, b, lay.m, warm[lay.free, :width])
-        for x, y in zip(hot, sim.qp.solve_padded(U_nom[cold.free], A0, b0, cold.m,
+        hot = sim.qp.solve_padded(U_nom[lay.free], A, b, warm[lay.free, :width])
+        for x, y in zip(hot, sim.qp.solve_padded(U_nom[cold.free], A0, b0,
                                                  warm[cold.free, :width])):
             assert x.tobytes() == y.tobytes()
         ctx.layout = cached  # the step itself takes the cached path
@@ -457,8 +499,7 @@ def _step_against_cold_layout(ctx, steps):
         for x, y in zip(ctx.geometry[1:], sim._pair_dist(ctx, ctx.P)):
             assert x.tobytes() == y.tobytes()
         for k, i in enumerate(lay.free.tolist()):
-            rows = lay.m[k] - 4
-            sol = sim.qp.solve(sim.qp.QpProblem(U_nom[i], A0[k, :rows], b0[k, :rows], ctx.box[i]),
+            sol = sim.qp.solve(sim.qp.QpProblem(U_nom[i], A0[k], b0[k], np.full(2, np.inf)),
                                warm_start=tuple(np.flatnonzero(warm[i]).tolist()))
             assert tuple(np.flatnonzero(ctx.warm[i]).tolist()) == sol.active_set
             assert rec.qp_status[i] == sol.status and hot[0][k].tobytes() == sol.u_star.tobytes()
@@ -490,7 +531,7 @@ def test_cached_layout_equals_cold_layout_while_braking():
 def test_cached_layout_for_a_lone_agent_and_for_no_free_agent():
     lone = SimContext(Scenario(_headon().agents[:1]))
     assert _step_against_cold_layout(lone, 20) == (19, 0)
-    assert lone.layout.A.shape == (1, 8, 2) and lone.layout.row_pairs.shape == (0, 2)
+    assert lone.layout.A.shape == (1, 4, 2) and lone.layout.row_pairs.shape == (0, 2)
     ctx = SimContext(_headon())
     ctx.P = ctx.P.copy()
     ctx.P[1] = ctx.P[0] + [ctx.safety_dist[0, 1] * 0.9, 0.0]  # a pair inside Ds
