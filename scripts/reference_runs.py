@@ -254,14 +254,13 @@ def main(argv=None) -> int:
     rows, arrays, departed = {}, {}, []
     for name, source, mode in runs():
         log, metrics = run(scenario(source, mode))
-        rows[name] = digest(log, metrics)
+        rows[name], rec = digest(log, metrics), record(log, metrics)
         if args.digests_only:
-            gone = departure(kept[name], record(log, metrics))
+            gone = departure(kept[name], rec)
             if gone is not None:
                 departed.append(f"{name} departs from the tolerance record at step "
                                 f"{gone[0]}: {gone[1]}")
             continue
-        rec = record(log, metrics)
         del log
         first = nudged(source, mode, rec)
         rec["nudged"] = np.array(0 if first is None else first)
