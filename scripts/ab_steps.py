@@ -7,7 +7,10 @@ Usage:
 
 SOURCE is ``paper-suite`` (the default: circle6, rect4, headon2 and this
 checkout's scenarios/crossing_lanes.json, each under every mode), or one
-preset name or scenario file, run under its own mode.
+preset name, scenario file or ``lanes_tiles``, run under its own mode.
+``lanes_tiles`` is the 27-agent 3x3 grid of crossing_lanes tiles of this
+checkout's ``tests/conftest.py::lanes_tiles``, under
+decentralized_C_estimated, the shape of perfbench's lanes-local workload.
 
 Separate benchmark processes on a shared machine drift apart by a fifth or
 more, so both trees run in one process here. Each checkout's
@@ -58,6 +61,11 @@ class Side:
     def scenario(self, source: str, mode: str | None):
         if source in self.presets.PRESETS:
             scn = self.presets.PRESETS[source]()
+        elif source == "lanes_tiles":
+            if str(ROOT / "tests") not in sys.path:  # conftest imports this checkout's safeswarm
+                sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+            from conftest import lanes_tiles
+            scn = lanes_tiles(load=self.cli.scenario_from_dict)
         else:
             scn = self.cli.parse_scenario(source)
         scn.mode = mode or scn.mode

@@ -74,14 +74,11 @@ def render_svg(log: TrajectoryLog) -> str:
     position's safety-radius circle (the start, for a run without steps).
     Deterministic for a given log."""
     scn = log.scenario
-    pts = np.vstack(
-        [np.array([a.state0.p for a in scn.agents])]
-        + [rec.p for rec in log.records]
-        + [np.array([a.goal for a in scn.agents])]
-    )
+    trails = np.array([[a.state0.p for a in scn.agents]] + [rec.p for rec in log.records])
+    goals = np.array([a.goal for a in scn.agents])
     margin = max(a.params.radius for a in scn.agents) + 0.2
-    lo = pts.min(axis=0) - margin
-    hi = pts.max(axis=0) + margin
+    lo = np.minimum(trails.min(axis=(0, 1)), goals.min(axis=0)) - margin
+    hi = np.maximum(trails.max(axis=(0, 1)), goals.max(axis=0)) + margin
     span = float(max(hi - lo))
     scale = _SVG_SIZE / span
 
@@ -100,16 +97,17 @@ def render_svg(log: TrajectoryLog) -> str:
     ]
     for i, agent in enumerate(scn.agents):
         color = _PALETTE[i % len(_PALETTE)]
-        trail = [agent.state0.p] + [rec.p[i] for rec in log.records]
-        coords = " ".join(f"{sx(p[0])},{sy(p[1])}" for p in trail)
+        # The trail, scaled as sx and sy scale one point.
+        xs = ((trails[:, i, 0] - lo[0]) * scale).tolist()
+        ys = ((hi[1] - trails[:, i, 1]) * scale).tolist()
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.5" stroke-dasharray="6 3"/>'
         )
         r = format(agent.params.radius * scale, ".2f")
-        final = trail[-1]
         parts.append(
-            f'<circle cx="{sx(final[0])}" cy="{sy(final[1])}" r="{r}" '
+            f'<circle cx="{xs[-1]:.2f}" cy="{ys[-1]:.2f}" r="{r}" '
             f'fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         for mark, fill in ((agent.state0.p, color), (agent.goal, "none")):
@@ -120,5 +118,5 @@ def render_svg(log: TrajectoryLog) -> str:
                 f'<rect x="{x}" y="{y}" width="8" height="8" fill="{fill}" '
                 f'stroke="{color}" stroke-width="1.2"/>'
             )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)

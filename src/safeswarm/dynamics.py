@@ -86,9 +86,10 @@ def relative_state(si: AgentState, sj: AgentState) -> RelativeState:
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of each row pair of two (..., 2) arrays, rounded like the
-    2-vector ``a @ b`` and ``np.linalg.norm`` (a (1, 2) by (2, 1) matmul;
-    an elementwise multiply-add or einsum rounds differently)."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    2-vector ``a @ b``, ``np.linalg.norm`` and a (1, 2) by (2, 1) matmul:
+    ``np.vecdot`` takes numpy's dot loop, as they do (an elementwise
+    multiply-add or einsum rounds differently)."""
+    return np.vecdot(a, b)
 
 
 def step(p: np.ndarray, v: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:

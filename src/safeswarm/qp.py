@@ -38,25 +38,26 @@ simulator builds it once per neighbour and violated set and fills in each
 step's rows itself.
 
 Nearly every problem needs only dual steps that add a row to a working set
-of 0 or 1 rows, so that is all the kernel does. Each pass picks a row for
-every unfinished problem, with ``solve``'s tie-breaks (largest residual,
-then lowest index, warm rows first), and adds it in closed form: ``z =
-a_p``, or ``r = row_dot(a1, a_p) / row_dot(a1, a1)`` (the 1x1
-``np.linalg.solve``) and ``z = a_p - a1 * r``, chosen by ``np.where`` so
-that signed zeros survive. A problem the closed form does not fit (a row
-in the span of its working set, a working multiplier that hits zero first,
-a non-finite sum, or a working set of 2 rows) is handed, with its iterate,
-working set, multipliers, the row it is adding and its step count, to
-``solve``'s own loop, which finishes it on the problem's whole padded row.
-Drops, certificates of an empty polytope, non-finite stops and the
-iteration limit exist only there, and a problem makes at most 2 steps in
-the lockstep.
+of 0 or 1 rows, so that is all the kernel does, in three straight passes.
+Each picks a row for every problem still live, with ``solve``'s
+tie-breaks (largest residual, then lowest index, warm rows first). Pass 1
+adds it in closed form to an empty working set, ``z = a_p``; pass 2 to the
+one-row working set {a1}, ``r = row_dot(a1, a_p) / row_dot(a1, a1)`` (the
+1x1 ``np.linalg.solve``) and ``z = a_p - a1 * r``. A problem the closed
+form does not fit (a row in the span of its working set, a working
+multiplier that hits zero first, a non-finite sum, or a third row, which
+pass 3 looks for) is handed, with its iterate, working rows, multipliers,
+the row it is adding and its step count, to ``solve``'s own loop, which
+finishes it on the problem's whole padded row. Drops, certificates of an
+empty polytope, non-finite stops and the iteration limit exist only
+there.
 
 The kernel's answers, optimal flags, working-set masks and iteration
 counts equal ``solve``'s bit for bit. Its residuals come from one
-``row_dot`` pass over all rows, which rounds like the 2-vector ``a @ b``,
-so the picked row's residual is also the step's numerator. ``A @ u``
-rounds differently and by row count, but only chooses rows.
+``row_dot`` per pass over the live problems' rows, which rounds like the
+2-vector ``a @ b``, so the picked row's residual is also the step's
+numerator. ``A @ u`` rounds differently and by row count, but only
+chooses rows.
 """
 
 from __future__ import annotations
@@ -277,6 +278,21 @@ def pad_rows(A: np.ndarray, b: np.ndarray, counts: np.ndarray) -> tuple[np.ndarr
     return AA, bb
 
 
+def _pick(AA: np.ndarray, u: np.ndarray, bw: np.ndarray, warm_bit: np.ndarray):
+    """The problems of a padded layout that have a violated row (a NaN
+    residual counts), the row each adds (the largest residual, warm rows
+    first, lowest index on ties) and its residual."""
+    resid = row_dot(AA, u[:, None, :]) - bw
+    viol = ~(resid <= _SELECT_TOL)
+    live = viol.any(axis=1).nonzero()[0]
+    if not live.size:  # the usual end, and argmax has no row of width 0
+        return live, live, live
+    # Positive doubles order as their bit patterns, so the top bit on the
+    # warm rows ranks them first and leaves ties equal.
+    p = ((resid.view(np.uint64) | warm_bit) * viol).argmax(axis=1).take(live)
+    return live, p, resid[live, p]
+
+
 @np.errstate(all="ignore")  # a non-finite sum hands its problem to solve's loop
 def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray,
                  warm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -290,69 +306,77 @@ def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray,
     problem's answer is ``solve``'s on its whole padded row with an
     infinite box.
 
-    The lockstep only picks rows and adds them to working sets of 0 or 1
-    rows; every other step goes to ``solve``'s loop, which finishes the
-    problem and whose answer, active set, iteration count and status are
-    written back here.
+    A problem handed to ``solve``'s loop takes its answer, active set,
+    iteration count and status from there.
     """
     K = bb.shape[0]
-    # Each lockstep step adds a row, so a problem's step count is also the
-    # size of its working set, which stays below 3; work lists the rows in
-    # the order they joined, and lam their multipliers.
-    iters, work, lam = np.zeros(K, dtype=int), np.zeros((K, 2), dtype=int), np.zeros((K, 2))
-    in_work = np.zeros(bb.shape, dtype=bool)
-    u = u_hat.copy()
-    handed, failed = np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
-    # Positive doubles order as their bit patterns, so a top bit on the warm
-    # rows ranks them first and leaves ties equal.
+    u, iters, failed = u_hat.copy(), np.zeros(K, dtype=int), np.zeros(K, dtype=bool)
+    # bb with +inf on each row a pass adds, so that no later pass picks it:
+    # bw > bb marks the working rows, all of finite bound, of the problems
+    # the passes finish, and ``handed`` the active sets of the others.
+    bw, handed = bb.copy(), np.zeros(bb.shape, dtype=bool)
     warm_bit = warm.astype(np.uint64) << 63
 
-    while True:
-        # The largest violated residual, warm rows first, lowest index on ties.
-        resid = row_dot(AA, u[:, None, :]) - bb
-        viol = ~(resid <= _SELECT_TOL) & ~in_work  # NaN counts as violated
-        live = (viol.any(axis=1) & ~handed).nonzero()[0]
-        if not live.size:
-            break
-        p = ((resid.view(np.uint64) | warm_bit) * viol).argmax(axis=1).take(live)
-        # The step that adds a_p, in closed form for working sets of 0 or 1
-        # rows; ``general`` marks the problems it does not fit.
-        nk, a_p, gap = iters.take(live), AA[live, p], resid[live, p]
-        z, zz = a_p, row_dot(a_p, a_p)
-        dep_scale, r1, lam1, t_block = np.maximum(1.0, zz), 0.0, 0.0, np.inf
-        if np.count_nonzero(nk):
-            one = nk == 1
-            a1, lam1 = AA[live, work[live, 0]], lam[live, 0]
-            r1 = row_dot(a1, a_p) / np.where(one, row_dot(a1, a1), np.inf)  # 0 without a1
-            z = np.where(one[:, None], a_p - a1 * r1[:, None], a_p)
-            zz = row_dot(z, z)
-            t_block = np.where(r1 > _DUAL_TOL, lam1 / r1, np.inf)  # a1's multiplier hits 0
-        dep = zz <= _DEP_TOL * dep_scale  # a_p in the active span
-        t = 2.0 * gap / zz  # also a_p's multiplier, which starts at 0
-        u_add = u.take(live, 0) - 0.5 * t[:, None] * z
-        lam1_add = lam1 - t * r1
-        # A sum is non-finite if a term is; a false alarm (an overflowing sum,
-        # or the unused lam1 of an empty working set) costs a hand-off.
-        finite = np.isfinite(u_add[:, 0] + u_add[:, 1] + t + lam1_add)
-        general = dep | (t_block < t) | ~finite | (nk > 1)
-        if np.count_nonzero(general):
-            for k, pk in zip(live[general].tolist(), p[general].tolist()):
-                w = int(iters[k])
-                sol = _solve_from(AA[k], bb[k], u_hat[k],
-                                  frozenset(np.flatnonzero(warm[k]).tolist()), u[k],
-                                  work[k, :w].tolist(), lam[k, :w].tolist(), pk, w)
-                u[k], failed[k], iters[k] = sol.u_star, sol.status != OPTIMAL, sol.iterations
-                in_work[k] = False
-                in_work[k, list(sol.active_set)] = True
-            handed[live[general]] = True
-            keep = ~general
-            live, p, nk, u_add, t, lam1_add = (x[keep] for x in (live, p, nk, u_add, t, lam1_add))
-        u[live], lam[live, 0] = u_add, lam1_add
-        work[live, nk], lam[live, nk] = p, t
-        in_work[live, p] = True
-        iters[live] = nk + 1
+    def hand_off(k, p, work=(), lam=()):
+        # solve's loop adds row p[i] to problem k[i], whose working rows
+        # (work[0][i], ...) joined in that order with multipliers (lam[0][i], ...).
+        for i, ki in enumerate(k.tolist()):
+            rows = [int(w[i]) for w in work]
+            # A working row reads NaN if its dot overflowed; the loop picks anew.
+            pi = None if int(p[i]) in rows else int(p[i])
+            sol = _solve_from(AA[ki], bb[ki], u_hat[ki],
+                              frozenset(np.flatnonzero(warm[ki]).tolist()), u[ki], rows,
+                              [float(x[i]) for x in lam], pi, len(rows))
+            u[ki], failed[ki], iters[ki] = sol.u_star, sol.status != OPTIMAL, sol.iterations
+            bw[ki], handed[ki, list(sol.active_set)] = bb[ki], True
 
-    return u, ~failed, in_work, iters
+    def done():
+        return u, ~failed, handed | (bw > bb), iters
+
+    # Pass 1 adds a row p1 to an empty working set: z = a1.
+    k, p1, gap = _pick(AA, u, bw, warm_bit)
+    if not k.size:
+        return done()
+    a1 = AA[k, p1]
+    zz = row_dot(a1, a1)
+    lam1 = 2.0 * gap / zz  # the step, and a1's multiplier, which starts at 0
+    u_k = u.take(k, 0) - 0.5 * lam1[:, None] * a1
+    # a1 = 0, or a non-finite sum (a sum is non-finite if a term is; an
+    # overflowing sum is a false alarm and costs a hand-off).
+    general = (zz <= _DEP_TOL * np.maximum(1.0, zz)) | ~np.isfinite(u_k[:, 0] + u_k[:, 1] + lam1)
+    if np.count_nonzero(general):
+        hand_off(k[general], p1[general])
+        k, p1, a1, lam1, u_k = (x[~general] for x in (k, p1, a1, lam1, u_k))
+    u[k], bw[k, p1], iters[k] = u_k, np.inf, 1
+
+    # Pass 2 adds a row p2 to the working set {p1}: r1 = row_dot(a1, a2) /
+    # row_dot(a1, a1) (the 1x1 np.linalg.solve) and z = a2 - a1 * r1.
+    live, p2, gap = _pick(AA.take(k, 0), u.take(k, 0), bw.take(k, 0), warm_bit.take(k, 0))
+    if not live.size:
+        return done()
+    k, p1, a1, lam1 = k.take(live), p1.take(live), a1.take(live, 0), lam1.take(live)
+    a2 = AA[k, p2]
+    r1 = row_dot(a1, a2) / row_dot(a1, a1)
+    z = a2 - a1 * r1[:, None]
+    zz = row_dot(z, z)
+    t = 2.0 * gap / zz  # also a2's multiplier
+    u_k = u.take(k, 0) - 0.5 * t[:, None] * z
+    lam1_k = lam1 - t * r1
+    # a2 in a1's span, a1's multiplier hitting 0 first, or a non-finite sum.
+    general = ((zz <= _DEP_TOL * np.maximum(1.0, row_dot(a2, a2)))
+               | ((r1 > _DUAL_TOL) & (lam1 / r1 < t))
+               | ~np.isfinite(u_k[:, 0] + u_k[:, 1] + t + lam1_k))
+    if np.count_nonzero(general):
+        hand_off(k[general], p2[general], (p1[general],), (lam1[general],))
+        k, p1, p2, t, u_k, lam1_k = (x[~general] for x in (k, p1, p2, t, u_k, lam1_k))
+    u[k], bw[k, p2], iters[k] = u_k, np.inf, 2
+
+    # Pass 3 hands each problem with a third violated row to solve's loop.
+    live, p3, _ = _pick(AA.take(k, 0), u.take(k, 0), bw.take(k, 0), warm_bit.take(k, 0))
+    if live.size:
+        hand_off(k.take(live), p3, (p1.take(live), p2.take(live)),
+                 (lam1_k.take(live), t.take(live)))
+    return done()
 
 
 def brute_force_oracle(problem: QpProblem, grid_step: float) -> QpSolution:

@@ -36,7 +36,9 @@ bounds into copies of the templates; empty scatters are skipped.
 Warm starts are one (N, W) bool mask, ``SimContext.warm``, sliced into the
 kernel and written back from its final working sets. The centralized QP
 embeds the rows, and four speed rows per free agent, in one dense array
-and goes to ``qp.solve`` with the symmetric box. In the estimated mode one
+and goes to ``qp.solve`` with the symmetric box; its layout depends
+only on the violated mask and is cached on ``SimContext.ensemble`` in the
+same way. In the estimated mode one
 ``LimitEstimator`` serves every agent. Every value is bit-identical to
 what the scalar functions (``relative_state``, ``pair_barrier``,
 ``barrier.neighbors``, the row builders, a ``qp.solve`` per agent on its
@@ -257,8 +259,9 @@ class _Start:
 class SimContext(_Start):
     """Mutable run state: the (N, 2) positions ``P`` and velocities ``V``,
     estimators and warm starts, plus the per-pair and per-agent constants
-    the array step reads, the decentralized ``layout`` cached by the first
-    step and the carried pair ``geometry``, the start's until then.
+    the array step reads, the decentralized ``layout`` or centralized
+    ``ensemble`` layout cached by the first step and the carried pair
+    ``geometry``, the start's until then.
 
     The directed pairs (``dir_own``, ``dir_oth``, pair ``dir_pair``) list
     every pair twice, once per owner, in owner-major order, with the
@@ -296,6 +299,7 @@ class SimContext(_Start):
         self.warm = np.zeros((self.n, 0), dtype=bool)  # (N, W), grown as layouts widen
         self.ensemble_warm: tuple[int, ...] = ()
         self.layout: _Layout | None = None
+        self.ensemble: _Ensemble | None = None
         self.geometry = (self.P, self.dp, self.dist)
 
     def _neighbor_radius(self) -> np.ndarray:
@@ -454,40 +458,62 @@ def _solve_decentralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarra
     return U, violated, lay.row_pairs
 
 
-def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: np.ndarray):
-    """The ensemble QP's rows over the stacked controls of the free agents.
+class _Ensemble:
+    """The fixed part of a centralized step's ensemble QP for the violated
+    mask whose bytes are ``key``: the kept pairs ``pair`` with their ``i``,
+    ``j``, ``ds``, ``accel_sum``, ``gain`` and braking ends, the ``free``
+    agents and their ``vmax``, the template ``A`` holding the speed rows,
+    the flat slots ``minus`` and ``plus`` of -dp and +dp of the pairs
+    ``minus_pair`` and ``plus_pair``, and the read-only ``row_pairs``."""
 
-    One row per pair that is not braking at both ends, in pair order, then
-    each free agent's four speed rows. Free agent c owns columns 2c and
-    2c + 1; a braking agent's control is fixed, so its block times its
-    braking control moves into b. Also returns the (E, 2) row pairs.
-    """
-    V = ctx.V
-    keep = ~(violated[ctx.pair_i] & violated[ctx.pair_j])
-    i, j, dp, ds = ctx.pair_i[keep], ctx.pair_j[keep], dp[keep], ctx.pair_ds[keep]
-    b = barrier.centralized_bounds(dp, dist[keep], V[i] - V[j], ctx.pair_accel_sum[keep],
-                                   ctx.gain[i], ds, ctx.cfg.epsilon)
-    brake_i, brake_j = violated[i], violated[j]
+    def __init__(self, ctx: SimContext, violated: np.ndarray):
+        self.key = violated.tobytes()
+        self.pair = pair = (~(violated[ctx.pair_i] & violated[ctx.pair_j])).nonzero()[0]
+        self.i, self.j = i, j = ctx.pair_i[pair], ctx.pair_j[pair]
+        self.ds, self.accel_sum = ctx.pair_ds[pair], ctx.pair_accel_sum[pair]
+        self.gain, self.brake_i, self.brake_j = ctx.gain[i], violated[i], violated[j]
+        self.free = free = (~violated).nonzero()[0]
+        self.vmax, col, width = ctx.speed[free], np.cumsum(~violated) - 1, 2 * free.size
+        f = np.arange(free.size)[:, None, None]
+        self.A = np.zeros((i.size + 4 * free.size, width))
+        self.A[i.size + 4 * f + np.arange(4)[:, None], 2 * f + np.arange(2)] = _FACES
+        fi, fj = (~self.brake_i).nonzero()[0], (~self.brake_j).nonzero()[0]
+        self.minus = (width * fi + 2 * col[i[fi]])[:, None] + np.arange(2)
+        self.plus = (width * fj + 2 * col[j[fj]])[:, None] + np.arange(2)
+        self.minus_pair, self.plus_pair = pair[fi], pair[fj]
+        self.row_pairs = np.array((i, j)).T
+        for shared in (self.A, self.row_pairs):
+            shared.flags.writeable = False
+
+
+def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: np.ndarray):
+    """The ensemble QP's rows over the stacked controls of the free agents,
+    from the ``_Ensemble`` cached on ``ctx.ensemble`` while the violated
+    mask holds. One row per pair that is not braking at both ends, in pair
+    order, then each free agent's four speed rows. Free agent c owns columns
+    2c and 2c + 1; a braking agent's control is fixed, so its block times
+    its braking control moves into b. Also returns the (E, 2) row pairs."""
+    ens = ctx.ensemble
+    if ens is None or ens.key != violated.tobytes():
+        ens = ctx.ensemble = _Ensemble(ctx, violated)
+    V, i, j, dp_k = ctx.V, ens.i, ens.j, dp[ens.pair]
+    b = barrier.centralized_bounds(dp_k, dist[ens.pair], V[i] - V[j], ens.accel_sum, ens.gain,
+                                   ens.ds, ctx.cfg.epsilon)
     if violated.any():
         U_brake = braking_fallback(V, ctx.box)
-        b[brake_i] -= row_dot(-dp[brake_i], U_brake[i[brake_i]])
-        b[brake_j] -= row_dot(dp[brake_j], U_brake[j[brake_j]])
-    free = (~violated).nonzero()[0]
-    col = np.cumsum(~violated) - 1
-    k, f = np.arange(i.size)[:, None], np.arange(free.size)
-    A = np.zeros((i.size + 4 * free.size, 2 * free.size))
-    A[k[~brake_i], 2 * col[i[~brake_i], None] + [0, 1]] = -dp[~brake_i]
-    A[k[~brake_j], 2 * col[j[~brake_j], None] + [0, 1]] = dp[~brake_j]
-    A[i.size + 4 * f[:, None, None] + np.arange(4)[:, None],
-      2 * f[:, None, None] + np.arange(2)] = _FACES
-    b = np.concatenate((b, _speed_bounds(ctx.speed[free], V[free], ctx.scenario.dt).ravel()))
-    return A, b, np.array((i, j)).T
+        b[ens.brake_i] -= row_dot(-dp_k[ens.brake_i], U_brake[i[ens.brake_i]])
+        b[ens.brake_j] -= row_dot(dp_k[ens.brake_j], U_brake[j[ens.brake_j]])
+    A = ens.A.copy()
+    A.reshape(-1)[ens.minus] = -dp[ens.minus_pair]
+    A.reshape(-1)[ens.plus] = dp[ens.plus_pair]
+    b = np.concatenate((b, _speed_bounds(ens.vmax, V[ens.free], ctx.scenario.dt).ravel()))
+    return A, b, ens.row_pairs
 
 
 def _solve_centralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarray,
                        dp: np.ndarray, dist: np.ndarray):
     A, b, row_pairs = _ensemble_rows(ctx, violated, dp, dist)
-    free, U = (~violated).nonzero()[0], np.zeros((ctx.n, 2))
+    free, U = ctx.ensemble.free, np.zeros((ctx.n, 2))
     if not free.size:
         return U, violated, row_pairs
     sol = qp.solve(qp.QpProblem(U_nom[free].ravel(), A, b, ctx.box[free].ravel()),
@@ -599,8 +625,8 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
     n_steps = int(round(scenario.t_end / scenario.dt))
     for _ in range(n_steps):
         records.append(step_once(ctx))
-        if (_norm(ctx.P - ctx.goals).max() <= GOAL_STOP_TOL
-                and np.abs(ctx.V).max() <= GOAL_STOP_SPEED):
+        if (np.abs(ctx.V).max() <= GOAL_STOP_SPEED
+                and _norm(ctx.P - ctx.goals).max() <= GOAL_STOP_TOL):
             break
     log = TrajectoryLog(scenario, records)
     return log, compute_metrics(log)

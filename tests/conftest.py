@@ -60,9 +60,10 @@ def preset(name, mode):
     return scenario
 
 
-def lanes_tiles(tiles=3, spacing=8.0):
+def lanes_tiles(tiles=3, spacing=8.0, load=scenario_from_dict):
     """tiles x tiles copies of scenarios/crossing_lanes.json, spacing m apart,
-    under decentralized_C_estimated."""
+    under decentralized_C_estimated, built from the scenario document by
+    ``load`` (scripts/ab_steps.py passes each side's own)."""
     doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios"
                       / "crossing_lanes.json").read_text())
     base = doc.pop("agents")
@@ -73,7 +74,7 @@ def lanes_tiles(tiles=3, spacing=8.0):
              goal=[a["goal"][0] + spacing * (k % tiles), a["goal"][1] + spacing * (k // tiles)])
         for k in range(tiles * tiles) for a in base
     ]
-    return scenario_from_dict(doc)
+    return load(doc)
 
 
 def ring_swap(n, radius, stagger_deg, mode):

@@ -10,6 +10,7 @@ from safeswarm import (
     relative_state,
     step,
 )
+from safeswarm.dynamics import row_dot
 
 finite = st.floats(-50.0, 50.0, allow_nan=False)
 
@@ -108,3 +109,41 @@ class TestStep:
             p, v = step(P[k], V[k], U[k], 0.02)
             assert P1[k].tobytes() == p.tobytes() and V1[k].tobytes() == v.tobytes()
 
+
+def matmul_row_dot(a, b):
+    """Each row pair's dot as a (1, 2) by (2, 1) matmul, the rounding
+    ``row_dot`` promises."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+class TestRowDot:
+    SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e200, -1e200, 1.0, -1.0)
+
+    @pytest.mark.parametrize("shapes", [((50, 2), (50, 2)), ((6, 9, 2), (6, 1, 2)),
+                                        ((6, 9, 2), (9, 2)), ((2,), (40, 2)), ((2,), (2,))])
+    def test_equals_the_matmul_bit_for_bit(self, shapes):
+        """Stacked and broadcast shapes, with signed zeros, subnormals, inf,
+        NaN and overflowing products among scaled normal entries."""
+        rng = np.random.default_rng(7)
+        a, b = (np.ldexp(rng.normal(size=shape), rng.integers(-60, 61, shape)) for shape in shapes)
+        for x in (a, b):
+            x.flat[::3] = rng.choice(self.SPECIALS, x.flat[::3].size)
+        with np.errstate(all="ignore"):
+            got, want = row_dot(a, b), matmul_row_dot(a, b)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            transposed = row_dot(a[..., ::-1], b)  # a strided operand
+            assert transposed.tobytes() == matmul_row_dot(a[..., ::-1], b).tobytes()
+
+    def test_signed_zeros(self):
+        a = np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+        b = np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        assert row_dot(a, b).tobytes() == matmul_row_dot(a, b).tobytes()
+        assert row_dot(a[0], b[0]).tobytes() == (a[0] @ b[0]).tobytes()
+
+    @pytest.mark.parametrize("a, b, kind", [([1e200, 1e200], [1e200, 1e200], "overflow"),
+                                            ([np.inf, 1.0], [0.0, 1.0], "invalid value")])
+    def test_warns_as_the_matmul(self, a, b, kind):
+        a, b = np.array([a]), np.array([b])
+        for dot in (row_dot, matmul_row_dot):
+            with pytest.warns(RuntimeWarning, match=f"^{kind} encountered in "):
+                dot(a, b)

@@ -307,6 +307,19 @@ class TestSolveBatch:
         assert [r.getMessage() for r in caplog.records] == [
             "non-finite iterate on a 14-row problem; reporting infeasible"] * 2
 
+    def test_overflowing_working_row_is_not_picked_again(self, caplog):
+        """Pass 2 leaves the iterate near (1e300, -1e300) on the plane of
+        the warm row (1e10, 1e10), whose dot with it overflows to inf or
+        NaN. That row must not be added again: the problem is optimal at 2
+        steps, as in ``solve``, where working rows are never picked."""
+        problem = QpProblem((0.0, 1.0), *rows((1e10, 1e10, 0.0), (-1.0, 0.0, -1e300)),
+                            np.full(2, 1e301))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = assert_batch_equals_solve([problem], [(0,)])
+        assert batch.status == [OPTIMAL] and batch.iterations.tolist() == [2]
+        assert batch.active_set == [(0, 1)] and not caplog.records
+
     def test_empty_polytope_certificate(self, caplog):
         problem = QpProblem(np.zeros(2), *rows((1, 0, -1), (-1, 0, -1)), np.full(2, 100.0))
         batch = assert_batch_equals_solve([problem, problem], [(), (1,)])

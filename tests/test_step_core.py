@@ -341,6 +341,38 @@ def test_ensemble_rows_match_scalar_formulas(case):
     assert row_pairs.shape == (len(pairs), 2) and row_pairs.tolist() == pairs
 
 
+@settings(max_examples=100, deadline=None)
+@given(ensembles(("centralized",), inside=True))
+def test_cached_ensemble_equals_cold_build(case):
+    """The ensemble layout cached on ctx is rebuilt when the violated mask
+    changes and reused while it holds; either way A, b and the row pairs
+    equal, by bytes, those of a build with the cache cleared. The arrays
+    it shares between steps are read-only. The cache is warmed on masks a
+    step can meet: the violated set with every agent, or one more free
+    agent, braking."""
+    ctx, P, V = case
+    dp, dist = sim._pair_dist(ctx, P)
+    violated = sim._violated(ctx, dist)
+    assume(not violated.all())
+    ctx.ensemble = None
+    cold = sim._ensemble_rows(ctx, violated, dp, dist)
+    one_more = violated.copy()
+    one_more[np.argmin(violated)] = True
+    for warm_mask in (np.ones_like(violated), one_more):
+        ctx.ensemble = None
+        sim._ensemble_rows(ctx, warm_mask, dp, dist)
+        stale = ctx.ensemble
+        changed = sim._ensemble_rows(ctx, violated, dp, dist)
+        built = ctx.ensemble
+        held = sim._ensemble_rows(ctx, violated, dp, dist)
+        assert built is not stale and ctx.ensemble is built
+        for got in (changed, held):
+            for x, y in zip(got, cold):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert held[2] is changed[2] is built.row_pairs
+        assert not built.A.flags.writeable and not built.row_pairs.flags.writeable
+
+
 @settings(max_examples=150, deadline=None)
 @given(ensembles() | ensembles(inside=True))
 def test_no_row_pair_at_or_inside_its_safety_distance(case):
