@@ -5,7 +5,7 @@ Usage: PYTHONPATH=src python scripts/reference_runs.py [--digests-only]
 
 Runs circle6, rect4, headon2 and scenarios/crossing_lanes.json, the 3x3
 lanes tiles of ``tests/conftest.py::lanes_tiles``, three ring swaps of
-``tests/conftest.py::ring_swap`` (ring8: 1.75 m, alternating +-3 degrees;
+``safeswarm.presets.ring_swap`` (ring8: 1.75 m, alternating +-3 degrees;
 ring16: 3 m, ``default_rng(3).uniform(-0.3, 0.3, 16)`` degrees; ring24:
 4.58 m, alternating +-3 degrees), and circle6 and ring8 at dt = 0.01 and
 dt = 0.05, under every mode. The ring swaps drive pairs inside the safety
@@ -16,9 +16,10 @@ and checks each run against two files.
 ``tests/reference_runs.json`` holds one row of exact digests per run: the
 step count, SHA-256 digests of the raw float64 bytes of ``p``, ``v``,
 ``u_applied`` and ``u_nominal`` over the records, of the row pairs, and of
-the statuses, ``min_h`` and ``min_pair_dist`` (float hex) of each record,
-plus the run's ``min_h`` and ``min_pair_dist``, its infeasible count and
-its deadlock onset. Float digests are exact only under the recorded numpy
+the statuses (each ``brake`` flag spelled as the CSV's ``qp_status``),
+``min_h`` and ``min_pair_dist`` (float hex) of each record, plus the run's
+``min_h`` and ``min_pair_dist``, its infeasible count and its deadlock
+onset. Float digests are exact only under the recorded numpy
 version and platform ``fingerprint``: the BLAS kernel, numpy's SIMD
 dispatch and the libm all round differently.
 
@@ -55,11 +56,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from conftest import lanes_tiles, ring_swap  # noqa: E402
+from conftest import lanes_tiles  # noqa: E402
 from safeswarm.cli import parse_scenario  # noqa: E402
 from safeswarm.dynamics import row_dot  # noqa: E402
-from safeswarm.presets import PRESETS  # noqa: E402
-from safeswarm.qp import INFEASIBLE  # noqa: E402
+from safeswarm.presets import PRESETS, ring_swap  # noqa: E402
+from safeswarm.qp import INFEASIBLE, OPTIMAL  # noqa: E402
 from safeswarm.sim import MODES, run  # noqa: E402
 
 REFERENCE = ROOT / "tests" / "reference_runs.json"
@@ -84,7 +85,7 @@ def scenario(source: str, mode: str):
     elif source == "lanes_tiles":
         scn = lanes_tiles()
     elif source in RINGS:
-        scn = ring_swap(*RINGS[source], mode)
+        scn = ring_swap(*RINGS[source])
     else:
         scn = parse_scenario(ROOT / "scenarios" / f"{source}.json")
     scn.mode = mode  # as the CLI's --mode
@@ -103,7 +104,8 @@ def digest(log, metrics) -> dict:
             h.update(np.ascontiguousarray(getattr(rec, key), dtype="<f8").tobytes())
         row_pairs = np.asarray(rec.row_pairs, dtype="<i8").reshape(-1, 2)
         pairs.update(f"{len(row_pairs)};".encode() + row_pairs.tobytes())
-        scalars.update(f"{','.join(rec.qp_status)};{rec.min_h.hex()};"
+        status = ",".join(INFEASIBLE if brake else OPTIMAL for brake in rec.brake.tolist())
+        scalars.update(f"{status};{rec.min_h.hex()};"
                        f"{rec.min_pair_dist.hex()}\n".encode())
     onset = metrics.deadlock_onset
     return {
@@ -146,7 +148,7 @@ def record(log, metrics) -> dict[str, np.ndarray]:
         "p": np.array([rec.p for rec in recs[SAMPLE - 1::SAMPLE]]).reshape(-1, n, 2),
         "min_h": np.array([rec.min_h for rec in recs]),
         "min_dist": np.array([rec.min_pair_dist for rec in recs]),
-        "infeasible": np.array([rec.qp_status.count(INFEASIBLE) for rec in recs], dtype=np.int32),
+        "infeasible": np.array([np.count_nonzero(rec.brake) for rec in recs], dtype=np.int32),
         "steps": np.array(len(recs)),
         "deadlock_onset": np.array(np.nan if onset is None else onset),
     }

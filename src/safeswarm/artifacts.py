@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .qp import INFEASIBLE, OPTIMAL
 from .sim import RunMetrics, TrajectoryLog
 
 CSV_HEADER = "t,agent_id,px,py,vx,vy,ux,uy,ux_nom,uy_nom,qp_status"
@@ -26,8 +27,9 @@ _PALETTE = (
 
 
 # One agent row: t, id, then px .. uy_nom as "%.12g", which renders a float
-# as format(x, ".12g") does, and the status.
+# as format(x, ".12g") does, and the status, spelled by the brake flag.
 _CSV_ROW = "%s,%s," + ",".join(["%.12g"] * 8) + ",%s\n"
+_STATUS = (OPTIMAL, INFEASIBLE)
 
 
 def _csv_chunks(log: TrajectoryLog):
@@ -37,8 +39,8 @@ def _csv_chunks(log: TrajectoryLog):
     for rec in log.records:
         t = format(float(rec.t), ".12g")
         values = np.concatenate((rec.p, rec.v, rec.u_applied, rec.u_nominal), 1).tolist()
-        yield "".join(_CSV_ROW % (t, aid, *row, status)
-                      for aid, row, status in zip(ids, values, rec.qp_status))
+        yield "".join(_CSV_ROW % (t, aid, *row, _STATUS[brake])
+                      for aid, row, brake in zip(ids, values, rec.brake.tolist()))
 
 
 def write_trajectory_csv(log: TrajectoryLog, path) -> None:

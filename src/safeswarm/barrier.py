@@ -52,9 +52,10 @@ class BarrierConfig:
     """How pairwise safety distances and constraint numerics are chosen.
 
     ds_mode "sum_of_radii" uses r_i + r_j per pair; "fixed" uses one global
-    distance ``ds`` for every pair. epsilon floors the (dist - Ds) factor in
-    constraint denominators so bounds stay finite as a pair approaches its
-    safety distance, while remaining maximally restrictive.
+    distance ``ds`` for every pair, and only "fixed" takes a ``ds``. epsilon
+    floors the (dist - Ds) factor in constraint denominators so bounds stay
+    finite as a pair approaches its safety distance, while remaining
+    maximally restrictive.
     """
 
     ds_mode: str = "sum_of_radii"
@@ -67,6 +68,8 @@ class BarrierConfig:
         if self.ds_mode == "fixed":
             if self.ds is None or not self.ds > 0:
                 raise ValueError("fixed ds_mode requires a positive ds")
+        elif self.ds is not None:
+            raise ValueError(f"ds {self.ds!r} is only valid with ds_mode 'fixed'")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
 
@@ -295,11 +298,13 @@ def neighbor_radius(
     max_other_speed: float,
     safety_dist: float,
 ) -> float:
-    """Distance beyond which agent i can ignore another agent entirely.
+    """Distance beyond which agent i builds no row against another agent.
 
-    Outside this radius the pair's worst-case approach (both at top speed,
-    weakest combined braking, own gain) cannot defeat the barrier before a
-    constraint would activate, so no row needs to be built.
+    It sizes the pair's worst-case approach with both agents at top speed,
+    the weakest combined braking and agent i's own gain. It takes the speed
+    limit as the top speed, but the per-axis speed cap lets |v| reach
+    sqrt(2) times it, so a row beyond this radius can still be violated
+    (ROADMAP item 9).
     """
     for name, value in (
         ("min_other_accel", min_other_accel),

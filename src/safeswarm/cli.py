@@ -23,10 +23,20 @@ from .sim import MODES, AgentSetup, Scenario, ScenarioError, run
 
 SAFETY_SLACK = 1e-6  # m/s of tolerated barrier undershoot before exit 2
 
-_TOP_KEYS = {"dt", "t_end", "mode", "gains", "barrier", "estimator", "agents"}
-_GAIN_KEYS = {"k1", "k2"}
-_BARRIER_KEYS = {"ds_mode", "ds", "epsilon"}
-_ESTIMATOR_KEYS = {"k", "alpha_floor"}
+# Every optional key of a scenario file: its section, its name there, and
+# the field it sets, of BarrierConfig in section "barrier" and of Scenario
+# elsewhere. A key the file leaves out is not passed on, so the field's
+# default holds; the model checks every value, and this parser only that
+# the numbers are finite numbers. mode and ds_mode pass as written.
+_OPTIONAL = (
+    ("scenario", "dt", "dt"), ("scenario", "t_end", "t_end"), ("scenario", "mode", "mode"),
+    ("gains", "k1", "k1"), ("gains", "k2", "k2"),
+    ("barrier", "ds_mode", "ds_mode"), ("barrier", "ds", "ds"), ("barrier", "epsilon", "epsilon"),
+    ("estimator", "k", "estimator_gain"), ("estimator", "alpha_floor", "alpha_floor"),
+)
+_SECTIONS = ("gains", "barrier", "estimator")
+_NAMES = {"mode", "ds_mode"}
+_TOP_KEYS = {"agents", *_SECTIONS, *(key for where, key, _ in _OPTIONAL if where == "scenario")}
 _AGENT_KEYS = {"id", "alpha", "beta", "gamma", "radius", "p0", "v0", "goal"}
 
 
@@ -43,10 +53,8 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _number(doc: dict, key: str, where: str, default=None):
+def _number(doc: dict, key: str, where: str):
     if key not in doc:
-        if default is not None:
-            return default
         raise ScenarioError(f"missing key {key!r} in {where}")
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -75,39 +83,21 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "scenario")
-
-    gains = doc.get("gains", {})
-    if not isinstance(gains, dict):
-        raise ScenarioError("key 'gains' must be an object")
-    _reject_unknown(gains, _GAIN_KEYS, "gains")
-    barrier_doc = doc.get("barrier", {})
-    if not isinstance(barrier_doc, dict):
-        raise ScenarioError("key 'barrier' must be an object")
-    _reject_unknown(barrier_doc, _BARRIER_KEYS, "barrier")
-    est_doc = doc.get("estimator", {})
-    if not isinstance(est_doc, dict):
-        raise ScenarioError("key 'estimator' must be an object")
-    _reject_unknown(est_doc, _ESTIMATOR_KEYS, "estimator")
-
-    ds_mode = barrier_doc.get("ds_mode", "sum_of_radii")
-    if ds_mode not in ("sum_of_radii", "fixed"):
-        raise ScenarioError("key 'ds_mode' must be 'sum_of_radii' or 'fixed'")
-    ds = None
-    if ds_mode == "fixed":
-        ds = _number(barrier_doc, "ds", "barrier")
-    elif "ds" in barrier_doc:
-        raise ScenarioError("key 'ds' is only valid with ds_mode 'fixed'")
+    sections = {"scenario": doc}
+    for name in _SECTIONS:
+        sections[name] = section = doc.get(name, {})
+        if not isinstance(section, dict):
+            raise ScenarioError(f"key {name!r} must be an object")
+        _reject_unknown(section, {key for where, key, _ in _OPTIONAL if where == name}, name)
+    given = {"barrier": {}, "scenario": {}}
+    for where, key, name in _OPTIONAL:
+        if key in sections[where]:
+            value = sections[where][key] if key in _NAMES else _number(sections[where], key, where)
+            given["barrier" if where == "barrier" else "scenario"][name] = value
     try:
-        cfg = BarrierConfig(
-            ds_mode=ds_mode, ds=ds,
-            epsilon=_number(barrier_doc, "epsilon", "barrier", default=1e-6),
-        )
+        cfg = BarrierConfig(**given["barrier"])
     except ValueError as exc:
         raise ScenarioError(f"barrier: {exc}") from exc
-
-    mode = doc.get("mode", "decentralized_C")
-    if mode not in MODES:
-        raise ScenarioError(f"key 'mode' must be one of {MODES}, got {mode!r}")
 
     agents_doc = doc.get("agents")
     if not isinstance(agents_doc, list) or not agents_doc:
@@ -128,20 +118,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         state0 = AgentState(_vector(entry, "p0", where), _vector(entry, "v0", where))
         agents.append(AgentSetup(params, state0, _vector(entry, "goal", where)))
 
-    scenario = Scenario(
-        agents=agents,
-        dt=_number(doc, "dt", "scenario", default=0.02),
-        t_end=_number(doc, "t_end", "scenario", default=20.0),
-        mode=mode,
-        k1=_number(gains, "k1", "gains", default=1.0),
-        k2=_number(gains, "k2", "gains", default=2.0),
-        barrier_cfg=cfg,
-        estimator_gain=_number(est_doc, "k", "estimator", default=1.0),
-        alpha_floor=(
-            _number(est_doc, "alpha_floor", "estimator")
-            if "alpha_floor" in est_doc else None
-        ),
-    )
+    scenario = Scenario(agents, barrier_cfg=cfg, **given["scenario"])
     scenario.validate()
     return scenario
 

@@ -1,6 +1,7 @@
-"""Built-in scenarios: a heterogeneous circle exchange, a two-class
-rectangle exchange, and a two-agent head-on encounter. Each is fixed and
-takes no arguments; set ``mode`` on the returned scenario to change it."""
+"""Built-in scenarios: ``ring_swap``, a heterogeneous ring exchange of any
+size, and the fixed ``PRESETS``, functions of no arguments: circle6 (one
+such ring), a two-class rectangle exchange and a two-agent head-on
+encounter. None takes a mode; set ``mode`` on the returned scenario."""
 
 from __future__ import annotations
 
@@ -10,36 +11,35 @@ from .dynamics import AgentParams, AgentState
 from .sim import AgentSetup, Scenario
 
 
-# Fixed angular offsets (degrees) from the even hexagon. A perfectly even
-# star sends all six agents through the center simultaneously with no
-# tangential escape component, which wedges them into mutually infeasible
-# constraint sets; this deterministic stagger lets a swirl form instead.
-_CIRCLE6_STAGGER_DEG = (4.0, -7.0, 3.0, -5.0, 6.5, -3.5)
+def ring_swap(n: int, radius: float, stagger_deg) -> Scenario:
+    """n agents on a ring of the given radius (m) swapping with their
+    antipodes, from rest, each turned off the even spacing by its entry of
+    ``stagger_deg`` (degrees).
+
+    Every sixth agent, from the first, is large and cumbersome (0.6 m/s^2,
+    0.4 m radius); the others are small and agile (1.2 m/s^2, 0.2 m
+    radius); every agent is limited to 0.6 m/s. Goals are exactly
+    antipodal, so every nominal path crosses the center.
+    """
+    agents = []
+    for k in range(n):
+        angle = 2.0 * np.pi * k / n + np.deg2rad(stagger_deg[k])
+        p0 = radius * np.array([np.cos(angle), np.sin(angle)])
+        large = k % 6 == 0
+        params = AgentParams(k + 1, 0.6 if large else 1.2, 0.6, 1.0, 0.4 if large else 0.2)
+        agents.append(AgentSetup(params, AgentState(p0, np.zeros(2)), -p0))
+    return Scenario(agents, dt=0.02, t_end=60.0)
 
 
 def circle6() -> Scenario:
-    """Six agents on a 1.75 m circle swapping with their antipodes.
+    """Six agents on a 1.75 m ring swapping with their antipodes: one large,
+    cumbersome agent and five small, agile ones.
 
-    One large, cumbersome agent (0.6 m/s^2, 0.4 m radius) and five small,
-    agile ones (1.2 m/s^2, 0.2 m radius); every agent is limited to
-    0.6 m/s. Goals are exactly antipodal, so every nominal path crosses
-    the center.
+    A perfectly even star sends all six agents through the center at once
+    with no tangential escape component, which wedges them into mutually
+    infeasible constraint sets; this fixed stagger lets a swirl form instead.
     """
-    ring_radius = 1.75
-    agents = []
-    for k in range(6):
-        angle = 2.0 * np.pi * k / 6.0 + np.deg2rad(_CIRCLE6_STAGGER_DEG[k])
-        p0 = ring_radius * np.array([np.cos(angle), np.sin(angle)])
-        large = k == 0
-        params = AgentParams(
-            id=k + 1,
-            accel_limit=0.6 if large else 1.2,
-            speed_limit=0.6,
-            barrier_gain=1.0,
-            radius=0.4 if large else 0.2,
-        )
-        agents.append(AgentSetup(params, AgentState(p0, np.zeros(2)), -p0))
-    return Scenario(agents=agents, dt=0.02, t_end=60.0)
+    return ring_swap(6, 1.75, (4.0, -7.0, 3.0, -5.0, 6.5, -3.5))
 
 
 def rect4() -> Scenario:

@@ -7,9 +7,9 @@ returns the QP answers as an (N, 2) array, an (N,) brake mask and the row
 pairs. An agent brakes when a pair it is in is at or inside its safety
 distance (it then has no QP) or when its QP, or the ensemble QP, has no
 solution. ``step_once`` clamps every answer to the box, overwrites the
-braking rows with one ``braking_fallback`` call, reads each status off the
-mask, and only then integrates everyone forward. Runs are fully
-deterministic for a given scenario.
+braking rows with one ``braking_fallback`` call, keeps the mask on the
+record as ``StepRecord.brake``, and only then integrates everyone forward.
+Runs are fully deterministic for a given scenario.
 
 The run state is the (N, 2) arrays ``SimContext.P`` and ``V``; a step runs
 on per-step arrays. Pair geometry runs over the pairs i < j in
@@ -140,7 +140,7 @@ class StepRecord:
     v: np.ndarray  # (N, 2)
     u_applied: np.ndarray  # (N, 2)
     u_nominal: np.ndarray  # (N, 2)
-    qp_status: list[str]
+    brake: np.ndarray  # (N,) bool: braked instead of applying a QP answer
     min_h: float  # inf without pairs
     min_pair_dist: float  # inf without pairs
     row_pairs: np.ndarray  # (E, 2) int, in row order
@@ -185,10 +185,10 @@ def braking_fallback(v: np.ndarray, accel_limit) -> np.ndarray:
 class _Start:
     """A scenario's checked start: ``Scenario.validate``'s checks, the pairs
     i < j in ``np.triu_indices`` order with each pair's safety distance and
-    summed acceleration limit, the start ``P`` and ``V``, the ``goals``, and
-    the pairs' start ``dp``, ``dist`` and ``h``. The nominal gains must be
-    nonnegative and finite, and so must every agent's unclamped nominal
-    control at the start."""
+    summed acceleration limit, the start ``P`` and ``V``, the ``goals``, the
+    pair ``geometry`` (P, dp, dist) of the start and the start's pair ``h``.
+    The nominal gains must be nonnegative and finite, and so must every
+    agent's unclamped nominal control at the start."""
 
     def __init__(self, scn: Scenario):
         agents = scn.agents
@@ -243,16 +243,17 @@ class _Start:
         if bad.size:
             raise ScenarioError(f"agent {self.params[bad[0]].id} starts with a non-finite nominal "
                                 f"control under gains k1 = {scn.k1!r}, k2 = {scn.k2!r}")
-        self.dp, self.dist = _pair_dist(self, self.P)
+        dp, dist = _pair_dist(self, self.P)
+        self.geometry = (self.P, dp, dist)
         with np.errstate(divide="ignore", invalid="ignore"):  # a coincident pair fails first
-            self.h = _pair_h(self, self.dist, _pair_vbar(self, self.dp, self.dist, self.V))
-        near = self.dist <= self.pair_ds  # as _violated
+            self.h = _pair_h(self, dist, _pair_vbar(self, dp, dist, self.V))
+        near = dist <= self.pair_ds  # as _violated
         bad = np.flatnonzero(near | (self.h < 0))
         if bad.size:
             k = bad[0]
             ai, aj = (self.params[x].id for x in (self.pair_i[k], self.pair_j[k]))
             raise ScenarioError(f"agents {ai} and {aj} start " + (
-                f"{self.dist[k]:.6g} m apart, within safety distance {self.pair_ds[k]:.6g} m"
+                f"{dist[k]:.6g} m apart, within safety distance {self.pair_ds[k]:.6g} m"
                 if near[k] else f"closing too fast to brake (barrier {self.h[k]:.6g} < 0)"))
 
 
@@ -300,7 +301,6 @@ class SimContext(_Start):
         self.ensemble_warm: tuple[int, ...] = ()
         self.layout: _Layout | None = None
         self.ensemble: _Ensemble | None = None
-        self.geometry = (self.P, self.dp, self.dist)
 
     def _neighbor_radius(self) -> np.ndarray:
         """Each agent's ``barrier.neighbor_radius`` against the weakest
@@ -318,14 +318,9 @@ class SimContext(_Start):
             self.params, min_accel.tolist(), max_speed.tolist(), ds_worst.tolist())])
 
 
-# The normals +e_0, -e_0, +e_1, -e_1 of an agent's four speed rows
-# (centralized) or face rows (decentralized).
-_FACES = qp.box_faces(2)
-
-
 def _speed_bounds(speed: np.ndarray, V: np.ndarray, dt: float) -> np.ndarray:
-    # (N, 4) bounds of the rows _FACES: per-axis cap on the next-step
-    # velocity, |v_c + u_c dt| <= speed_limit.
+    # (N, 4) bounds of each agent's rows +e_0, -e_0, +e_1, -e_1: per-axis cap
+    # on the next-step velocity, |v_c + u_c dt| <= speed_limit.
     out, speed = np.empty((len(V), 2, 2)), speed[:, None]
     np.subtract(speed, V, out=out[..., 0])
     np.add(speed, V, out=out[..., 1])
@@ -409,7 +404,7 @@ class _Layout:
         width = self.b.shape[1]
         self.bar = np.flatnonzero(np.arange(width) < bars[:, None])
         self.faces = (bars + width * np.arange(bars.size))[:, None] + np.arange(4)
-        self.A.reshape(-1, 2)[self.faces] = _FACES
+        self.A.reshape(-1, 2)[self.faces] = qp.box_faces(2)
         self.ds = ctx.pair_ds[pair]
         self.accel, self.accel_other, self.gain = ctx.accel[own], ctx.accel[oth], ctx.gain[own]
         self.vmax, self.amax = ctx.speed[self.free], ctx.accel[self.free, None]
@@ -462,8 +457,9 @@ class _Ensemble:
     """The fixed part of a centralized step's ensemble QP for the violated
     mask whose bytes are ``key``: the kept pairs ``pair`` with their ``i``,
     ``j``, ``ds``, ``accel_sum``, ``gain`` and braking ends, the ``free``
-    agents and their ``vmax``, the template ``A`` holding the speed rows,
-    the flat slots ``minus`` and ``plus`` of -dp and +dp of the pairs
+    agents and their ``vmax``, the template ``A`` holding the speed rows
+    (``qp.box_faces`` of the free controls, below the pair rows), the flat
+    slots ``minus`` and ``plus`` of -dp and +dp of the pairs
     ``minus_pair`` and ``plus_pair``, and the read-only ``row_pairs``."""
 
     def __init__(self, ctx: SimContext, violated: np.ndarray):
@@ -474,9 +470,7 @@ class _Ensemble:
         self.gain, self.brake_i, self.brake_j = ctx.gain[i], violated[i], violated[j]
         self.free = free = (~violated).nonzero()[0]
         self.vmax, col, width = ctx.speed[free], np.cumsum(~violated) - 1, 2 * free.size
-        f = np.arange(free.size)[:, None, None]
-        self.A = np.zeros((i.size + 4 * free.size, width))
-        self.A[i.size + 4 * f + np.arange(4)[:, None], 2 * f + np.arange(2)] = _FACES
+        self.A = np.concatenate((np.zeros((i.size, width)), qp.box_faces(width)))
         fi, fj = (~self.brake_i).nonzero()[0], (~self.brake_j).nonzero()[0]
         self.minus = (width * fi + 2 * col[i[fi]])[:, None] + np.arange(2)
         self.plus = (width * fj + 2 * col[j[fj]])[:, None] + np.arange(2)
@@ -558,7 +552,7 @@ def step_once(ctx: SimContext) -> StepRecord:
         v=ctx.V,
         u_applied=U,
         u_nominal=U_nom,
-        qp_status=[qp.INFEASIBLE if x else qp.OPTIMAL for x in brake.tolist()],
+        brake=brake,
         min_h=float(h[h.argmin()]) if h.size else math.inf,  # the first minimum, as min()
         min_pair_dist=float(dist.min()) if dist.size else math.inf,
         row_pairs=row_pairs,
@@ -590,7 +584,7 @@ def compute_metrics(log: TrajectoryLog) -> RunMetrics:
     """Summarize a run. Covers the initial state plus every recorded step."""
     scn, start = log.scenario, _Start(log.scenario)
     positions = np.array([start.P] + [rec.p for rec in log.records])
-    min_dist = float(np.min(start.dist, initial=math.inf))
+    min_dist = float(np.min(start.geometry[2], initial=math.inf))
     min_h = float(np.min(start.h, initial=math.inf))
     for rec in log.records:
         min_dist = min(min_dist, rec.min_pair_dist)
@@ -602,9 +596,7 @@ def compute_metrics(log: TrajectoryLog) -> RunMetrics:
     }
     total = _norm(np.diff(positions, axis=0)).sum(axis=0)
     path_lengths = {a.params.id: float(total[i]) for i, a in enumerate(scn.agents)}
-    infeasible = sum(
-        status == qp.INFEASIBLE for rec in log.records for status in rec.qp_status
-    )
+    infeasible = np.count_nonzero([rec.brake for rec in log.records])
     flag, onset = detect_deadlock(log)
     return RunMetrics(
         min_pair_dist=min_dist,

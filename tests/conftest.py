@@ -8,7 +8,7 @@ import pytest
 from safeswarm import AgentParams, AgentState, pair_barrier, relative_state
 from safeswarm.cli import scenario_from_dict
 from safeswarm.presets import PRESETS, circle6
-from safeswarm.sim import AgentSetup, Scenario, run
+from safeswarm.sim import run
 
 
 def random_safe_pair(rng, safety_dist=0.6, equal_gamma=True, margin=0.05):
@@ -76,17 +76,3 @@ def lanes_tiles(tiles=3, spacing=8.0, load=scenario_from_dict):
     ]
     return load(doc)
 
-
-def ring_swap(n, radius, stagger_deg, mode):
-    """n agents on a ring of the given radius swapping with their antipodes,
-    from rest, each turned off the even spacing by its stagger in degrees;
-    circle6's mix: every sixth agent, from the first, is the large,
-    cumbersome one."""
-    agents = []
-    for k in range(n):
-        angle = 2.0 * np.pi * k / n + np.deg2rad(stagger_deg[k])
-        p0 = radius * np.array([np.cos(angle), np.sin(angle)])
-        large = k % 6 == 0
-        params = AgentParams(k + 1, 0.6 if large else 1.2, 0.6, 1.0, 0.4 if large else 0.2)
-        agents.append(AgentSetup(params, AgentState(p0, np.zeros(2)), -p0))
-    return Scenario(agents, dt=0.02, t_end=60.0, mode=mode)

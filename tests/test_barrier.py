@@ -278,6 +278,10 @@ class TestSumOfRadiiMode:
         with pytest.raises(ValueError):
             BarrierConfig(ds_mode="fixed")
 
+    def test_ds_outside_fixed_mode_rejected(self):
+        with pytest.raises(ValueError, match="ds 0.5 is only valid with ds_mode 'fixed'"):
+            BarrierConfig("sum_of_radii", ds=0.5)
+
 
 class TestDenominatorFloor:
     def test_bound_is_finite_and_restrictive_near_boundary(self):

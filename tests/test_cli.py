@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -74,6 +75,11 @@ class TestParseScenario:
         assert scn.mode == "decentralized_C"
         assert scn.k1 == 1.0 and scn.k2 == 2.0
         assert scn.barrier_cfg.ds_mode == "sum_of_radii"
+        for f in dataclasses.fields(Scenario):  # the model's defaults, and only those
+            if f.name != "agents":
+                default = (f.default if f.default_factory is dataclasses.MISSING
+                           else f.default_factory())
+                assert getattr(scn, f.name) == default, f.name
 
     def test_full_document_round_trip(self):
         scn = scenario_from_dict(two_agent_doc())
@@ -147,6 +153,20 @@ class TestParseScenario:
         doc["barrier"] = {"ds_mode": "sum_of_radii", "ds": 0.5}
         with pytest.raises(ScenarioError, match="ds"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("barrier", {"ds_mode": "sum_of_radii", "ds": 0.5}, "ds 0.5"),
+        ("barrier", {"ds_mode": "nearest"}, "ds_mode 'nearest'"),
+        ("mode", "decentralized_D", "mode 'decentralized_D'"),
+        ("mode", ["centralized"], "mode ['centralized']"),
+    ], ids=["stray-ds", "ds_mode", "mode", "mode-list"])
+    def test_value_the_model_rejects_exits_1(self, tmp_path, capsys, key, value, named):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(dict(two_agent_doc(), **{key: value})))
+        assert run_command(["--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err.splitlines()[0]
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     # Not UTF-8; nested past the recursion limit; an integer literal past
     # Python's 4300-digit limit on int parsing, which json.loads raises on.
@@ -407,7 +427,7 @@ class TestCsvArtifacts:
         cols = [np.roll(values, c) for c in range(8)]
         rec = SimpleNamespace(t=2.0 ** -18, p=np.stack(cols[0:2], 1), v=np.stack(cols[2:4], 1),
                               u_applied=np.stack(cols[4:6], 1), u_nominal=np.stack(cols[6:8], 1),
-                              qp_status=["optimal", "infeasible"] * (n // 2) + ["optimal"])
+                              brake=np.array([False, True] * (n // 2) + [False]))
         agents = [SimpleNamespace(params=SimpleNamespace(id=7 + i)) for i in range(n)]
         log = SimpleNamespace(scenario=SimpleNamespace(agents=agents), records=[rec])
         write_trajectory_csv(log, tmp_path / "trajectory.csv")
@@ -415,7 +435,8 @@ class TestCsvArtifacts:
         assert len(lines) == n + 1
         for i, line in enumerate(lines[1:]):
             expected = [format(rec.t, ".12g"), str(7 + i)]
-            expected += [format(col[i], ".12g") for col in cols] + [rec.qp_status[i]]
+            expected += [format(col[i], ".12g") for col in cols]
+            expected += ["infeasible" if rec.brake[i] else "optimal"]
             assert line.split(",") == expected
         assert lines[1].split(",")[:3] == ["3.81469726562e-06", "7", "-0"]
 
@@ -475,6 +496,17 @@ class TestCsvArtifacts:
             assert doc["goal_errors_m"][str(aid)] == pytest.approx(err, abs=1e-9)
         infeasible = int(np.sum(cols["qp_status"] == "infeasible"))
         assert doc["qp_infeasible_count"] == infeasible
+
+    def test_status_column_spells_the_brake_mask(self, tmp_path, circle6_run):
+        # circle6 under decentralized_C: some of its QPs go infeasible.
+        _, log, metrics, _ = circle6_run
+        write_trajectory_csv(log, tmp_path / "trajectory.csv")
+        status = read_csv(tmp_path / "trajectory.csv")["qp_status"]
+        brake = np.array([rec.brake for rec in log.records])
+        assert brake.any() and brake.dtype == bool
+        assert np.array_equal(status.reshape(brake.shape) == "infeasible", brake)
+        assert set(status.tolist()) == {"optimal", "infeasible"}
+        assert metrics.qp_infeasible_count == brake.sum()
 
     def test_empty_run_yields_header_only(self, tmp_path):
         scn = scenario_from_dict({**MINIMAL, "t_end": 0.0})

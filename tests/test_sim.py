@@ -31,6 +31,8 @@ from safeswarm.sim import (
     step_once,
 )
 
+from safeswarm.presets import circle6, ring_swap
+
 from conftest import lanes_tiles, preset
 
 
@@ -136,7 +138,7 @@ def synthetic_log(positions, velocities, goals, dt=0.1):
                 v=np.array(velocities[k], dtype=float),
                 u_applied=np.zeros((n, 2)),
                 u_nominal=np.zeros((n, 2)),
-                qp_status=["optimal"] * n,
+                brake=np.zeros(n, dtype=bool),
                 min_h=np.inf,
                 min_pair_dist=np.inf,
                 row_pairs=np.empty((0, 2), dtype=int),
@@ -334,13 +336,13 @@ class TestStepOnce:
                         agent(2, (1e160, 0.0), (-1e160, 0.0), accel=0.8)],
                        t_end=0.2, mode="centralized")
         ctx = SimContext(scn)
-        statuses = []
+        brakes = []
         with np.errstate(over="ignore", invalid="ignore"):  # the bound's own overflow
             for _ in range(10):
                 moving = bool(ctx.V.any())
-                statuses.append(step_once(ctx).qp_status)
-                assert statuses[-1] == ["infeasible" if moving else "optimal"] * 2
-        assert statuses[1::2] == [["infeasible"] * 2] * 5
+                brakes.append(step_once(ctx).brake.tolist())
+                assert brakes[-1] == [moving] * 2
+        assert brakes[1::2] == [[True] * 2] * 5
 
 
 class TestRun:
@@ -509,8 +511,8 @@ class TestMetrics:
 
 
 def test_log_bytes_per_step_are_linear_in_n():
-    """A record holds the post-step states, controls and statuses (72 B per
-    agent), 16 B per barrier row and about 1 kB of fixed overhead; no value
+    """A record holds the post-step states, controls and brake flags (65 B
+    per agent), 16 B per barrier row and about 1 kB of fixed overhead; no value
     per pair. On 27 agents in 3x3 crossing_lanes tiles, about 1.3 rows per
     agent, the log grows by about 3.8 kB per step. The bound, 1 kB + 192 B
     per agent (6.2 kB), doubles the per-agent part. A log with one h per pair (351
@@ -528,3 +530,23 @@ def test_log_bytes_per_step_are_linear_in_n():
         tracemalloc.stop()
     assert sum(len(rec.row_pairs) for rec in records) > steps * ctx.n  # rows are logged
     assert per_step <= 1024 + 192 * ctx.n
+
+
+def test_circle6_is_its_ring_swap():
+    """circle6 is the 6-agent ring swap on 1.75 m with its fixed stagger,
+    and both are this scenario written out: agent 1 large (0.6 m/s^2,
+    0.4 m), agents 2-6 small (1.2 m/s^2, 0.2 m), all at 0.6 m/s, from
+    rest to the antipode. Equal params and equal bytes of p0, v0 and goal."""
+    stagger = (4.0, -7.0, 3.0, -5.0, 6.5, -3.5)
+    written = []
+    for k in range(6):
+        angle = 2.0 * np.pi * k / 6.0 + np.deg2rad(stagger[k])
+        p0 = 1.75 * np.array([np.cos(angle), np.sin(angle)])
+        written.append(agent(k + 1, p0, -p0, accel=0.6 if k == 0 else 1.2,
+                             radius=0.4 if k == 0 else 0.2))
+    for scn in (circle6(), ring_swap(6, 1.75, stagger)):
+        assert (scn.dt, scn.t_end, scn.mode) == (0.02, 60.0, "decentralized_C")
+        for a, b in zip(scn.agents, written, strict=True):
+            assert a.params == b.params
+            for x, y in ((a.state0.p, b.state0.p), (a.state0.v, b.state0.v), (a.goal, b.goal)):
+                assert x.tobytes() == y.tobytes()

@@ -36,10 +36,10 @@ from safeswarm import (
 )
 from safeswarm import barrier, cli, sim
 from safeswarm.estimator import SMOOTHING
-from safeswarm.presets import circle6
+from safeswarm.presets import circle6, ring_swap
 from safeswarm.sim import MODES, AgentSetup, Scenario, ScenarioError, SimContext, step_once
 
-from conftest import lanes_tiles, preset, ring_swap
+from conftest import lanes_tiles, preset
 
 # Relative offsets from a critical distance: just inside, on it (up to the
 # rounding of the placement) and just outside.
@@ -393,7 +393,7 @@ def test_no_row_pair_at_or_inside_its_safety_distance(case):
 @pytest.mark.parametrize("mode", MODES)
 def test_step_with_every_agent_inside_a_pair_brakes_without_a_qp(mode, monkeypatch):
     """Two pairs, each inside its Ds: every agent brakes at its own limit,
-    every status is INFEASIBLE, no barrier row is built and ``qp.solve``
+    every brake flag is set, no barrier row is built and ``qp.solve``
     is never called."""
     agents = _headon(mode).agents + [
         AgentSetup(AgentParams(4, 0.5, 0.6, 1.0, 0.3), AgentState((0.0, -3.0), (0.0, 0.0)),
@@ -410,7 +410,7 @@ def test_step_with_every_agent_inside_a_pair_brakes_without_a_qp(mode, monkeypat
 
     monkeypatch.setattr(sim.qp, "solve", no_qp)
     rec = step_once(ctx)
-    assert rec.qp_status == [INFEASIBLE] * 4
+    assert rec.brake.tolist() == [True] * 4
     assert rec.row_pairs.shape == (0, 2)
     brake = np.array([_brake(V[i], ctx.params[i].accel_limit) for i in range(4)])
     assert rec.u_applied.tobytes() == brake.tobytes()
@@ -534,7 +534,8 @@ def _step_against_cold_layout(ctx, steps):
             sol = sim.qp.solve(sim.qp.QpProblem(U_nom[i], A0[k], b0[k], np.full(2, np.inf)),
                                warm_start=tuple(np.flatnonzero(warm[i]).tolist()))
             assert tuple(np.flatnonzero(ctx.warm[i]).tolist()) == sol.active_set
-            assert rec.qp_status[i] == sol.status and hot[0][k].tobytes() == sol.u_star.tobytes()
+            assert rec.brake[i] == (sol.status == INFEASIBLE)
+            assert hot[0][k].tobytes() == sol.u_star.tobytes()
             infeasible += sol.status == INFEASIBLE
         assert ctx.warm[violated].tobytes() == warm[violated].tobytes()
     return hits, infeasible
@@ -555,7 +556,9 @@ def test_cached_layout_equals_cold_layout_while_braking():
     """The ring8 swap with a +-3 degree stagger under strategy B: QPs go
     infeasible from step 66 and pairs fall inside their safety distance
     from step 124, so the violated set changes under the cache."""
-    ctx = SimContext(ring_swap(8, 1.75, [3.0, -3.0] * 4, "decentralized_B"))
+    scn = ring_swap(8, 1.75, [3.0, -3.0] * 4)
+    scn.mode = "decentralized_B"
+    ctx = SimContext(scn)
     hits, infeasible = _step_against_cold_layout(ctx, 130)
     assert hits > 65 and infeasible and ctx.layout.free.size < ctx.n
 
