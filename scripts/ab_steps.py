@@ -19,8 +19,10 @@ package name (``safeswarm_a``, ``safeswarm_b``) and imported side by side.
 Every round runs each job on both sides, alternating from job to job which
 side goes first, R times each, and keeps each side's best time spent inside
 ``sim.step_once``. It prints each job's best-of-R steps/s per side and
-their ratio B/A, and each round's steps/s over all jobs and its ratio; a
-ratio above 1 means B steps faster.
+their ratio B/A, and each round's steps/s over all jobs, each side over its
+own steps, and its ratio; a ratio above 1 means B steps faster. A job whose
+sides ran different step counts is marked, and the last line counts such
+jobs: a change that keeps every output byte has none.
 """
 
 from __future__ import annotations
@@ -100,26 +102,29 @@ def main(argv=None) -> None:
                  Side(args.b.resolve(), "safeswarm_b", Path(tmp)))
         jobs = ([(s, m) for s in SUITE for m in sides[0].sim.MODES]
                 if args.source == "paper-suite" else [(args.source, None)])
-        ratios = []
+        ratios, uneven = [], 0
         for rnd in range(1, args.rounds + 1):
-            total_steps, total_ns = 0, [0, 0]
+            total_steps, total_ns = [0, 0], [0, 0]
             print(f"round {rnd}: {'job':45s} {'A steps/s':>10s} {'B steps/s':>10s} {'B/A':>6s}")
             for k, (source, mode) in enumerate(jobs):
                 order = (0, 1) if (k + rnd) % 2 == 0 else (1, 0)
                 ns, steps = [0, 0], [0, 0]
                 for s in order:
                     ns[s], steps[s] = sides[s].best(source, mode, args.repeats)
-                total_steps += steps[0]
+                total_steps = [t + x for t, x in zip(total_steps, steps)]
                 total_ns = [t + x for t, x in zip(total_ns, ns)]
                 rate = [n / (x / 1e9) for n, x in zip(steps, ns)]
                 name = Path(source).stem + (f"-{mode}" if mode else "")
+                mark = "" if steps[0] == steps[1] else f"  steps A {steps[0]} != B {steps[1]}"
+                uneven += bool(mark)
                 print(f"         {name:45s} {rate[0]:10.0f} {rate[1]:10.0f} "
-                      f"{rate[1] / rate[0]:6.3f}")
-            rate = [total_steps / (x / 1e9) for x in total_ns]
+                      f"{rate[1] / rate[0]:6.3f}{mark}")
+            rate = [n / (x / 1e9) for n, x in zip(total_steps, total_ns)]
             ratios.append(rate[1] / rate[0])
             print(f"round {rnd}: {'all jobs':45s} {rate[0]:10.0f} {rate[1]:10.0f} "
                   f"{ratios[-1]:6.3f}")
         print("ratios B/A by round: " + " ".join(f"{r:.3f}" for r in ratios))
+        print(f"jobs with unequal step counts: {uneven}")
 
 
 if __name__ == "__main__":

@@ -25,12 +25,15 @@ def main():
     print(f"preset: {args.preset}")
     print(header)
     print("-" * len(header))
+    default = PRESETS[args.preset]().mode
     for mode in MODES:
         scenario = PRESETS[args.preset]()
         scenario.mode = mode
         start = time.perf_counter()
         log, metrics = run(scenario)
         wall = time.perf_counter() - start
+        if mode == default:
+            kept = scenario, log, metrics
         sim_t = log.records[-1].t if log.records else 0.0
         print(
             f"{mode:28s} {sim_t:8.2f}s {wall:5.1f}s {metrics.min_pair_dist:9.4f} "
@@ -38,8 +41,7 @@ def main():
             f"{metrics.qp_infeasible_count:10d} {str(metrics.deadlock_detected):>8s}"
         )
 
-    scenario = PRESETS[args.preset]()
-    log, metrics = run(scenario)
+    scenario, log, metrics = kept
     print("\nper-agent interference (default mode), sum of |u - u_nominal|:")
     deviation = np.zeros(len(scenario.agents))
     for rec in log.records:

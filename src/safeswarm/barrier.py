@@ -22,11 +22,13 @@ Per-agent rows are expressed in the owner's own frame and scaled so that
 the two rows of a pair sum exactly to the ensemble row. Each bound formula
 is written once, as an array function over many pairs
 (``centralized_bounds``, ``rate_split_bounds``, ``bound_split_bounds``,
-``hybrid_bounds``); the scalar builders above call it with one row.
+``hybrid_bounds``); the scalar builders above call it with one row, after
+one shared check that the pair is outside its safety distance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +55,11 @@ class BarrierConfig:
 
     ds_mode "sum_of_radii" uses r_i + r_j per pair; "fixed" uses one global
     distance ``ds`` for every pair, and only "fixed" takes a ``ds``. epsilon
-    floors the (dist - Ds) factor in constraint denominators so bounds stay
-    finite as a pair approaches its safety distance, while remaining
-    maximally restrictive.
+    floors the gap dist - Ds in the denominator of each bound's
+    closing-speed term, so that bounds stay finite as a pair approaches its
+    safety distance. A floor above a pair's gap shrinks that term, which
+    loosens the bound of a closing pair; a large finite epsilon all but
+    removes the term from every bound, and a non-finite one is rejected.
     """
 
     ds_mode: str = "sum_of_radii"
@@ -70,17 +74,14 @@ class BarrierConfig:
                 raise ValueError("fixed ds_mode requires a positive ds")
         elif self.ds is not None:
             raise ValueError(f"ds {self.ds!r} is only valid with ds_mode 'fixed'")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
 
     def safety_distances(self, radius: np.ndarray) -> np.ndarray:
         """(N, N) safety distance of every ordered pair, from the agents' radii."""
         if self.ds_mode == "fixed":
             return np.full((radius.size, radius.size), float(self.ds))
         return radius[:, None] + radius[None, :]
-
-    def safety_distance(self, pi: AgentParams, pj: AgentParams) -> float:
-        return float(self.safety_distances(np.array([pi.radius, pj.radius]))[0, 1])
 
 
 @dataclass(frozen=True)
@@ -110,15 +111,6 @@ def pair_barrier(rel: RelativeState, accel_sum: float, safety_dist: float) -> tu
         raise ValueError(f"accel_sum must be positive, got {accel_sum!r}")
     h = float(barrier_values(rel.dist, rel.vbar, accel_sum, safety_dist))
     return h, rel.dist - safety_dist <= 0.0
-
-
-def guard_pairs(owner, other, dist: np.ndarray, safety_dist) -> None:
-    """Raise AlreadyViolatedError for the first pair at or inside its safety distance."""
-    inside = (dist <= safety_dist).nonzero()[0]
-    if inside.size:
-        k = inside[0]
-        raise AlreadyViolatedError(int(owner[k]), int(other[k]), float(dist[k]),
-                                   float(np.broadcast_to(safety_dist, dist.shape)[k]))
 
 
 # The bound functions below give the right-hand side b of the row
@@ -178,15 +170,22 @@ def _one(bounds, rel: RelativeState, *args) -> float:
     return float(bounds(rel.dp[None], np.array([rel.dist]), rel.dv[None], *args)[0])
 
 
-def centralized_bound(
-    rel: RelativeState,
-    accel_sum: float,
-    gamma: float,
-    safety_dist: float,
-    epsilon: float,
-) -> float:
-    """Right-hand side of the ensemble constraint -dp . du <= b for one pair."""
-    return _one(centralized_bounds, rel, accel_sum, gamma, safety_dist, epsilon)
+def _outside(i, j, states, cfg, params=None, safety_dist=None):
+    """The relative state of pair (i, j) and its safety distance: the given
+    one, else ``cfg``'s, which needs the pair's ``params`` in sum_of_radii
+    mode. Raises AlreadyViolatedError at or inside that distance."""
+    rel = relative_state(states[i], states[j])
+    if safety_dist is None:
+        if params is None and cfg.ds_mode != "fixed":
+            # Pairwise distances need the neighbor's (sensed) radius; the
+            # caller must supply them in sum_of_radii mode.
+            raise ValueError("sum_of_radii mode requires an explicit safety_dist")
+        # "fixed" mode reads no radius.
+        radii = np.zeros(2) if params is None else np.array([params[i].radius, params[j].radius])
+        safety_dist = float(cfg.safety_distances(radii)[0, 1])
+    if rel.dist <= safety_dist:
+        raise AlreadyViolatedError(i, j, float(rel.dist), float(safety_dist))
+    return rel, safety_dist
 
 
 def centralized_row(
@@ -203,13 +202,11 @@ def centralized_row(
     elsewhere. Uses a single gain (agent i's unless overridden); per-agent
     gains belong to the decentralized strategies.
     """
-    rel = relative_state(states[i], states[j])
-    safety_dist = cfg.safety_distance(params[i], params[j])
-    guard_pairs((i,), (j,), np.array([rel.dist]), safety_dist)
+    rel, safety_dist = _outside(i, j, states, cfg, params)
     accel_sum = params[i].accel_limit + params[j].accel_limit
     if gamma is None:
         gamma = params[i].barrier_gain
-    b = centralized_bound(rel, accel_sum, gamma, safety_dist, cfg.epsilon)
+    b = _one(centralized_bounds, rel, accel_sum, gamma, safety_dist, cfg.epsilon)
     a = np.zeros(2 * len(states))
     a[2 * i : 2 * i + 2] = -rel.dp
     a[2 * j : 2 * j + 2] = rel.dp
@@ -218,9 +215,7 @@ def centralized_row(
 
 def _split_rows(bounds, i, j, states, params, cfg):
     # The rows of both agents of pair (i, j), each over its own control.
-    rel = relative_state(states[i], states[j])
-    safety_dist = cfg.safety_distance(params[i], params[j])
-    guard_pairs((i,), (j,), np.array([rel.dist]), safety_dist)
+    rel, safety_dist = _outside(i, j, states, cfg, params)
     ai, aj = params[i].accel_limit, params[j].accel_limit
     b_i = _one(bounds, rel, states[i].v[None], ai, aj, params[i].barrier_gain,
                safety_dist, cfg.epsilon)
@@ -279,14 +274,7 @@ def strategy_c_row(
     """
     if not other_accel > 0:
         raise ValueError(f"other_accel must be positive, got {other_accel!r}")
-    rel = relative_state(states[i], states[j])
-    if safety_dist is None:
-        if cfg.ds_mode != "fixed":
-            # Pairwise distances need the neighbor's (sensed) radius; the
-            # caller must supply them in sum_of_radii mode.
-            raise ValueError("sum_of_radii mode requires an explicit safety_dist")
-        safety_dist = float(cfg.ds)
-    guard_pairs((i,), (j,), np.array([rel.dist]), safety_dist)
+    rel, safety_dist = _outside(i, j, states, cfg, safety_dist=safety_dist)
     b = _one(hybrid_bounds, rel, states[i].v[None], self_params.accel_limit, other_accel,
              self_params.barrier_gain, safety_dist, cfg.epsilon)
     return HalfspaceRow(-rel.dp, b, (i, j))

@@ -46,10 +46,10 @@ one-row working set {a1}, ``r = row_dot(a1, a_p) / row_dot(a1, a1)`` (the
 1x1 ``np.linalg.solve``) and ``z = a_p - a1 * r``. A problem the closed
 form does not fit (a row in the span of its working set, a working
 multiplier that hits zero first, a non-finite sum, or a third row, which
-pass 3 looks for) is handed, with its iterate, working rows, multipliers,
-the row it is adding and its step count, to ``solve``'s own loop, which
-finishes it on the problem's whole padded row. Drops, certificates of an
-empty polytope, non-finite stops and the iteration limit exist only
+pass 3 looks for) is handed, with its iterate and its working rows and
+their multipliers, to ``solve``'s own loop, which picks its next row anew
+and finishes it on the problem's whole padded row. Drops, certificates of
+an empty polytope, non-finite stops and the iteration limit exist only
 there.
 
 The kernel's answers, optimal flags, working-set masks and iteration
@@ -182,36 +182,36 @@ def solve(problem: QpProblem, warm_start: tuple[int, ...] = ()) -> QpSolution:
     """
     A, b = expanded_constraints(problem)
     warm = frozenset(k for k in warm_start if 0 <= k < b.size)
-    return _solve_from(A, b, problem.u_hat, warm, problem.u_hat.copy(), [], [])
+    return _solve_from(A, b, warm, problem.u_hat.copy(), [], [])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the loop's finite check stops an overflow
-def _solve_from(A: np.ndarray, b: np.ndarray, u_hat: np.ndarray, warm: frozenset[int],
-                u: np.ndarray, work: list[int], lam: list[float], p: int | None = None,
-                iters: int = 0) -> QpSolution:
-    """``solve``'s loop from the iterate u after ``iters`` dual steps, with
-    the working rows ``work`` in the order they joined and their multipliers
-    ``lam``. Given a row p, it starts by adding p, as ``solve_padded``
-    hands its problems over. Rows bounded by +inf, such as the kernel's
-    padding, are never violated and do not count towards the limit."""
+def _solve_from(A: np.ndarray, b: np.ndarray, warm: frozenset[int], u: np.ndarray,
+                work: list[int], lam: list[float]) -> QpSolution:
+    """``solve``'s loop from the iterate u, with the working rows ``work``
+    in the order they joined and their multipliers ``lam``. It counts one
+    dual step per working row already taken, as ``solve_padded``'s passes
+    take one per row they add, and then picks each row to add itself. Rows
+    bounded by +inf, such as the kernel's padding, are never violated and
+    do not count towards the limit."""
     n = A.shape[1]
     m = int(np.count_nonzero(b != np.inf))
     max_iter = max(10 * m, 50)
+    iters = len(work)
 
     while iters < max_iter:
-        if p is None:
-            resid = A @ u - b
-            if work:
-                resid[work] = 0.0  # working rows are tight by construction
-            violated = np.flatnonzero(~(resid <= _SELECT_TOL))  # NaN counts as violated
-            if violated.size == 0:
-                order = np.argsort(work)
-                active = tuple(int(work[k]) for k in order)
-                mult = np.array([lam[k] for k in order])
-                return QpSolution(u, OPTIMAL, active, mult, iters)
-            preferred = [int(k) for k in violated if int(k) in warm]
-            pool = preferred if preferred else [int(k) for k in violated]
-            p = max(pool, key=lambda k: (resid[k], -k))
+        resid = A @ u - b
+        if work:
+            resid[work] = 0.0  # working rows are tight by construction
+        violated = np.flatnonzero(~(resid <= _SELECT_TOL))  # NaN counts as violated
+        if violated.size == 0:
+            order = np.argsort(work)
+            active = tuple(int(work[k]) for k in order)
+            mult = np.array([lam[k] for k in order])
+            return QpSolution(u, OPTIMAL, active, mult, iters)
+        preferred = [int(k) for k in violated if int(k) in warm]
+        pool = preferred if preferred else [int(k) for k in violated]
+        p = max(pool, key=lambda k: (resid[k], -k))
         a_p = A[p]
         lam_p = 0.0
 
@@ -240,7 +240,6 @@ def _solve_from(A: np.ndarray, b: np.ndarray, u_hat: np.ndarray, warm: frozenset
                 return QpSolution(u, INFEASIBLE, tuple(sorted(work)), np.zeros(0), iters)
             if not drop:
                 break
-        p = None
 
     logger.warning(
         "iteration limit (%d) hit on a %d-row problem; reporting infeasible",
@@ -317,16 +316,12 @@ def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray,
     bw, handed = bb.copy(), np.zeros(bb.shape, dtype=bool)
     warm_bit = warm.astype(np.uint64) << 63
 
-    def hand_off(k, p, work=(), lam=()):
-        # solve's loop adds row p[i] to problem k[i], whose working rows
-        # (work[0][i], ...) joined in that order with multipliers (lam[0][i], ...).
+    def hand_off(k, work=(), lam=()):
+        # solve's loop finishes problem k[i] from its iterate, whose working
+        # rows (work[0][i], ...) joined in that order with multipliers (lam[0][i], ...).
         for i, ki in enumerate(k.tolist()):
-            rows = [int(w[i]) for w in work]
-            # A working row reads NaN if its dot overflowed; the loop picks anew.
-            pi = None if int(p[i]) in rows else int(p[i])
-            sol = _solve_from(AA[ki], bb[ki], u_hat[ki],
-                              frozenset(np.flatnonzero(warm[ki]).tolist()), u[ki], rows,
-                              [float(x[i]) for x in lam], pi, len(rows))
+            sol = _solve_from(AA[ki], bb[ki], frozenset(np.flatnonzero(warm[ki]).tolist()),
+                              u[ki], [int(w[i]) for w in work], [float(x[i]) for x in lam])
             u[ki], failed[ki], iters[ki] = sol.u_star, sol.status != OPTIMAL, sol.iterations
             bw[ki], handed[ki, list(sol.active_set)] = bb[ki], True
 
@@ -345,7 +340,7 @@ def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray,
     # overflowing sum is a false alarm and costs a hand-off).
     general = (zz <= _DEP_TOL * np.maximum(1.0, zz)) | ~np.isfinite(u_k[:, 0] + u_k[:, 1] + lam1)
     if np.count_nonzero(general):
-        hand_off(k[general], p1[general])
+        hand_off(k[general])
         k, p1, a1, lam1, u_k = (x[~general] for x in (k, p1, a1, lam1, u_k))
     u[k], bw[k, p1], iters[k] = u_k, np.inf, 1
 
@@ -367,15 +362,14 @@ def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray,
                | ((r1 > _DUAL_TOL) & (lam1 / r1 < t))
                | ~np.isfinite(u_k[:, 0] + u_k[:, 1] + t + lam1_k))
     if np.count_nonzero(general):
-        hand_off(k[general], p2[general], (p1[general],), (lam1[general],))
+        hand_off(k[general], (p1[general],), (lam1[general],))
         k, p1, p2, t, u_k, lam1_k = (x[~general] for x in (k, p1, p2, t, u_k, lam1_k))
     u[k], bw[k, p2], iters[k] = u_k, np.inf, 2
 
     # Pass 3 hands each problem with a third violated row to solve's loop.
-    live, p3, _ = _pick(AA.take(k, 0), u.take(k, 0), bw.take(k, 0), warm_bit.take(k, 0))
+    live = _pick(AA.take(k, 0), u.take(k, 0), bw.take(k, 0), warm_bit.take(k, 0))[0]
     if live.size:
-        hand_off(k.take(live), p3, (p1.take(live), p2.take(live)),
-                 (lam1_k.take(live), t.take(live)))
+        hand_off(k.take(live), (p1.take(live), p2.take(live)), (lam1_k.take(live), t.take(live)))
     return done()
 
 

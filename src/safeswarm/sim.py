@@ -122,11 +122,6 @@ class Scenario:
     def validate(self) -> None:
         _Start(self)
 
-    def resolved_alpha_floor(self) -> float:
-        if self.alpha_floor is not None:
-            return self.alpha_floor
-        return 0.5 * min(a.params.accel_limit for a in self.agents)
-
 
 @dataclass
 class StepRecord:
@@ -186,7 +181,8 @@ class _Start:
     """A scenario's checked start: ``Scenario.validate``'s checks, the pairs
     i < j in ``np.triu_indices`` order with each pair's safety distance and
     summed acceleration limit, the start ``P`` and ``V``, the ``goals``, the
-    pair ``geometry`` (P, dp, dist) of the start and the start's pair ``h``.
+    pair ``geometry`` (P, dp, dist) of the start, the start's pair ``h`` and
+    the estimator's ``alpha_floor``, half the smallest limit unless given.
     The nominal gains must be nonnegative and finite, and so must every
     agent's unclamped nominal control at the start."""
 
@@ -206,6 +202,7 @@ class _Start:
         if floor is not None and not (0 < floor < math.inf and floor <= top):
             raise ScenarioError(f"alpha_floor must be positive, finite and at most the smallest "
                                 f"accel limit {top!r}, got {floor!r}")
+        self.alpha_floor = 0.5 * top if floor is None else floor
         for name, gain in (("k1", scn.k1), ("k2", scn.k2)):
             if not 0 <= gain < math.inf:
                 raise ScenarioError(f"gain {name} must be nonnegative and finite, got {gain!r}")
@@ -294,8 +291,7 @@ class SimContext(_Start):
         self.dir_radius = self.neighbor_radius[self.dir_own]
         self.estimators: list[LimitEstimator] | None = None
         if scenario.mode == "decentralized_C_estimated":
-            shared = LimitEstimator(self.n, scenario.resolved_alpha_floor(),
-                                    scenario.estimator_gain)
+            shared = LimitEstimator(self.n, self.alpha_floor, scenario.estimator_gain)
             self.estimators = [shared] * self.n
         self.warm = np.zeros((self.n, 0), dtype=bool)  # (N, W), grown as layouts widen
         self.ensemble_warm: tuple[int, ...] = ()
@@ -313,7 +309,7 @@ class SimContext(_Start):
         ds_worst = (2 * np.array([p.radius for p in self.params]) if lone
                     else np.where(others, self.safety_dist, -np.inf).max(axis=1))
         if scn.mode == "decentralized_C_estimated":
-            min_accel = np.minimum(min_accel, scn.resolved_alpha_floor())
+            min_accel = np.minimum(min_accel, self.alpha_floor)
         return np.array([barrier.neighbor_radius(*args) for args in zip(
             self.params, min_accel.tolist(), max_speed.tolist(), ds_worst.tolist())])
 
@@ -412,9 +408,6 @@ class _Layout:
         for shared in (self.A, self.b, self.row_pairs):
             shared.flags.writeable = False
 
-    def holds(self, near: np.ndarray, violated: np.ndarray) -> bool:
-        return near.tobytes() + violated.tobytes() == self.key
-
 
 def _agent_qps(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
     """The step's layout, cached on ``ctx`` while its key holds, and the
@@ -422,7 +415,7 @@ def _agent_qps(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
     ``ctx.warm`` to at least M columns."""
     near = dist[ctx.dir_pair] <= ctx.dir_radius
     lay = ctx.layout
-    if lay is None or not lay.holds(near, violated):
+    if lay is None or lay.key != near.tobytes() + violated.tobytes():
         lay = ctx.layout = _Layout(ctx, near, violated)
         if ctx.warm.shape[1] < lay.A.shape[1]:
             ctx.warm = np.pad(ctx.warm, ((0, 0), (0, lay.A.shape[1] - ctx.warm.shape[1])))

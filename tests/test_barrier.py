@@ -20,7 +20,6 @@ from safeswarm import (
     strategy_c_row,
 )
 from safeswarm import barrier
-from safeswarm.barrier import centralized_bound
 
 from conftest import as_ensemble, random_safe_pair
 
@@ -267,7 +266,7 @@ class TestSumOfRadiiMode:
         cfg = BarrierConfig()
         pi = AgentParams(1, 1.0, 1.0, 1.0, 0.4)
         pj = AgentParams(2, 1.0, 1.0, 1.0, 0.2)
-        assert cfg.safety_distance(pi, pj) == pytest.approx(0.6)
+        assert cfg.safety_distances(np.array([pi.radius, pj.radius]))[0, 1] == pytest.approx(0.6)
 
     def test_strategy_c_requires_explicit_distance(self):
         params_i = AgentParams(1, 1.2, 1.0, 1.0, 0.3)
@@ -294,9 +293,15 @@ class TestDenominatorFloor:
 
     def test_floor_only_engages_below_epsilon(self):
         rel = relative_state(*pair_states(1.1, -0.8))
-        floored = centralized_bound(rel, 2.4, 1.0, 0.6, 1e-6)
-        exact = centralized_bound(rel, 2.4, 1.0, 0.6, 1e-12)
-        assert floored == pytest.approx(exact, abs=1e-12)
+        args = (rel.dp[None], np.array([rel.dist]), rel.dv[None], 2.4, 1.0, 0.6)
+        floored = barrier.centralized_bounds(*args, 1e-6)
+        exact = barrier.centralized_bounds(*args, 1e-12)
+        assert floored.shape == (1,) and floored[0] == pytest.approx(exact[0], abs=1e-12)
+
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0])
+    def test_rejects_an_epsilon_not_positive_and_finite(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            BarrierConfig(epsilon=epsilon)
 
 
 class TestOverflow:

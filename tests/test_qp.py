@@ -2,6 +2,7 @@ import contextlib
 import functools
 import json
 import math
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -129,20 +130,21 @@ def assert_batch_equals_solve(problems, warm_starts, stray=None):
 
 @contextlib.contextmanager
 def handoffs():
-    """Spies on the kernel's hand-offs to ``solve``'s loop. Yields a list
-    that gets, per hand-off, the working-set size ``rows`` and step count
-    ``iters`` the problem brought, the ``widths`` of the working sets the
-    loop then stepped from, and the ``solution`` it returned."""
+    """Spies on the kernel's hand-offs to ``solve``'s loop: its calls from
+    ``solve_padded``'s ``hand_off``. Yields a list that gets, per hand-off,
+    the working rows ``work`` and multipliers ``lam`` the problem brought,
+    the ``widths`` of the working sets the loop then stepped from, and the
+    ``solution`` it returned."""
     handed, loop, dual = [], qp._solve_from, qp._dual_coeffs
     widths = None
 
-    def spy_loop(A, b, u_hat, warm, u, work, lam, p=None, iters=0):
+    def spy_loop(A, b, warm, u, work, lam):
         nonlocal widths
-        if p is None:  # solve's own start, with no row being added
-            return loop(A, b, u_hat, warm, u, work, lam, p, iters)
+        if sys._getframe(1).f_code.co_name != "hand_off":  # solve's own start
+            return loop(A, b, warm, u, work, lam)
         widths = []
-        record = SimpleNamespace(rows=len(work), iters=iters, widths=widths)
-        record.solution = loop(A, b, u_hat, warm, u, work, lam, p, iters)
+        record = SimpleNamespace(work=list(work), lam=list(lam), widths=widths)
+        record.solution = loop(A, b, warm, u, work, lam)
         handed.append(record)
         widths = None
         return record.solution
@@ -281,7 +283,7 @@ class TestSolveBatch:
         with handoffs() as handed:
             batch = assert_batch_equals_solve([problem], [()])
         assert batch.status == [OPTIMAL] and batch.active_set == [(2,)]
-        assert [(h.rows, h.iters) for h in handed] == [(2, 2)]
+        assert [(h.work, h.lam) for h in handed] == [([0, 1], [4.0, 4.0])]
 
     def test_three_row_working_sets(self, caplog):
         with handoffs() as handed:
@@ -355,10 +357,11 @@ class TestSolveBatch:
         assert batch.iterations.tolist() == [1, 1, 0, 2, 2, 3, 2, 1, 2, 3, 90, 129]
         assert batch.status == [OPTIMAL] * 6 + [INFEASIBLE] * 6
         assert batch.active_set[:6] == [(0,), (0,), (), (0, 1), (0, 1), (1,)]
-        # (rows, steps) brought to solve's loop, and the iterations it ends
+        # Working rows brought to solve's loop, and the iterations it ends
         # on: problem 7; then 5, 6 and 8; then 9, 10 and 11.
-        assert [(h.rows, h.iters, h.solution.iterations) for h in handed] == [
-            (0, 0, 1), (1, 1, 3), (1, 1, 2), (1, 1, 2), (2, 2, 3), (2, 2, 90), (2, 2, 129)]
+        assert [(h.work, h.solution.iterations) for h in handed] == [
+            ([], 1), ([0], 3), ([0], 2), ([0], 2), ([0, 1], 3), ([3, 4], 90), ([3, 1], 129)]
+        assert [h.lam for h in handed[:5]] == [[], [2.0], [2.0], [2.0], [2.0, 2.0]]
         # Signed zeros come back as solve gives them: kept where the step
         # leaves a component alone, +0.0 where it subtracts -0.0.
         assert batch.u_star[:3].tolist() == [[0.25, -0.0], [0.0, 0.25], [-0.0, -0.0]]
@@ -404,15 +407,15 @@ class TestSolveBatch:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
     def test_lockstep_makes_at_most_two_steps(self, seed, k):
         """A problem the kernel finishes itself reports at most 2 iterations,
-        and every hand-off brings at most 2 working rows and 2 steps, one
-        step per row."""
+        and every hand-off brings at most 2 working rows, each with its
+        multiplier."""
         rng = np.random.default_rng(seed)
         problems = [random_batch_problem(rng) for _ in range(k)]
         warm = [tuple(int(j) for j in rng.integers(-3, 20, int(rng.integers(0, 4))))
                 for _ in problems]
         with handoffs() as handed:
             batch = batch_of(problems, warm)
-        assert all(h.rows == h.iters <= 2 for h in handed)
+        assert all(len(h.work) == len(h.lam) <= 2 for h in handed)
         every, finished = Counter(batch.iterations.tolist()), Counter(
             h.solution.iterations for h in handed)
         assert finished <= every

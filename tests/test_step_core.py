@@ -416,12 +416,42 @@ def test_step_with_every_agent_inside_a_pair_brakes_without_a_qp(mode, monkeypat
     assert rec.u_applied.tobytes() == brake.tobytes()
 
 
-def test_guard_names_the_first_pair_inside_its_safety_distance():
-    with pytest.raises(AlreadyViolatedError) as err:
-        barrier.guard_pairs(np.array([0, 2, 3]), np.array([1, 0, 1]),
-                            np.array([1.0, 0.4, 0.3]), np.array([0.5, 0.4, 0.5]))
-    assert err.value.pair == (2, 0) and err.value.dist == 0.4
-    barrier.guard_pairs(np.array([0]), np.array([1]), np.array([0.6]), 0.5)
+@pytest.mark.parametrize("builder", [barrier.centralized_row, barrier.strategy_a_rows,
+                                     barrier.strategy_b_rows, barrier.strategy_c_row],
+                         ids=lambda f: f.__name__)
+def test_row_builders_refuse_a_pair_at_or_inside_its_safety_distance(builder):
+    """Each scalar row builder raises AlreadyViolatedError for pair (2, 0)
+    at its safety distance 0.5 (radii 0.25) and inside it, naming the pair
+    and both distances as floats, and DegenerateGeometryError for a
+    coincident pair first. Strategy C checks ``other_accel`` before the
+    geometry and the geometry before asking for a safety distance."""
+    params = [AgentParams(k + 1, 1.0, 1.0, 1.0, 0.25) for k in range(3)]
+
+    def build(x, cfg=BarrierConfig(), **kwargs):
+        states = [AgentState((0.0, 0.0), (0.1, 0.0)), AgentState((4.0, 0.0), (0.0, 0.0)),
+                  AgentState((x, 0.0), (-0.2, 0.0))]
+        if builder is barrier.strategy_c_row:
+            return builder(2, 0, states, params[2], kwargs.get("other_accel", 1.0), cfg,
+                           kwargs.get("safety_dist", 0.5))
+        return builder(2, 0, states, params, cfg)
+
+    for x in (0.5, 0.3):
+        with pytest.raises(AlreadyViolatedError) as err:
+            build(x)
+        assert err.value.pair == (2, 0) and (err.value.dist, err.value.safety_dist) == (x, 0.5)
+        assert type(err.value.dist) is type(err.value.safety_dist) is float
+    with pytest.raises(DegenerateGeometryError):
+        build(0.0)
+    if builder is barrier.strategy_c_row:
+        with pytest.raises(ValueError, match="other_accel"):
+            build(0.0, other_accel=0.0)
+        with pytest.raises(DegenerateGeometryError):
+            build(0.0, safety_dist=None)
+        with pytest.raises(ValueError, match="explicit safety_dist"):
+            build(0.3, safety_dist=None)
+        with pytest.raises(AlreadyViolatedError) as err:
+            build(0.5, BarrierConfig("fixed", ds=0.5), safety_dist=None)
+        assert err.value.safety_dist == 0.5
 
 
 def _headon(mode="decentralized_C"):
@@ -607,8 +637,9 @@ def test_shared_estimator_matches_one_estimator_per_agent():
     scn = preset("circle6", "decentralized_C_estimated")
     ctx = SimContext(scn)
     assert all(e is ctx.estimators[0] for e in ctx.estimators)
+    assert scn.alpha_floor is None and ctx.alpha_floor == 0.5 * min(ctx.accel)  # the default
     others = [[j for j in range(ctx.n) if j != i] for i in range(ctx.n)]
-    own = [LimitEstimator(ctx.n - 1, scn.resolved_alpha_floor(), scn.estimator_gain)
+    own = [LimitEstimator(ctx.n - 1, ctx.alpha_floor, scn.estimator_gain)
            for _ in range(ctx.n)]
     moved = False
     for _ in range(400):
@@ -620,7 +651,7 @@ def test_shared_estimator_matches_one_estimator_per_agent():
         for i, ids in enumerate(others):
             shared = np.array([ctx.estimators[i].estimates[j] for j in ids])
             assert shared.tobytes() == own[i].est.tobytes()
-        moved |= own[0].est.max() > scn.resolved_alpha_floor()
+        moved |= own[0].est.max() > ctx.alpha_floor
     assert moved  # the estimates left their floor
 
 
