@@ -23,7 +23,9 @@ is max(10 m, 50) dual steps for the m expanded rows whose bound is not
 iterate or working multiplier that overflows to a non-finite value, which
 near-parallel contradictory rows can cause; the solve stops at that step
 instead of pivoting on NaN. A NaN bound or residual counts as violated,
-so it ends in such a stop rather than passing as no constraint.
+so it ends in such a stop rather than passing as no constraint. So does
+an optimum whose working set, built by rounding from near-parallel rows,
+is wider than the dimension: its rows cannot all be tight there.
 
 ``solve`` takes one problem of any dimension; the simulator's centralized
 mode hands it the single ensemble QP. ``solve_padded``, the lockstep
@@ -204,6 +206,9 @@ def _solve_from(A: np.ndarray, b: np.ndarray, warm: frozenset[int], u: np.ndarra
         if work:
             resid[work] = 0.0  # working rows are tight by construction
         violated = np.flatnonzero(~(resid <= _SELECT_TOL))  # NaN counts as violated
+        if violated.size == 0 and len(work) > n:  # rounding took a row in their span as new
+            logger.warning("%d working rows in %d dimensions; reporting infeasible", len(work), n)
+            return QpSolution(u, INFEASIBLE, tuple(sorted(work)), np.zeros(0), iters)
         if violated.size == 0:
             order = np.argsort(work)
             active = tuple(int(work[k]) for k in order)

@@ -293,6 +293,24 @@ class TestSolveBatch:
         assert [r.getMessage() for r in caplog.records] == [
             "iteration limit (90) hit on a 9-row problem; reporting infeasible"] * 2
 
+    def test_working_set_wider_than_the_dimension_stops_as_infeasible(self, caplog):
+        """u_x >= ~4 by a row 1.9e-6 rad off -e_x, and the unit box: empty.
+        The face u_x <= 1 joins that row at u_y ~ -1.6e6; the face
+        u_y >= -1 lies in their span, but the ill-conditioned Gram leaves
+        it a residual large enough to join as a third row, and nothing
+        else is violated. The iterate is far outside that face, so the
+        solve stops as infeasible instead of reporting it as optimal."""
+        problem = QpProblem(np.array([1.0, 1.0]),
+                            *rows((-0.50000028302035437, 9.5844481262652437e-07,
+                                   -1.9968108434727547)), np.ones(2))
+        with handoffs() as handed:
+            batch = assert_batch_equals_solve([problem], [()])
+        assert batch.status == [INFEASIBLE] and batch.active_set == [(0, 1, 4)]
+        assert batch.iterations.tolist() == [3] and batch.u_star[0, 1] < -1e10
+        assert [h.work for h in handed] == [[0, 1]]
+        assert [r.getMessage() for r in caplog.records] == [
+            "3 working rows in 2 dimensions; reporting infeasible"] * 2
+
     def test_overflowing_iterate_stops_as_infeasible(self, caplog):
         with warnings.catch_warnings():  # the solvers' own log line is the only report
             warnings.simplefilter("error", RuntimeWarning)
