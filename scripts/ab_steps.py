@@ -16,13 +16,15 @@ Separate benchmark processes on a shared machine drift apart by a fifth or
 more, so both trees run in one process here. Each checkout's
 ``src/safeswarm`` is copied into a temporary directory under its own
 package name (``safeswarm_a``, ``safeswarm_b``) and imported side by side.
-Every round runs each job on both sides, alternating from job to job which
-side goes first, R times each, and keeps each side's best time spent inside
-``sim.step_once``. It prints each job's best-of-R steps/s per side and
-their ratio B/A, and each round's steps/s over all jobs, each side over its
-own steps, and its ratio; a ratio above 1 means B steps faster. A job whose
-sides ran different step counts is marked, and the last line counts such
-jobs: a change that keeps every output byte has none.
+Every round runs each job R times on each side, interleaved one run at a
+time (A, B, A, B, ..., with the side that goes first alternating from job
+to job) so that a burst of load on the machine lands on both sides, and
+keeps each side's best time spent inside ``sim.step_once``. It prints each
+job's best-of-R steps/s per side and their ratio B/A, and each round's
+steps/s over all jobs, each side over its own steps, and its ratio; a
+ratio above 1 means B steps faster. A job whose sides ran different step
+counts is marked, and the last line counts such jobs: a change that keeps
+every output byte has none.
 """
 
 from __future__ import annotations
@@ -73,15 +75,12 @@ class Side:
         scn.mode = mode or scn.mode
         return scn
 
-    def best(self, source: str, mode: str | None, repeats: int) -> tuple[int, int]:
-        """Best summed step time in ns over ``repeats`` runs, and the step count."""
-        times = []
-        for _ in range(repeats):
-            scn = self.scenario(source, mode)
-            self.step_ns = 0
-            log, _ = self.sim.run(scn)
-            times.append(self.step_ns)
-        return min(times), len(log.records)
+    def once(self, source: str, mode: str | None) -> tuple[int, int]:
+        """Summed step time in ns of one run, and its step count."""
+        scn = self.scenario(source, mode)
+        self.step_ns = 0
+        log, _ = self.sim.run(scn)
+        return self.step_ns, len(log.records)
 
 
 def main(argv=None) -> None:
@@ -108,9 +107,12 @@ def main(argv=None) -> None:
             print(f"round {rnd}: {'job':45s} {'A steps/s':>10s} {'B steps/s':>10s} {'B/A':>6s}")
             for k, (source, mode) in enumerate(jobs):
                 order = (0, 1) if (k + rnd) % 2 == 0 else (1, 0)
-                ns, steps = [0, 0], [0, 0]
-                for s in order:
-                    ns[s], steps[s] = sides[s].best(source, mode, args.repeats)
+                times, steps = ([], []), [0, 0]
+                for _ in range(args.repeats):
+                    for s in order:
+                        t, steps[s] = sides[s].once(source, mode)
+                        times[s].append(t)
+                ns = [min(t) for t in times]
                 total_steps = [t + x for t, x in zip(total_steps, steps)]
                 total_ns = [t + x for t, x in zip(total_ns, ns)]
                 rate = [n / (x / 1e9) for n, x in zip(steps, ns)]

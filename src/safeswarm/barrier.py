@@ -28,12 +28,17 @@ one shared check that the pair is outside its safety distance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import AgentParams, AgentState, RelativeState, relative_state, row_dot
+
+# Floor on the gap dist - Ds in the denominator of each bound's closing-speed
+# term, so that bounds stay finite as a pair approaches its safety distance.
+# It is a numerical guard, not part of the barrier: a floor above a pair's
+# gap shrinks that term and so loosens the bound of a closing pair.
+EPSILON = 1e-6  # m
 
 
 class AlreadyViolatedError(RuntimeError):
@@ -51,20 +56,15 @@ class AlreadyViolatedError(RuntimeError):
 
 @dataclass(frozen=True)
 class BarrierConfig:
-    """How pairwise safety distances and constraint numerics are chosen.
+    """How pairwise safety distances are chosen.
 
     ds_mode "sum_of_radii" uses r_i + r_j per pair; "fixed" uses one global
-    distance ``ds`` for every pair, and only "fixed" takes a ``ds``. epsilon
-    floors the gap dist - Ds in the denominator of each bound's
-    closing-speed term, so that bounds stay finite as a pair approaches its
-    safety distance. A floor above a pair's gap shrinks that term, which
-    loosens the bound of a closing pair; a large finite epsilon all but
-    removes the term from every bound, and a non-finite one is rejected.
+    distance ``ds`` for every pair, and only "fixed" takes a ``ds``. The
+    bounds' floor on dist - Ds is the module constant ``EPSILON``.
     """
 
     ds_mode: str = "sum_of_radii"
     ds: float | None = None
-    epsilon: float = 1e-6
 
     def __post_init__(self):
         if self.ds_mode not in ("sum_of_radii", "fixed"):
@@ -74,8 +74,6 @@ class BarrierConfig:
                 raise ValueError("fixed ds_mode requires a positive ds")
         elif self.ds is not None:
             raise ValueError(f"ds {self.ds!r} is only valid with ds_mode 'fixed'")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
 
     def safety_distances(self, radius: np.ndarray) -> np.ndarray:
         """(N, N) safety distance of every ordered pair, from the agents' radii."""
@@ -120,46 +118,43 @@ def pair_barrier(rel: RelativeState, accel_sum: float, safety_dist: float) -> tu
 # v_owner. Limits, gains and distances are per-row arrays or scalars.
 
 
-def centralized_bounds(dp, dist, dv, accel_sum, gamma, safety_dist, epsilon):
+def centralized_bounds(dp, dist, dv, accel_sum, gamma, safety_dist):
     """Ensemble bounds: the pair keeps -dh/dt <= gamma * h^3, scaled by dist.
     Centralized mode passes the gain of the pair's lower-indexed agent i."""
     dpdv = row_dot(dp, dv)
     h = barrier_values(dist, dpdv / dist, accel_sum, safety_dist)
-    denom = np.sqrt(2.0 * accel_sum * np.maximum(dist - safety_dist, epsilon))
+    denom = np.sqrt(2.0 * accel_sum * np.maximum(dist - safety_dist, EPSILON))
     return (gamma * h * h * h * dist - dpdv * dpdv / (dist * dist)
             + row_dot(dv, dv) + accel_sum * dpdv / denom)
 
 
-def rate_split_bounds(dp, dist, dv, v_self, accel_self, accel_other, gamma_self,
-                      safety_dist, epsilon):
+def rate_split_bounds(dp, dist, dv, v_self, accel_self, accel_other, gamma_self, safety_dist):
     """Strategy A: the owner bounds its own share of the barrier decay rate,
     scaled by dist so the two rows of a pair sum exactly to the ensemble row."""
     accel_sum = accel_self + accel_other
     dpdv, dpv = row_dot(dp, dv), row_dot(dp, v_self)
     h = barrier_values(dist, dpdv / dist, accel_sum, safety_dist)
-    denom = np.sqrt(2.0 * accel_sum * np.maximum(dist - safety_dist, epsilon))
+    denom = np.sqrt(2.0 * accel_sum * np.maximum(dist - safety_dist, EPSILON))
     return ((accel_self / accel_sum) * gamma_self * h * h * h * dist
             + row_dot(dv, v_self) - dpdv * dpv / (dist * dist) + accel_sum * dpv / denom)
 
 
-def bound_split_bounds(dp, dist, dv, v_self, accel_self, accel_other, gamma_self,
-                       safety_dist, epsilon):
+def bound_split_bounds(dp, dist, dv, v_self, accel_self, accel_other, gamma_self, safety_dist):
     """Strategy B: the owner takes its acceleration-limit share of the
     ensemble bound, evaluated with its own gain."""
     accel_sum = accel_self + accel_other
     return (accel_self / accel_sum) * centralized_bounds(
-        dp, dist, dv, accel_sum, gamma_self, safety_dist, epsilon)
+        dp, dist, dv, accel_sum, gamma_self, safety_dist)
 
 
-def hybrid_bounds(dp, dist, dv, v_self, accel_self, accel_other, gamma_self,
-                  safety_dist, epsilon):
+def hybrid_bounds(dp, dist, dv, v_self, accel_self, accel_other, gamma_self, safety_dist):
     """Strategy C: computable from the owner's own parameters, the sensed
     relative state and ``accel_other``, the neighbor's limit or a
     conservative estimate of it."""
     accel_sum = accel_self + accel_other
     dpdv, dpv = row_dot(dp, dv), row_dot(dp, v_self)
     h = barrier_values(dist, dpdv / dist, accel_sum, safety_dist)
-    denom = np.sqrt(2.0 * np.maximum(dist - safety_dist, epsilon))
+    denom = np.sqrt(2.0 * np.maximum(dist - safety_dist, EPSILON))
     return (-dpdv * dpv / (dist * dist) + row_dot(dv, v_self)
             + (accel_self / accel_sum)
             * (gamma_self * h * h * h * dist + np.sqrt(accel_sum) * dpdv / denom))
@@ -206,7 +201,7 @@ def centralized_row(
     accel_sum = params[i].accel_limit + params[j].accel_limit
     if gamma is None:
         gamma = params[i].barrier_gain
-    b = _one(centralized_bounds, rel, accel_sum, gamma, safety_dist, cfg.epsilon)
+    b = _one(centralized_bounds, rel, accel_sum, gamma, safety_dist)
     a = np.zeros(2 * len(states))
     a[2 * i : 2 * i + 2] = -rel.dp
     a[2 * j : 2 * j + 2] = rel.dp
@@ -217,10 +212,9 @@ def _split_rows(bounds, i, j, states, params, cfg):
     # The rows of both agents of pair (i, j), each over its own control.
     rel, safety_dist = _outside(i, j, states, cfg, params)
     ai, aj = params[i].accel_limit, params[j].accel_limit
-    b_i = _one(bounds, rel, states[i].v[None], ai, aj, params[i].barrier_gain,
-               safety_dist, cfg.epsilon)
+    b_i = _one(bounds, rel, states[i].v[None], ai, aj, params[i].barrier_gain, safety_dist)
     b_j = _one(bounds, rel.flipped(), states[j].v[None], aj, ai, params[j].barrier_gain,
-               safety_dist, cfg.epsilon)
+               safety_dist)
     return (
         HalfspaceRow(-rel.dp, b_i, (i, j)),
         HalfspaceRow(rel.dp.copy(), b_j, (j, i)),
@@ -276,7 +270,7 @@ def strategy_c_row(
         raise ValueError(f"other_accel must be positive, got {other_accel!r}")
     rel, safety_dist = _outside(i, j, states, cfg, safety_dist=safety_dist)
     b = _one(hybrid_bounds, rel, states[i].v[None], self_params.accel_limit, other_accel,
-             self_params.barrier_gain, safety_dist, cfg.epsilon)
+             self_params.barrier_gain, safety_dist)
     return HalfspaceRow(-rel.dp, b, (i, j))
 
 

@@ -31,7 +31,7 @@ SAFETY_SLACK = 1e-6  # m/s of tolerated barrier undershoot before exit 2
 _OPTIONAL = (
     ("scenario", "dt", "dt"), ("scenario", "t_end", "t_end"), ("scenario", "mode", "mode"),
     ("gains", "k1", "k1"), ("gains", "k2", "k2"),
-    ("barrier", "ds_mode", "ds_mode"), ("barrier", "ds", "ds"), ("barrier", "epsilon", "epsilon"),
+    ("barrier", "ds_mode", "ds_mode"), ("barrier", "ds", "ds"),
     ("estimator", "k", "estimator_gain"), ("estimator", "alpha_floor", "alpha_floor"),
 )
 _SECTIONS = ("gains", "barrier", "estimator")

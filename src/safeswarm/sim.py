@@ -70,14 +70,6 @@ from .dynamics import AgentParams, AgentState, DegenerateGeometryError, row_dot,
 from .dynamics import relative_state  # noqa: F401  (perfbench/layers.py wraps sim.relative_state)
 from .estimator import LimitEstimator
 
-MODES = (
-    "centralized",
-    "decentralized_A",
-    "decentralized_B",
-    "decentralized_C",
-    "decentralized_C_estimated",
-)
-
 # Early-stop thresholds: a run ends once every agent is this close to its
 # goal and this slow, well inside the 0.05 m goal tolerance used by the
 # deadlock detector and the scenario checks.
@@ -265,7 +257,8 @@ class SimContext(_Start):
     every pair twice, once per owner, in owner-major order, with the
     owner's neighbour radius ``dir_radius``.
 
-    In the estimated mode one estimator serves every agent, since all
+    In a mode that estimates the neighbours' limits (the third field of its
+    ``_MODES`` entry), one estimator serves every agent, since all
     observe all others with the same law, floor and gain; the step
     observes and updates it once and reads its ``est``. ``estimators``
     holds it N times, agent i's at ``estimators[i]``, because
@@ -277,22 +270,21 @@ class SimContext(_Start):
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
         self.scenario = scenario
-        self.cfg = scenario.barrier_cfg
         self.n = len(scenario.agents)
         self.t = 0.0
         self.box = np.repeat(self.accel[:, None], 2, axis=1)  # per-axis control bounds
         self.speed = np.array([p.speed_limit for p in self.params])
         self.gain = np.array([p.barrier_gain for p in self.params])
+        self.estimators: list[LimitEstimator] | None = None
+        if _MODES[scenario.mode][2]:
+            shared = LimitEstimator(self.n, self.alpha_floor, scenario.estimator_gain)
+            self.estimators = [shared] * self.n
         self.neighbor_radius = self._neighbor_radius()
         own = np.concatenate((self.pair_j, self.pair_i))
         order = np.argsort(own, kind="stable")  # per owner: the others below it, then above
         self.dir_own, self.dir_oth = own[order], np.concatenate((self.pair_i, self.pair_j))[order]
         self.dir_pair = np.tile(np.arange(self.pair_i.size), 2)[order]
         self.dir_radius = self.neighbor_radius[self.dir_own]
-        self.estimators: list[LimitEstimator] | None = None
-        if scenario.mode == "decentralized_C_estimated":
-            shared = LimitEstimator(self.n, self.alpha_floor, scenario.estimator_gain)
-            self.estimators = [shared] * self.n
         self.warm = np.zeros((self.n, 0), dtype=bool)  # (N, W), grown as layouts widen
         self.ensemble_warm: tuple[int, ...] = ()
         self.layout: _Layout | None = None
@@ -301,14 +293,15 @@ class SimContext(_Start):
     def _neighbor_radius(self) -> np.ndarray:
         """Each agent's ``barrier.neighbor_radius`` against the weakest
         braking, the top speed and the widest safety distance among the
-        others; a lone agent's own limits and twice its radius stand in."""
-        scn, lone = self.scenario, self.n == 1
+        others, or the estimator's floor where that is lower; a lone agent's
+        own limits and twice its radius stand in."""
+        lone = self.n == 1
         others = ~np.eye(self.n, dtype=bool) | lone
         min_accel = np.where(others, self.accel, np.inf).min(axis=1)
         max_speed = np.where(others, self.speed, -np.inf).max(axis=1)
         ds_worst = (2 * np.array([p.radius for p in self.params]) if lone
                     else np.where(others, self.safety_dist, -np.inf).max(axis=1))
-        if scn.mode == "decentralized_C_estimated":
+        if self.estimators is not None:
             min_accel = np.minimum(min_accel, self.alpha_floor)
         return np.array([barrier.neighbor_radius(*args) for args in zip(
             self.params, min_accel.tolist(), max_speed.tolist(), ds_worst.tolist())])
@@ -358,15 +351,6 @@ def _violated(ctx: SimContext, dist: np.ndarray) -> np.ndarray:
     if inside.size:
         violated[ctx.pair_i[inside]] = violated[ctx.pair_j[inside]] = True
     return violated
-
-
-# The per-agent row bound of each decentralized mode, over directed pairs.
-_BOUNDS = {
-    "decentralized_A": barrier.rate_split_bounds,
-    "decentralized_B": barrier.bound_split_bounds,
-    "decentralized_C": barrier.hybrid_bounds,
-    "decentralized_C_estimated": barrier.hybrid_bounds,
-}
 
 
 class _Layout:
@@ -427,8 +411,8 @@ def _agent_qps(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
     A, b = lay.A.copy(), lay.b.copy()
     A.reshape(-1, 2)[lay.bar] = -dp
     flat = b.reshape(-1)
-    flat[lay.bar] = _BOUNDS[ctx.scenario.mode](dp, dist, V[own] - V[oth], V[own], lay.accel,
-                                               accel_other, lay.gain, lay.ds, ctx.cfg.epsilon)
+    flat[lay.bar] = _MODES[ctx.scenario.mode][1](dp, dist, V[own] - V[oth], V[own], lay.accel,
+                                                 accel_other, lay.gain, lay.ds)
     flat[lay.faces] = np.minimum(_speed_bounds(lay.vmax, V[lay.free], ctx.scenario.dt), lay.amax)
     return lay, A, b
 
@@ -485,7 +469,7 @@ def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: 
         ens = ctx.ensemble = _Ensemble(ctx, violated)
     V, i, j, dp_k = ctx.V, ens.i, ens.j, dp[ens.pair]
     b = barrier.centralized_bounds(dp_k, dist[ens.pair], V[i] - V[j], ens.accel_sum, ens.gain,
-                                   ens.ds, ctx.cfg.epsilon)
+                                   ens.ds)
     if violated.any():
         U_brake = braking_fallback(V, ctx.box)
         b[ens.brake_i] -= row_dot(-dp_k[ens.brake_i], U_brake[i[ens.brake_i]])
@@ -510,8 +494,16 @@ def _solve_centralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarray,
     return U, violated | (sol.status != qp.OPTIMAL), row_pairs
 
 
-_SOLVERS = {mode: _solve_decentralized for mode in _BOUNDS}
-_SOLVERS["centralized"] = _solve_centralized
+# Each mode's solver, its per-agent row bound over directed pairs (None for
+# the ensemble's) and whether its neighbours' limits are estimated.
+_MODES = {
+    "centralized": (_solve_centralized, None, False),
+    "decentralized_A": (_solve_decentralized, barrier.rate_split_bounds, False),
+    "decentralized_B": (_solve_decentralized, barrier.bound_split_bounds, False),
+    "decentralized_C": (_solve_decentralized, barrier.hybrid_bounds, False),
+    "decentralized_C_estimated": (_solve_decentralized, barrier.hybrid_bounds, True),
+}
+MODES = tuple(_MODES)
 
 
 def step_once(ctx: SimContext) -> StepRecord:
@@ -524,7 +516,7 @@ def step_once(ctx: SimContext) -> StepRecord:
     U_nom = goal_controller(P, V, ctx.goals, scn.k1, scn.k2, ctx.box)
     carried = ctx.geometry  # the start's or last step's, checked, while P is its positions
     dp, dist = carried[1:] if carried[0] is P else _require_apart(*_pair_dist(ctx, P))
-    U, brake, row_pairs = _SOLVERS[scn.mode](ctx, U_nom, _violated(ctx, dist), dp, dist)
+    U, brake, row_pairs = _MODES[scn.mode][0](ctx, U_nom, _violated(ctx, dist), dp, dist)
     U = np.minimum(np.maximum(U, -ctx.box), ctx.box)
     if brake.any():
         U[brake] = braking_fallback(V[brake], ctx.box[brake])
@@ -576,6 +568,7 @@ def detect_deadlock(log: TrajectoryLog) -> tuple[bool, float | None]:
 def compute_metrics(log: TrajectoryLog) -> RunMetrics:
     """Summarize a run. Covers the initial state plus every recorded step."""
     scn, start = log.scenario, _Start(log.scenario)
+    flag, onset = detect_deadlock(log)  # first, so its stacks of the log are freed before ours
     positions = np.array([start.P] + [rec.p for rec in log.records])
     min_dist = float(np.min(start.geometry[2], initial=math.inf))
     min_h = float(np.min(start.h, initial=math.inf))
@@ -590,7 +583,6 @@ def compute_metrics(log: TrajectoryLog) -> RunMetrics:
     total = _norm(np.diff(positions, axis=0)).sum(axis=0)
     path_lengths = {a.params.id: float(total[i]) for i, a in enumerate(scn.agents)}
     infeasible = np.count_nonzero([rec.brake for rec in log.records])
-    flag, onset = detect_deadlock(log)
     return RunMetrics(
         min_pair_dist=min_dist,
         min_h=min_h,

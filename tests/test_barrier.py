@@ -292,16 +292,18 @@ class TestDenominatorFloor:
         assert row.b < -np.sum(np.abs(row.a)) * 1.2
 
     def test_floor_only_engages_below_epsilon(self):
-        rel = relative_state(*pair_states(1.1, -0.8))
-        args = (rel.dp[None], np.array([rel.dist]), rel.dv[None], 2.4, 1.0, 0.6)
-        floored = barrier.centralized_bounds(*args, 1e-6)
-        exact = barrier.centralized_bounds(*args, 1e-12)
-        assert floored.shape == (1,) and floored[0] == pytest.approx(exact[0], abs=1e-12)
-
-    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0])
-    def test_rejects_an_epsilon_not_positive_and_finite(self, epsilon):
-        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
-            BarrierConfig(epsilon=epsilon)
+        """The closing-speed term divides by sqrt(2 a gap) with the gap
+        dist - Ds as it is above ``barrier.EPSILON`` and at the floor below."""
+        for gap, floored in ((0.5, 0.5), (10 * barrier.EPSILON, 10 * barrier.EPSILON),
+                             (barrier.EPSILON / 10, barrier.EPSILON)):
+            rel = relative_state(*pair_states(0.6 + gap, -0.8))
+            b = barrier.centralized_bounds(rel.dp[None], np.array([rel.dist]), rel.dv[None],
+                                           2.4, 1.0, 0.6)
+            dpdv = float(rel.dp @ rel.dv)
+            h = math.sqrt(2 * 2.4 * (rel.dist - 0.6)) + dpdv / rel.dist
+            expected = (h**3 * rel.dist - dpdv**2 / rel.dist**2 + float(rel.dv @ rel.dv)
+                        + 2.4 * dpdv / math.sqrt(2 * 2.4 * floored))
+            assert b.shape == (1,) and b[0] == pytest.approx(expected, rel=1e-6)
 
 
 class TestOverflow:
@@ -311,5 +313,5 @@ class TestOverflow:
     def test_centralized_bound_of_the_far_pair_is_inf(self):
         dp, dist = np.array([[-2e160, 0.0]]), np.array([2e160])
         with np.errstate(over="ignore"):  # gamma * h^3 * dist overflows in numpy's multiply
-            b = barrier.centralized_bounds(dp, dist, np.zeros((1, 2)), 2.4, 1.0, 0.4, 1e-6)
+            b = barrier.centralized_bounds(dp, dist, np.zeros((1, 2)), 2.4, 1.0, 0.4)
         assert b.tolist() == [math.inf]

@@ -54,7 +54,7 @@ def two_agent_doc(t_end=16.0):
         "t_end": t_end,
         "mode": "decentralized_C",
         "gains": {"k1": 1.0, "k2": 2.0},
-        "barrier": {"ds_mode": "sum_of_radii", "epsilon": 1e-6},
+        "barrier": {"ds_mode": "sum_of_radii"},
         "estimator": {"k": 1.0, "alpha_floor": 0.5},
         "agents": [
             {"id": 1, "alpha": 1.2, "beta": 0.6, "gamma": 1.0, "radius": 0.2,
@@ -93,6 +93,25 @@ class TestParseScenario:
             doc[key] = 1
             with pytest.raises(ScenarioError, match=key):
                 scenario_from_dict(doc)
+
+    def test_barrier_epsilon_exits_1_as_an_unknown_key(self, tmp_path, capsys):
+        doc = two_agent_doc()
+        doc["barrier"] = {"epsilon": 1e-6}  # a key of earlier versions; the floor is now fixed
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        assert run_command(["--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error: unknown key 'epsilon' in barrier\n" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+    def test_shipped_files_and_the_readme_example_parse(self):
+        root = Path(__file__).resolve().parent.parent
+        files = sorted((root / "scenarios").glob("*.json"))
+        assert files
+        for path in files:
+            parse_scenario(path)
+        section = (root / "README.md").read_text(encoding="utf-8").split("### Scenario files")[1]
+        scenario_from_dict(json.loads(section.split("```json\n")[1].split("```")[0]))
 
     def test_unknown_agent_key_rejected(self):
         doc = two_agent_doc()

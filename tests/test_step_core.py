@@ -51,7 +51,7 @@ DECENTRALIZED = tuple(m for m in MODES if m != "centralized")
 def ensembles(draw, modes=MODES, inside=False):
     """A context over 2..12 heterogeneous agents whose states were then
     replaced by arbitrary ones, some pairs placed on the edge of Ds, of the
-    epsilon floor of dist - Ds or of the owner's neighbour radius, some
+    ``barrier.EPSILON`` floor of dist - Ds or of the owner's neighbour radius, some
     along an axis so that one coordinate of their dp is zero. With
     ``inside`` the first pair sits just inside Ds."""
     n = draw(st.integers(2, 12))
@@ -82,7 +82,7 @@ def ensembles(draw, modes=MODES, inside=False):
         i = draw(st.integers(0, j - 1))
         offset = -1e-9 if inside and j == 1 else draw(st.sampled_from(EDGE_OFFSETS))
         if edge == "eps":
-            d = ctx.safety_dist[i, j] + cfg.epsilon * (1.0 + offset * 1e6)
+            d = ctx.safety_dist[i, j] + barrier.EPSILON * (1.0 + offset * 1e6)
         else:
             d = ctx.safety_dist[i, j] if edge == "ds" else ctx.neighbor_radius[i]
             d *= 1.0 + offset
@@ -182,25 +182,25 @@ def _h(dist, vbar, accel_sum, ds):
     return float(np.sqrt(2.0 * accel_sum * max(dist - ds, 0.0)) + vbar)
 
 
-def _centralized_b(dp, dv, dist, vbar, accel_sum, gamma, ds, eps):
+def _centralized_b(dp, dv, dist, vbar, accel_sum, gamma, ds):
     h = _h(dist, vbar, accel_sum, ds)
     dpdv = float(dp @ dv)
-    denom = np.sqrt(2.0 * accel_sum * max(dist - ds, eps))
+    denom = np.sqrt(2.0 * accel_sum * max(dist - ds, barrier.EPSILON))
     return float(gamma * h * h * h * dist - dpdv * dpdv / (dist * dist) + dv @ dv
                  + accel_sum * dpdv / denom)
 
 
-def _agent_b(mode, dp, dv, dist, vbar, v_self, a_self, a_other, gamma, ds, eps):
+def _agent_b(mode, dp, dv, dist, vbar, v_self, a_self, a_other, gamma, ds):
     accel_sum = a_self + a_other
     if mode == "decentralized_B":
-        return (a_self / accel_sum) * _centralized_b(dp, dv, dist, vbar, accel_sum, gamma, ds, eps)
+        return (a_self / accel_sum) * _centralized_b(dp, dv, dist, vbar, accel_sum, gamma, ds)
     h = _h(dist, vbar, accel_sum, ds)
     dpdv, dpv = float(dp @ dv), float(dp @ v_self)
     if mode == "decentralized_A":
-        denom = np.sqrt(2.0 * accel_sum * max(dist - ds, eps))
+        denom = np.sqrt(2.0 * accel_sum * max(dist - ds, barrier.EPSILON))
         return float((a_self / accel_sum) * gamma * h * h * h * dist + dv @ v_self
                      - dpdv * dpv / (dist * dist) + accel_sum * dpv / denom)
-    denom = np.sqrt(2.0 * max(dist - ds, eps))
+    denom = np.sqrt(2.0 * max(dist - ds, barrier.EPSILON))
     return float(-dpdv * dpv / (dist * dist) + dv @ v_self
                  + (a_self / accel_sum) * (gamma * h * h * h * dist + np.sqrt(accel_sum) * dpdv / denom))
 
@@ -265,8 +265,7 @@ def test_agent_rows_match_scalar_formulas(case):
             other = (ctx.estimators[i].estimates[j] if ctx.estimators is not None
                      else params[j].accel_limit)
             rows.append((-dp, _agent_b(scn.mode, dp, dv, dist, vbar, V[i], params[i].accel_limit,
-                                       other, params[i].barrier_gain, ctx.safety_dist[i, j],
-                                       ctx.cfg.epsilon)))
+                                       other, params[i].barrier_gain, ctx.safety_dist[i, j])))
             pairs.append([i, j])
         rows += _face_rows(params[i].accel_limit, params[i].speed_limit, V[i], scn.dt)
         width = max(width, len(rows))
@@ -321,7 +320,7 @@ def test_ensemble_rows_match_scalar_formulas(case):
             continue
         dp, dv, dist, vbar = _rel(P, V, i, j)
         bound = _centralized_b(dp, dv, dist, vbar, params[i].accel_limit + params[j].accel_limit,
-                               params[i].barrier_gain, ctx.safety_dist[i, j], ctx.cfg.epsilon)
+                               params[i].barrier_gain, ctx.safety_dist[i, j])
         a = np.zeros(2 * len(free))
         for agent, block in ((i, -dp), (j, dp)):
             if agent in col:
