@@ -22,14 +22,16 @@ to job) so that a burst of load on the machine lands on both sides, and
 keeps each side's best time spent inside ``sim.step_once``. It prints each
 job's best-of-R steps/s per side and their ratio B/A, and each round's
 steps/s over all jobs, each side over its own steps, and its ratio; a
-ratio above 1 means B steps faster. A job whose sides ran different step
-counts is marked, and the last line counts such jobs: a change that keeps
-every output byte has none.
+ratio above 1 means B steps faster. A job whose sides' outputs differ (the
+bytes of every record's p, v, u_applied, u_nominal and brake) is marked,
+and the last line counts such jobs; the script exits 1 if there is one. A
+change that keeps every output byte has none.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import shutil
 import sys
@@ -39,6 +41,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SUITE = ("circle6", "rect4", "headon2", str(ROOT / "scenarios" / "crossing_lanes.json"))
+OUTPUTS = ("p", "v", "u_applied", "u_nominal", "brake")  # the record fields compared
+
+
+def outputs_digest(log) -> str:
+    """SHA-256 of the raw bytes of every record's ``OUTPUTS``, in order."""
+    h = hashlib.sha256()
+    for rec in log.records:
+        for key in OUTPUTS:
+            h.update(getattr(rec, key).tobytes())
+    return h.hexdigest()
 
 
 class Side:
@@ -75,15 +87,16 @@ class Side:
         scn.mode = mode or scn.mode
         return scn
 
-    def once(self, source: str, mode: str | None) -> tuple[int, int]:
-        """Summed step time in ns of one run, and its step count."""
+    def once(self, source: str, mode: str | None) -> tuple[int, int, str]:
+        """Summed step time in ns of one run, its step count and the
+        ``outputs_digest`` of its log."""
         scn = self.scenario(source, mode)
         self.step_ns = 0
         log, _ = self.sim.run(scn)
-        return self.step_ns, len(log.records)
+        return self.step_ns, len(log.records), outputs_digest(log)
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("a", type=Path, help="checkout A (the reference)")
@@ -107,17 +120,18 @@ def main(argv=None) -> None:
             print(f"round {rnd}: {'job':45s} {'A steps/s':>10s} {'B steps/s':>10s} {'B/A':>6s}")
             for k, (source, mode) in enumerate(jobs):
                 order = (0, 1) if (k + rnd) % 2 == 0 else (1, 0)
-                times, steps = ([], []), [0, 0]
+                times, steps, digests = ([], []), [0, 0], [None, None]
                 for _ in range(args.repeats):
                     for s in order:
-                        t, steps[s] = sides[s].once(source, mode)
+                        t, steps[s], digests[s] = sides[s].once(source, mode)
                         times[s].append(t)
                 ns = [min(t) for t in times]
                 total_steps = [t + x for t, x in zip(total_steps, steps)]
                 total_ns = [t + x for t, x in zip(total_ns, ns)]
                 rate = [n / (x / 1e9) for n, x in zip(steps, ns)]
                 name = Path(source).stem + (f"-{mode}" if mode else "")
-                mark = "" if steps[0] == steps[1] else f"  steps A {steps[0]} != B {steps[1]}"
+                mark = ("" if digests[0] == digests[1]
+                        else f"  outputs differ (steps A {steps[0]}, B {steps[1]})")
                 uneven += bool(mark)
                 print(f"         {name:45s} {rate[0]:10.0f} {rate[1]:10.0f} "
                       f"{rate[1] / rate[0]:6.3f}{mark}")
@@ -126,8 +140,9 @@ def main(argv=None) -> None:
             print(f"round {rnd}: {'all jobs':45s} {rate[0]:10.0f} {rate[1]:10.0f} "
                   f"{ratios[-1]:6.3f}")
         print("ratios B/A by round: " + " ".join(f"{r:.3f}" for r in ratios))
-        print(f"jobs with unequal step counts: {uneven}")
+        print(f"jobs with unequal outputs: {uneven}")
+    return 1 if uneven else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -8,7 +8,7 @@ Usage: python scripts/estimation_demo.py
 import numpy as np
 
 from safeswarm import AgentParams, AgentState
-from safeswarm.sim import AgentSetup, Scenario, SimContext, step_once
+from safeswarm.sim import AgentSetup, Scenario, SimContext, TrajectoryLog, log_minima, step_once
 
 NIMBLE, SLUGGISH = 1.8, 0.6
 
@@ -31,18 +31,16 @@ def main():
         estimator_gain=1.5, alpha_floor=0.3,
     )
     ctx = SimContext(scenario)
+    records, estimates = [], []
+    for step in range(int(round(scenario.t_end / scenario.dt))):  # as sim.run
+        records.append(step_once(ctx))
+        if step % 50 == 0:
+            estimates.append((ctx.estimators[0].estimates[1], ctx.estimators[1].estimates[0]))
+    min_h, min_dist = log_minima(TrajectoryLog(scenario, records))
     print(f"true limits: agent1={NIMBLE}, agent2={SLUGGISH}; both start guessing 0.3")
     print(f"{'t':>6s} {'dist':>7s} {'h':>7s} {'est of agent2':>14s} {'est of agent1':>14s}")
-    for step in range(int(round(scenario.t_end / scenario.dt))):  # as sim.run
-        rec = step_once(ctx)
-        if step % 50 == 0:
-            dist = rec.min_pair_dist
-            h = rec.min_h
-            print(
-                f"{rec.t:6.2f} {dist:7.3f} {h:+7.3f} "
-                f"{ctx.estimators[0].estimates[1]:14.4f} "
-                f"{ctx.estimators[1].estimates[0]:14.4f}"
-            )
+    for k, (of2, of1) in zip(range(0, len(records), 50), estimates):
+        print(f"{records[k].t:6.2f} {min_dist[k]:7.3f} {min_h[k]:+7.3f} {of2:14.4f} {of1:14.4f}")
     print("estimates only grow, and never past the true limit of the neighbor.")
 
 

@@ -16,10 +16,10 @@ and checks each run against two files.
 ``tests/reference_runs.json`` holds one row of exact digests per run: the
 step count, SHA-256 digests of the raw float64 bytes of ``p``, ``v``,
 ``u_applied`` and ``u_nominal`` over the records, of the row pairs, and of
-the statuses (each ``brake`` flag spelled as the CSV's ``qp_status``),
-``min_h`` and ``min_pair_dist`` (float hex) of each record, plus the run's
-``min_h`` and ``min_pair_dist``, its infeasible count and its deadlock
-onset. Float digests are exact only under the recorded numpy
+the statuses (each ``brake`` flag spelled as the CSV's ``qp_status``) and
+each record's min h and min distance (float hex, from ``sim.log_minima``),
+plus the run's ``min_h`` and ``min_pair_dist``, its infeasible count and
+its deadlock onset. Float digests are exact only under the recorded numpy
 version and platform ``fingerprint``: the BLAS kernel, numpy's SIMD
 dispatch and the libm all round differently.
 
@@ -61,7 +61,7 @@ from safeswarm.cli import parse_scenario  # noqa: E402
 from safeswarm.dynamics import row_dot  # noqa: E402
 from safeswarm.presets import PRESETS, ring_swap  # noqa: E402
 from safeswarm.qp import INFEASIBLE, OPTIMAL  # noqa: E402
-from safeswarm.sim import MODES, run  # noqa: E402
+from safeswarm.sim import MODES, log_minima, run  # noqa: E402
 
 REFERENCE = ROOT / "tests" / "reference_runs.json"
 TOLERANCE_RECORD = ROOT / "tests" / "reference_runs.npz"
@@ -99,14 +99,13 @@ def digest(log, metrics) -> dict:
     run's metrics that summarize safety."""
     arrays = {key: hashlib.sha256() for key in ("p", "v", "u_applied", "u_nominal")}
     pairs, scalars = hashlib.sha256(), hashlib.sha256()
-    for rec in log.records:
+    for rec, min_h, min_dist in zip(log.records, *(m.tolist() for m in log_minima(log))):
         for key, h in arrays.items():
             h.update(np.ascontiguousarray(getattr(rec, key), dtype="<f8").tobytes())
         row_pairs = np.asarray(rec.row_pairs, dtype="<i8").reshape(-1, 2)
         pairs.update(f"{len(row_pairs)};".encode() + row_pairs.tobytes())
         status = ",".join(INFEASIBLE if brake else OPTIMAL for brake in rec.brake.tolist())
-        scalars.update(f"{status};{rec.min_h.hex()};"
-                       f"{rec.min_pair_dist.hex()}\n".encode())
+        scalars.update(f"{status};{min_h.hex()};{min_dist.hex()}\n".encode())
     onset = metrics.deadlock_onset
     return {
         "steps": len(log.records),
@@ -144,10 +143,11 @@ def record(log, metrics) -> dict[str, np.ndarray]:
     """One run's tolerance record, without its horizon."""
     recs, n = log.records, len(log.scenario.agents)
     onset = metrics.deadlock_onset
+    min_h, min_dist = log_minima(log)
     return {
         "p": np.array([rec.p for rec in recs[SAMPLE - 1::SAMPLE]]).reshape(-1, n, 2),
-        "min_h": np.array([rec.min_h for rec in recs]),
-        "min_dist": np.array([rec.min_pair_dist for rec in recs]),
+        "min_h": min_h,
+        "min_dist": min_dist,
         "infeasible": np.array([np.count_nonzero(rec.brake) for rec in recs], dtype=np.int32),
         "steps": np.array(len(recs)),
         "deadlock_onset": np.array(np.nan if onset is None else onset),

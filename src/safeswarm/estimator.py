@@ -72,7 +72,8 @@ class LimitEstimator:
         if V.shape != (len(self.est), 2):
             raise ValueError(f"expected velocities of shape ({len(self.est)}, 2), got {V.shape}")
         if self._last_v is not None:
-            raw = np.abs(V - self._last_v).max(axis=1) / dt
+            step = np.abs(V - self._last_v)
+            raw = np.maximum(step[:, 0], step[:, 1]) / dt
             self.obs = (1.0 - SMOOTHING) * self.obs + SMOOTHING * raw
         self._last_v = V
 

@@ -12,15 +12,18 @@ record as ``StepRecord.brake``, and only then integrates everyone forward.
 Runs are fully deterministic for a given scenario.
 
 The run state is the (N, 2) arrays ``SimContext.P`` and ``V``; a step runs
-on per-step arrays. Pair geometry runs over the pairs i < j in
-``np.triu_indices`` order, with one ``np.hypot`` distance per pair. The
-start's dp and dist are computed once, when the context is built, and a
-step's post-step ones are carried over as the next step's pre-step values
-(``SimContext.geometry``, keyed by the identity of ``P``; reassign ``P``
-rather than editing it in place), so each step computes and checks them
-once. The neighbour test reads that dist over the directed pairs (owner,
-other), and the mode's bound function in ``barrier`` builds the rows of
-all neighbour pairs in one call.
+on per-step arrays and gathers rows and pair entries with ``take``. Pair
+geometry runs over the pairs i < j in ``np.triu_indices`` order, with one
+``np.hypot`` distance per pair. The start's dp and dist are computed once,
+when the context is built, and a step's post-step ones are carried over
+as the next step's pre-step values (``SimContext.geometry``, keyed by the
+identity of ``P``; reassign ``P`` rather than editing it in place), so
+each step computes and checks them once. The neighbour test reads that
+dist over the directed pairs (owner, other), and the mode's bound
+function in ``barrier`` builds the rows of all neighbour pairs in one
+call. A step computes h only inside those bound functions, for the rows
+it builds; ``log_minima`` gives each record's minimum h and distance over
+all pairs afterwards, from the records' states, in batches of steps.
 
 In the decentralized modes every free agent's QP is one row of the padded
 layout that ``qp.solve_padded`` takes: (K, M, 2) rows and (K, M) bounds,
@@ -32,7 +35,7 @@ face rows, templates holding the face normals and padding, the row pairs,
 the per-row lookups and the limits, depends only on the (neighbour mask,
 violated mask) pair; it is cached on ``SimContext.layout`` while the bytes
 of that pair are unchanged, and each step writes its barrier rows and
-bounds into copies of the templates; empty scatters are skipped.
+bounds into copies of the templates, each by one flat ``put``.
 Warm starts are one (N, W) bool mask, ``SimContext.warm``, sliced into the
 kernel and written back from its final working sets. The centralized QP
 embeds the rows, and four speed rows per free agent, in one dense array
@@ -115,12 +118,13 @@ class Scenario:
         _Start(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """Snapshot after one step: post-step states, the controls that
-    produced them, the (owner, other) pair of each barrier row the step
-    built, and the minimum h and distance over all pairs on the post-step
-    states. Per-pair h is not kept, so a record is O(N + rows)."""
+    produced them and the (owner, other) pair of each barrier row the step
+    built. Pair geometry is not kept, so a record is O(N + rows);
+    ``log_minima`` gives each record's minimum h and distance over all
+    pairs from its states."""
 
     t: float
     p: np.ndarray  # (N, 2)
@@ -128,8 +132,6 @@ class StepRecord:
     u_applied: np.ndarray  # (N, 2)
     u_nominal: np.ndarray  # (N, 2)
     brake: np.ndarray  # (N,) bool: braked instead of applying a QP answer
-    min_h: float  # inf without pairs
-    min_pair_dist: float  # inf without pairs
     row_pairs: np.ndarray  # (E, 2) int, in row order
 
 
@@ -263,8 +265,8 @@ class SimContext(_Start):
     observes and updates it once and reads its ``est``. ``estimators``
     holds it N times, agent i's at ``estimators[i]``, because
     ``perfbench/run.py`` reads ``estimators[i].estimates``. Observing only
-    the agents in each one's interaction radius (ROADMAP item 2) would
-    bring back per-agent state, as one (N, N) array.
+    the agents in each one's interaction radius (ROADMAP item 14) would
+    bring back per-agent state, one estimate per directed pair.
     """
 
     def __init__(self, scenario: Scenario):
@@ -324,8 +326,9 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 
 def _pair_dist(ctx: _Start, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dp and dist of every pair i < j, as ``relative_state`` computes them."""
-    dp = P[ctx.pair_i] - P[ctx.pair_j]
+    """dp and dist of every pair i < j, as ``relative_state`` computes them,
+    from the (..., N, 2) positions ``P``: one step's or a stack of steps'."""
+    dp = P.take(ctx.pair_i, -2) - P.take(ctx.pair_j, -2)
     return dp, _norm(dp)
 
 
@@ -336,7 +339,7 @@ def _require_apart(dp: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _pair_vbar(ctx: _Start, dp: np.ndarray, dist: np.ndarray, V: np.ndarray) -> np.ndarray:
-    return row_dot(dp, V[ctx.pair_i] - V[ctx.pair_j]) / dist
+    return row_dot(dp, V.take(ctx.pair_i, -2) - V.take(ctx.pair_j, -2)) / dist
 
 
 def _pair_h(ctx: _Start, dist: np.ndarray, vbar: np.ndarray) -> np.ndarray:
@@ -349,7 +352,7 @@ def _violated(ctx: SimContext, dist: np.ndarray) -> np.ndarray:
     inside = (dist <= ctx.pair_ds).nonzero()[0]
     violated = np.zeros(ctx.n, dtype=bool)
     if inside.size:
-        violated[ctx.pair_i[inside]] = violated[ctx.pair_j[inside]] = True
+        violated[ctx.pair_i.take(inside)] = violated[ctx.pair_j.take(inside)] = True
     return violated
 
 
@@ -364,8 +367,9 @@ class _Layout:
     against braking (violated-pair) agents stay in force: any pair
     involving a non-violated agent is still outside its safety distance.
     ``A`` and ``b`` hold the face normals and the padding; the step writes
-    the barrier rows and every bound into copies of them, at the flat slots
-    ``bar`` and the (K, 4) flat slots ``faces``. ``own``, ``oth``, ``pair``,
+    the barrier rows' -dp into a copy of ``A`` at its flat slots ``minus``,
+    and every bound into a copy of ``b`` at its flat slots ``bar`` and the
+    (K, 4) flat slots ``faces``. ``own``, ``oth``, ``pair``,
     ``ds``, ``accel``, ``accel_other`` and ``gain`` are per barrier row, and
     ``row_pairs`` is their (E, 2) (owner, other) array; ``vmax`` holds the
     free agents' speed limits and ``amax`` their acceleration limits, as a
@@ -383,6 +387,7 @@ class _Layout:
         self.A, self.b = qp.pad_rows(np.zeros((bars.sum() + 4 * bars.size, 2)), 0.0, bars + 4)
         width = self.b.shape[1]
         self.bar = np.flatnonzero(np.arange(width) < bars[:, None])
+        self.minus = (2 * self.bar[:, None] + np.arange(2)).ravel()
         self.faces = (bars + width * np.arange(bars.size))[:, None] + np.arange(4)
         self.A.reshape(-1, 2)[self.faces] = qp.box_faces(2)
         self.ds = ctx.pair_ds[pair]
@@ -397,7 +402,7 @@ def _agent_qps(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
     """The step's layout, cached on ``ctx`` while its key holds, and the
     (K, M, 2) rows and (K, M) bounds of every free agent's QP in it. Widens
     ``ctx.warm`` to at least M columns."""
-    near = dist[ctx.dir_pair] <= ctx.dir_radius
+    near = dist.take(ctx.dir_pair) <= ctx.dir_radius
     lay = ctx.layout
     if lay is None or lay.key != near.tobytes() + violated.tobytes():
         lay = ctx.layout = _Layout(ctx, near, violated)
@@ -405,15 +410,15 @@ def _agent_qps(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
             ctx.warm = np.pad(ctx.warm, ((0, 0), (0, lay.A.shape[1] - ctx.warm.shape[1])))
     P, V, own, oth = ctx.P, ctx.V, lay.own, lay.oth
     # p_own - p_oth afresh, not a negated pair dp: a zero must keep its sign.
-    dp = P[own] - P[oth]
-    dist = dist[lay.pair]
-    accel_other = lay.accel_other if ctx.estimators is None else ctx.estimators[0].est[oth]
+    dp = P.take(own, 0) - P.take(oth, 0)
+    V_own = V.take(own, 0)
+    accel_other = lay.accel_other if ctx.estimators is None else ctx.estimators[0].est.take(oth)
     A, b = lay.A.copy(), lay.b.copy()
-    A.reshape(-1, 2)[lay.bar] = -dp
-    flat = b.reshape(-1)
-    flat[lay.bar] = _MODES[ctx.scenario.mode][1](dp, dist, V[own] - V[oth], V[own], lay.accel,
-                                                 accel_other, lay.gain, lay.ds)
-    flat[lay.faces] = np.minimum(_speed_bounds(lay.vmax, V[lay.free], ctx.scenario.dt), lay.amax)
+    A.put(lay.minus, -dp)
+    b.put(lay.bar, _MODES[ctx.scenario.mode][1](dp, dist.take(lay.pair), V_own - V.take(oth, 0),
+                                                V_own, lay.accel, accel_other, lay.gain, lay.ds))
+    b.put(lay.faces, np.minimum(_speed_bounds(lay.vmax, V.take(lay.free, 0), ctx.scenario.dt),
+                                lay.amax))
     return lay, A, b
 
 
@@ -421,7 +426,8 @@ def _solve_decentralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarra
                          dp: np.ndarray, dist: np.ndarray):
     lay, A, b = _agent_qps(ctx, violated, dist)
     free, width = lay.free, b.shape[1]
-    u, optimal, active, _ = qp.solve_padded(U_nom[free], A, b, ctx.warm[free, :width])
+    u, optimal, active, _ = qp.solve_padded(U_nom.take(free, 0), A, b,
+                                            ctx.warm[:, :width].take(free, 0))
     ctx.warm[free, :width] = active
     if ctx.warm.shape[1] > width:  # clear the bits beyond a narrower layout
         ctx.warm[free, width:] = False
@@ -433,22 +439,26 @@ def _solve_decentralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarra
 class _Ensemble:
     """The fixed part of a centralized step's ensemble QP for the violated
     mask whose bytes are ``key``: the kept pairs ``pair`` with their ``i``,
-    ``j``, ``ds``, ``accel_sum``, ``gain`` and braking ends, the ``free``
-    agents and their ``vmax``, the template ``A`` holding the speed rows
-    (``qp.box_faces`` of the free controls, below the pair rows), the flat
-    slots ``minus`` and ``plus`` of -dp and +dp of the pairs
-    ``minus_pair`` and ``plus_pair``, and the read-only ``row_pairs``."""
+    ``j``, ``ds``, ``accel_sum`` and ``gain``, the rows ``brake_i`` whose
+    end i brakes with those agents ``brake_ai`` (``brake_j`` and
+    ``brake_aj`` for end j), the ``free`` agents and their ``vmax``, the
+    template ``A`` holding the speed rows (``qp.box_faces`` of the free
+    controls, below the pair rows), the flat slots ``minus`` and ``plus``
+    of -dp and +dp of the pairs ``minus_pair`` and ``plus_pair``, and the
+    read-only ``row_pairs``."""
 
     def __init__(self, ctx: SimContext, violated: np.ndarray):
         self.key = violated.tobytes()
         self.pair = pair = (~(violated[ctx.pair_i] & violated[ctx.pair_j])).nonzero()[0]
         self.i, self.j = i, j = ctx.pair_i[pair], ctx.pair_j[pair]
         self.ds, self.accel_sum = ctx.pair_ds[pair], ctx.pair_accel_sum[pair]
-        self.gain, self.brake_i, self.brake_j = ctx.gain[i], violated[i], violated[j]
+        self.gain = ctx.gain[i]
+        self.brake_i, self.brake_j = violated[i].nonzero()[0], violated[j].nonzero()[0]
+        self.brake_ai, self.brake_aj = i[self.brake_i], j[self.brake_j]
         self.free = free = (~violated).nonzero()[0]
         self.vmax, col, width = ctx.speed[free], np.cumsum(~violated) - 1, 2 * free.size
         self.A = np.concatenate((np.zeros((i.size, width)), qp.box_faces(width)))
-        fi, fj = (~self.brake_i).nonzero()[0], (~self.brake_j).nonzero()[0]
+        fi, fj = (~violated[i]).nonzero()[0], (~violated[j]).nonzero()[0]
         self.minus = (width * fi + 2 * col[i[fi]])[:, None] + np.arange(2)
         self.plus = (width * fj + 2 * col[j[fj]])[:, None] + np.arange(2)
         self.minus_pair, self.plus_pair = pair[fi], pair[fj]
@@ -467,17 +477,17 @@ def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: 
     ens = ctx.ensemble
     if ens is None or ens.key != violated.tobytes():
         ens = ctx.ensemble = _Ensemble(ctx, violated)
-    V, i, j, dp_k = ctx.V, ens.i, ens.j, dp[ens.pair]
-    b = barrier.centralized_bounds(dp_k, dist[ens.pair], V[i] - V[j], ens.accel_sum, ens.gain,
-                                   ens.ds)
+    V, dp_k = ctx.V, dp.take(ens.pair, 0)
+    b = barrier.centralized_bounds(dp_k, dist.take(ens.pair), V.take(ens.i, 0) - V.take(ens.j, 0),
+                                   ens.accel_sum, ens.gain, ens.ds)
     if violated.any():
         U_brake = braking_fallback(V, ctx.box)
-        b[ens.brake_i] -= row_dot(-dp_k[ens.brake_i], U_brake[i[ens.brake_i]])
-        b[ens.brake_j] -= row_dot(dp_k[ens.brake_j], U_brake[j[ens.brake_j]])
+        b[ens.brake_i] -= row_dot(-dp_k.take(ens.brake_i, 0), U_brake.take(ens.brake_ai, 0))
+        b[ens.brake_j] -= row_dot(dp_k.take(ens.brake_j, 0), U_brake.take(ens.brake_aj, 0))
     A = ens.A.copy()
-    A.reshape(-1)[ens.minus] = -dp[ens.minus_pair]
-    A.reshape(-1)[ens.plus] = dp[ens.plus_pair]
-    b = np.concatenate((b, _speed_bounds(ens.vmax, V[ens.free], ctx.scenario.dt).ravel()))
+    A.put(ens.minus, -dp.take(ens.minus_pair, 0))
+    A.put(ens.plus, dp.take(ens.plus_pair, 0))
+    b = np.concatenate((b, _speed_bounds(ens.vmax, V.take(ens.free, 0), ctx.scenario.dt).ravel()))
     return A, b, ens.row_pairs
 
 
@@ -487,7 +497,7 @@ def _solve_centralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarray,
     free, U = ctx.ensemble.free, np.zeros((ctx.n, 2))
     if not free.size:
         return U, violated, row_pairs
-    sol = qp.solve(qp.QpProblem(U_nom[free].ravel(), A, b, ctx.box[free].ravel()),
+    sol = qp.solve(qp.QpProblem(U_nom.take(free, 0).ravel(), A, b, ctx.box.take(free, 0).ravel()),
                    warm_start=ctx.ensemble_warm)
     ctx.ensemble_warm = sol.active_set
     U[free] = sol.u_star.reshape(-1, 2)
@@ -518,8 +528,9 @@ def step_once(ctx: SimContext) -> StepRecord:
     dp, dist = carried[1:] if carried[0] is P else _require_apart(*_pair_dist(ctx, P))
     U, brake, row_pairs = _MODES[scn.mode][0](ctx, U_nom, _violated(ctx, dist), dp, dist)
     U = np.minimum(np.maximum(U, -ctx.box), ctx.box)
-    if brake.any():
-        U[brake] = braking_fallback(V[brake], ctx.box[brake])
+    braking = brake.nonzero()[0]
+    if braking.size:
+        U[braking] = braking_fallback(V.take(braking, 0), ctx.box.take(braking, 0))
 
     if ctx.estimators is not None:  # one estimator shared by every agent
         ctx.estimators[0].observe(V, scn.dt)
@@ -528,9 +539,7 @@ def step_once(ctx: SimContext) -> StepRecord:
     ctx.P, ctx.V = step(P, V, U, scn.dt)
     ctx.t += scn.dt
 
-    dp, dist = _require_apart(*_pair_dist(ctx, ctx.P))
-    ctx.geometry = (ctx.P, dp, dist)
-    h = _pair_h(ctx, dist, _pair_vbar(ctx, dp, dist, ctx.V))
+    ctx.geometry = (ctx.P, *_require_apart(*_pair_dist(ctx, ctx.P)))
     return StepRecord(
         t=ctx.t,
         p=ctx.P,
@@ -538,10 +547,34 @@ def step_once(ctx: SimContext) -> StepRecord:
         u_applied=U,
         u_nominal=U_nom,
         brake=brake,
-        min_h=float(h[h.argmin()]) if h.size else math.inf,  # the first minimum, as min()
-        min_pair_dist=float(dist.min()) if dist.size else math.inf,
         row_pairs=row_pairs,
     )
+
+
+_MINIMA_CHUNK = 4096  # pair-steps per batch of ``log_minima``, which bounds its memory
+
+
+def log_minima(log: TrajectoryLog) -> tuple[np.ndarray, np.ndarray]:
+    """Each record's minimum h and minimum distance over all pairs on its
+    post-step states, as two (T,) arrays: the step's h at its first minimum
+    (NaN if that is a NaN), inf without pairs. Bit for bit what
+    ``pair_barrier`` and ``relative_state`` give on every pair."""
+    return _record_minima(_Start(log.scenario), log.records)
+
+
+def _record_minima(start: _Start, records: list[StepRecord]) -> tuple[np.ndarray, np.ndarray]:
+    # The pair geometry of a batch of records at once, on (T, N, 2) stacks.
+    min_h, min_dist = np.full(len(records), math.inf), np.full(len(records), math.inf)
+    if not start.pair_i.size:
+        return min_h, min_dist
+    chunk = max(1, _MINIMA_CHUNK // start.pair_i.size)
+    for lo in range(0, len(records), chunk):
+        batch = records[lo:lo + chunk]
+        dp, dist = _pair_dist(start, np.array([rec.p for rec in batch]))
+        h = _pair_h(start, dist, _pair_vbar(start, dp, dist, np.array([rec.v for rec in batch])))
+        min_h[lo:lo + len(batch)] = np.take_along_axis(h, h.argmin(axis=1)[:, None], 1)[:, 0]
+        min_dist[lo:lo + len(batch)] = dist.min(axis=1)
+    return min_h, min_dist
 
 
 def detect_deadlock(log: TrajectoryLog) -> tuple[bool, float | None]:
@@ -572,9 +605,10 @@ def compute_metrics(log: TrajectoryLog) -> RunMetrics:
     positions = np.array([start.P] + [rec.p for rec in log.records])
     min_dist = float(np.min(start.geometry[2], initial=math.inf))
     min_h = float(np.min(start.h, initial=math.inf))
-    for rec in log.records:
-        min_dist = min(min_dist, rec.min_pair_dist)
-        min_h = min(min_h, rec.min_h)
+    step_h, step_dist = _record_minima(start, log.records)
+    for h, dist in zip(step_h.tolist(), step_dist.tolist()):  # min() passes over a NaN step
+        min_dist = min(min_dist, dist)
+        min_h = min(min_h, h)
 
     goal_errors = {
         a.params.id: float(_norm(positions[-1, i] - a.goal))

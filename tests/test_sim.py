@@ -27,6 +27,7 @@ from safeswarm.sim import (
     TrajectoryLog,
     compute_metrics,
     detect_deadlock,
+    log_minima,
     run,
     step_once,
 )
@@ -139,8 +140,6 @@ def synthetic_log(positions, velocities, goals, dt=0.1):
                 u_applied=np.zeros((n, 2)),
                 u_nominal=np.zeros((n, 2)),
                 brake=np.zeros(n, dtype=bool),
-                min_h=np.inf,
-                min_pair_dist=np.inf,
                 row_pairs=np.empty((0, 2), dtype=int),
             )
         )
@@ -302,7 +301,7 @@ class TestStepOnce:
         ctx = SimContext(scn)
         rec = step_once(ctx)
         assert not np.allclose(rec.u_applied, rec.u_nominal)
-        assert rec.min_h >= 0.0
+        assert log_minima(TrajectoryLog(scn, [rec]))[0][0] >= 0.0
 
     def test_nonfinite_state_aborts_with_diagnostic(self):
         scn = Scenario(agents=[agent(1, (0, 0), (1, 0))])
@@ -500,7 +499,7 @@ class TestMetrics:
     def test_compute_metrics_matches_recorded_minimum(self):
         scn = two_agent_headon()
         log, metrics = run(scn)
-        lo = min(rec.min_pair_dist for rec in log.records)
+        lo = float(log_minima(log)[1].min())
         d0 = float(
             np.linalg.norm(scn.agents[0].state0.p - scn.agents[1].state0.p)
         )
@@ -508,6 +507,21 @@ class TestMetrics:
         again = compute_metrics(log)
         assert again.min_pair_dist == metrics.min_pair_dist
         assert again.goal_errors == metrics.goal_errors
+
+    def test_compute_metrics_passes_over_a_nan_step(self):
+        """A step whose dp overflows has dist inf and h NaN (inf / inf in
+        vbar); the run's min h is the smallest of the other steps' and the
+        start's, as min() folds them, not NaN."""
+        pos = [[(0.0, 0.0), (3.0, 0.0)], [(1.5e308, 0.0), (-1.5e308, 0.0)],
+               [(0.0, 0.0), (2.0, 0.0)]]
+        vel = [[(0.0, 0.0)] * 2, [(1.0, 0.0), (0.0, 0.0)], [(0.0, 0.0)] * 2]
+        log = synthetic_log(pos, vel, goals=[(0.0, 0.0), (2.0, 0.0)])
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflowing step's dp and vbar
+            min_h, min_dist = log_minima(log)
+            metrics = compute_metrics(log)
+        assert math.isnan(min_h[0]) and min_dist[0] == math.inf
+        assert min_h[1] == math.sqrt(2.0 * 2.4 * (2.0 - 0.4)) and min_dist[1] == 2.0
+        assert (metrics.min_h, metrics.min_pair_dist) == (min_h[1], 2.0)
 
 
 def test_log_bytes_per_step_are_linear_in_n():

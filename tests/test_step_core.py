@@ -161,8 +161,8 @@ def test_directed_neighbor_rows_match_neighbors(case):
     assert np.array_equal(np.minimum(own, oth), ctx.pair_i[pair])
     assert np.array_equal(np.maximum(own, oth), ctx.pair_j[pair])
     assert np.array_equal(ctx.dir_radius, ctx.neighbor_radius[own])
-    dist = sim._pair_dist(ctx, P)[1]
-    lay = sim._agent_qps(ctx, np.zeros(ctx.n, dtype=bool), dist)[0]
+    near = sim._pair_dist(ctx, P)[1][pair] <= ctx.dir_radius  # as _agent_qps
+    lay = sim._Layout(ctx, near, np.zeros(ctx.n, dtype=bool))
     assert lay.row_pairs.tolist() == [
         [i, j] for i in range(ctx.n)
         for j in sorted(neighbors(i, _states(P, V), ctx.neighbor_radius[i]))]
@@ -495,35 +495,48 @@ def test_coincident_pair_raises(mode):
 
 def test_one_checked_start_per_context(monkeypatch, tmp_path, capsys):
     """A run builds the checked start twice, for its context and for its
-    metrics, and takes the pair distances once per step plus once per
-    start; the CLI adds no build when ``--mode`` overrides the mode."""
+    metrics, and takes the pair distances of one state once per step plus
+    once per start, and of a stack of states once per batch of the
+    metrics' per-step minima; the CLI adds no build when ``--mode``
+    overrides the mode."""
     builds, dists = [], []
     init, pair_dist = sim._Start.__init__, sim._pair_dist
     monkeypatch.setattr(sim._Start, "__init__", lambda s, scn: builds.append(1) or init(s, scn))
-    monkeypatch.setattr(sim, "_pair_dist", lambda c, P: dists.append(1) or pair_dist(c, P))
-    log, _ = sim.run(circle6())
-    assert (len(builds), len(dists)) == (2, len(log.records) + 2) == (2, 801)
+    monkeypatch.setattr(sim, "_pair_dist", lambda c, P: dists.append(P.ndim) or pair_dist(c, P))
+    log, _ = sim.run(circle6())  # 15 pairs: batches of 4096 // 15 = 273 steps
+    assert (len(builds), dists.count(2), dists.count(3)) == (2, len(log.records) + 2, 3)
+    assert len(log.records) == 799
     builds.clear()
     dists.clear()
     argv = ["--preset", "headon2", "--mode", "decentralized_C", "--out-dir", str(tmp_path)]
     assert cli.run_command(argv) == 0
     steps = int(re.search(r"steps=(\d+)", capsys.readouterr().out).group(1))
-    assert (len(builds), len(dists)) == (2, steps + 2) == (2, 465)
+    assert (len(builds), dists.count(2), dists.count(3)) == (2, steps + 2, 1)
+    assert steps == 463
 
 
-def test_step_record_min_h_is_the_scalar_minimum():
-    """Every record's min_h is, bit for bit, min() over ``pair_barrier``
-    of every pair on the post-step states; inf when there is no pair."""
+def test_log_minima_are_the_scalar_minima():
+    """``log_minima`` gives each record, bit for bit, min() over
+    ``pair_barrier`` and over ``relative_state``'s dist of every pair on
+    its post-step states, over more steps than one of its batches holds;
+    inf when there is no pair."""
     for mode in MODES:
-        ctx = SimContext(preset("circle6", mode))
-        for _ in range(120):
-            rec = step_once(ctx)
-            ref = [pair_barrier(rel, ctx.params[i].accel_limit + ctx.params[j].accel_limit,
-                                ctx.safety_dist[i, j])[0]
-                   for (i, j), rel in zip(_pairs(ctx), _reference(ctx))]
-            assert rec.min_h.hex() == min(ref).hex()
+        scn = preset("circle6", mode)
+        ctx, records, ref_h, ref_dist = SimContext(scn), [], [], []
+        for _ in range(400):
+            records.append(step_once(ctx))
+            rels = _reference(ctx)
+            ref_h.append(min(pair_barrier(rel, ctx.params[i].accel_limit
+                                          + ctx.params[j].accel_limit, ctx.safety_dist[i, j])[0]
+                             for (i, j), rel in zip(_pairs(ctx), rels)))
+            ref_dist.append(min(rel.dist for rel in rels))
+        assert len(records) * ctx.pair_i.size > sim._MINIMA_CHUNK
+        min_h, min_dist = sim.log_minima(sim.TrajectoryLog(scn, records))
+        assert [x.hex() for x in min_h.tolist()] == [x.hex() for x in ref_h]
+        assert [x.hex() for x in min_dist.tolist()] == [x.hex() for x in ref_dist]
     lone = Scenario(_headon().agents[:1])
-    assert step_once(SimContext(lone)).min_h == math.inf
+    minima = sim.log_minima(sim.TrajectoryLog(lone, [step_once(SimContext(lone))]))
+    assert [m.tolist() for m in minima] == [[math.inf], [math.inf]]
 
 
 def _step_against_cold_layout(ctx, steps):
