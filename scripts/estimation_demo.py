@@ -8,7 +8,8 @@ Usage: python scripts/estimation_demo.py
 import numpy as np
 
 from safeswarm import AgentParams, AgentState
-from safeswarm.sim import AgentSetup, Scenario, SimContext, TrajectoryLog, log_minima, step_once
+from safeswarm.sim import (AgentSetup, Scenario, SimContext, TrajectoryLog, compute_metrics,
+                           step_once)
 
 NIMBLE, SLUGGISH = 1.8, 0.6
 
@@ -35,8 +36,10 @@ def main():
     for step in range(int(round(scenario.t_end / scenario.dt))):  # as sim.run
         records.append(step_once(ctx))
         if step % 50 == 0:
-            estimates.append((ctx.estimators[0].estimates[1], ctx.estimators[1].estimates[0]))
-    min_h, min_dist = log_minima(TrajectoryLog(scenario, records))
+            est = ctx.estimators[0].est  # one estimator serves both agents
+            estimates.append((est[1], est[0]))
+    metrics = compute_metrics(TrajectoryLog(scenario, records))
+    min_h, min_dist = metrics.step_min_h, metrics.step_min_dist
     print(f"true limits: agent1={NIMBLE}, agent2={SLUGGISH}; both start guessing 0.3")
     print(f"{'t':>6s} {'dist':>7s} {'h':>7s} {'est of agent2':>14s} {'est of agent1':>14s}")
     for k, (of2, of1) in zip(range(0, len(records), 50), estimates):

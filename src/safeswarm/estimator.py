@@ -56,8 +56,8 @@ class LimitEstimator:
     @property
     def estimates(self) -> dict[int, float]:
         """The estimates by agent index, ``dict(enumerate(est.tolist()))``: a
-        read-only view, built once per update for readers that look up
-        every agent after every step."""
+        read-only view, built once per update, kept for its one reader outside
+        the tests, ``perfbench/run.py``'s estimate probe (ROADMAP item 3)."""
         if self._by_index is None:
             self._by_index = dict(enumerate(self.est.tolist()))
         return self._by_index

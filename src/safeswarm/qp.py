@@ -28,16 +28,17 @@ an optimum whose working set, built by rounding from near-parallel rows,
 is wider than the dimension: its rows cannot all be tight there.
 
 ``solve`` takes one problem of any dimension; the simulator's centralized
-mode hands it the single ensemble QP. ``solve_padded``, the lockstep
-kernel, solves K independent 2-variable problems, one per agent in the
-decentralized modes, laid out as (K, M, 2) rows and (K, M) bounds: problem
-k's rows, then zero rows with an infinite bound up to the widest problem's
-M. The kernel knows no box: a problem that has one brings it as rows, as
-the simulator brings each agent's four faces. Warm starts go in, and final
-working sets come out, as (K, M) bool masks. ``pad_rows`` builds the
-layout from rows given as one (R, 2) array with per-problem counts; the
-simulator builds it once per neighbour and violated set and fills in each
-step's rows itself.
+mode hands it the single ensemble QP, with its box faces as rows and an
+unbounded box, whose +inf faces never enter the loop. ``solve_padded``,
+the lockstep kernel, solves K independent 2-variable problems, one per
+agent in the decentralized modes, laid out as (K, M, 2) rows and (K, M)
+bounds: problem k's rows, then zero rows with an infinite bound up to the
+widest problem's M. The kernel knows no box: a problem that has one brings
+it as rows, as the simulator brings each agent's four faces. Warm starts
+go in, and final working sets come out, as (K, M) bool masks. ``pad_rows``
+builds the layout from rows given as one (R, 2) array with per-problem
+counts; the simulator builds it once per neighbour and violated set and
+fills in each step's rows itself.
 
 Nearly every problem needs only dual steps that add a row to a working set
 of 0 or 1 rows, so that is all the kernel does, in three straight passes.

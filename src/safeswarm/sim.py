@@ -22,27 +22,28 @@ each step computes and checks them once. The neighbour test reads that
 dist over the directed pairs (owner, other), and the mode's bound
 function in ``barrier`` builds the rows of all neighbour pairs in one
 call. A step computes h only inside those bound functions, for the rows
-it builds; ``log_minima`` gives each record's minimum h and distance over
-all pairs afterwards, from the records' states, in batches of steps.
+it builds; ``compute_metrics`` computes each record's minimum h and
+distance over all pairs once, afterwards, in batches of steps.
 
-In the decentralized modes every free agent's QP is one row of the padded
-layout that ``qp.solve_padded`` takes: (K, M, 2) rows and (K, M) bounds,
-in the order barrier rows, four face rows +e_0, -e_0, +e_1, -e_1, padding.
-Face row +-e_c bounds +-u_c by min(accel_limit, (speed_limit -+ v_c) / dt):
-the box and the speed cap bound the same interval on each axis, so one row
-per side poses both. What fixes that layout, the slots of the barrier and
-face rows, templates holding the face normals and padding, the row pairs,
-the per-row lookups and the limits, depends only on the (neighbour mask,
-violated mask) pair; it is cached on ``SimContext.layout`` while the bytes
-of that pair are unchanged, and each step writes its barrier rows and
-bounds into copies of the templates, each by one flat ``put``.
-Warm starts are one (N, W) bool mask, ``SimContext.warm``, sliced into the
-kernel and written back from its final working sets. The centralized QP
-embeds the rows, and four speed rows per free agent, in one dense array
-and goes to ``qp.solve`` with the symmetric box; its layout depends
-only on the violated mask and is cached on ``SimContext.ensemble`` in the
-same way. In the estimated mode one
-``LimitEstimator`` serves every agent. Every value is bit-identical to
+Every free agent's control is bounded by four face rows +e_0, -e_0, +e_1,
+-e_1, in both modes: face row +-e_c bounds +-u_c by min(accel_limit,
+(speed_limit -+ v_c) / dt), since the box and the speed cap bound the same
+interval on each axis, so one row per side poses both. In the
+decentralized modes every free agent's QP is one row of the padded layout
+that ``qp.solve_padded`` takes: (K, M, 2) rows and (K, M) bounds, in the
+order barrier rows, face rows, padding. What fixes that layout, the slots
+of the barrier and face rows, templates holding the face normals and
+padding, the row pairs, the per-row lookups and the limits, depends only
+on the (neighbour mask, violated mask) pair; it is cached on
+``SimContext.layout`` while the bytes of that pair are unchanged, and each
+step writes its barrier rows and bounds into copies of the templates, each
+by one flat ``put``. Warm starts are one (N, W) bool mask,
+``SimContext.warm``, sliced into the kernel and written back from its
+final working sets. The centralized QP embeds the pair rows, and the face
+rows of every free agent, in one dense array and goes to ``qp.solve`` with
+an unbounded box; its layout depends only on the violated mask and is
+cached on ``SimContext.ensemble`` in the same way. In the estimated mode
+one ``LimitEstimator`` serves every agent. Every value is bit-identical to
 what the scalar functions (``relative_state``, ``pair_barrier``,
 ``barrier.neighbors``, the row builders, a ``qp.solve`` per agent on its
 folded rows and one estimator per agent) give.
@@ -123,8 +124,9 @@ class StepRecord:
     """Snapshot after one step: post-step states, the controls that
     produced them and the (owner, other) pair of each barrier row the step
     built. Pair geometry is not kept, so a record is O(N + rows);
-    ``log_minima`` gives each record's minimum h and distance over all
-    pairs from its states."""
+    ``compute_metrics`` gives each record's minimum h and distance over all
+    pairs from its states, as ``RunMetrics.step_min_h`` and
+    ``step_min_dist``."""
 
     t: float
     p: np.ndarray  # (N, 2)
@@ -143,6 +145,10 @@ class TrajectoryLog:
 
 @dataclass
 class RunMetrics:
+    """A run's summary, with each record's minimum h (its first, NaN if that
+    is one) and distance over all pairs, inf without pairs, as
+    ``step_min_h`` and ``step_min_dist``."""
+
     min_pair_dist: float  # m
     min_h: float  # m/s
     goal_errors: dict[int, float]  # m, by agent id
@@ -150,6 +156,8 @@ class RunMetrics:
     deadlock_detected: bool
     deadlock_onset: float | None  # s
     path_lengths: dict[int, float]  # m, by agent id
+    step_min_h: np.ndarray  # (T,) m/s
+    step_min_dist: np.ndarray  # (T,) m
 
 
 def goal_controller(p: np.ndarray, v: np.ndarray, goal: np.ndarray, k1: float, k2: float,
@@ -263,8 +271,9 @@ class SimContext(_Start):
     ``_MODES`` entry), one estimator serves every agent, since all
     observe all others with the same law, floor and gain; the step
     observes and updates it once and reads its ``est``. ``estimators``
-    holds it N times, agent i's at ``estimators[i]``, because
-    ``perfbench/run.py`` reads ``estimators[i].estimates``. Observing only
+    holds it N times, agent i's at ``estimators[i]``, only for the estimate
+    probe of ``perfbench/run.py``, the one reader outside the tests of it
+    and of ``LimitEstimator.estimates`` (ROADMAP item 3). Observing only
     the agents in each one's interaction radius (ROADMAP item 14) would
     bring back per-agent state, one estimate per directed pair.
     """
@@ -309,14 +318,14 @@ class SimContext(_Start):
             self.params, min_accel.tolist(), max_speed.tolist(), ds_worst.tolist())])
 
 
-def _speed_bounds(speed: np.ndarray, V: np.ndarray, dt: float) -> np.ndarray:
-    # (N, 4) bounds of each agent's rows +e_0, -e_0, +e_1, -e_1: per-axis cap
-    # on the next-step velocity, |v_c + u_c dt| <= speed_limit.
-    out, speed = np.empty((len(V), 2, 2)), speed[:, None]
-    np.subtract(speed, V, out=out[..., 0])
-    np.add(speed, V, out=out[..., 1])
+def _face_bounds(vmax: np.ndarray, amax: np.ndarray, V: np.ndarray, dt: float) -> np.ndarray:
+    # (K, 4) bounds of each agent's face rows +e_0, -e_0, +e_1, -e_1, with the
+    # accel limits amax as a column: min(accel_limit, (speed_limit -+ v_c) / dt).
+    out = np.empty((len(V), 2, 2))
+    np.subtract(vmax[:, None], V, out=out[..., 0])
+    np.add(vmax[:, None], V, out=out[..., 1])
     out /= dt
-    return out.reshape(-1, 4)
+    return np.minimum(out.reshape(-1, 4), amax)
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -417,8 +426,7 @@ def _agent_qps(ctx: SimContext, violated: np.ndarray, dist: np.ndarray):
     A.put(lay.minus, -dp)
     b.put(lay.bar, _MODES[ctx.scenario.mode][1](dp, dist.take(lay.pair), V_own - V.take(oth, 0),
                                                 V_own, lay.accel, accel_other, lay.gain, lay.ds))
-    b.put(lay.faces, np.minimum(_speed_bounds(lay.vmax, V.take(lay.free, 0), ctx.scenario.dt),
-                                lay.amax))
+    b.put(lay.faces, _face_bounds(lay.vmax, lay.amax, V.take(lay.free, 0), ctx.scenario.dt))
     return lay, A, b
 
 
@@ -441,11 +449,11 @@ class _Ensemble:
     mask whose bytes are ``key``: the kept pairs ``pair`` with their ``i``,
     ``j``, ``ds``, ``accel_sum`` and ``gain``, the rows ``brake_i`` whose
     end i brakes with those agents ``brake_ai`` (``brake_j`` and
-    ``brake_aj`` for end j), the ``free`` agents and their ``vmax``, the
-    template ``A`` holding the speed rows (``qp.box_faces`` of the free
-    controls, below the pair rows), the flat slots ``minus`` and ``plus``
-    of -dp and +dp of the pairs ``minus_pair`` and ``plus_pair``, and the
-    read-only ``row_pairs``."""
+    ``brake_aj`` for end j), the ``free`` agents with their ``vmax`` and
+    ``amax``, as in ``_Layout``, the template ``A`` holding their face rows
+    (``qp.box_faces`` of the free controls, below the pair rows), the flat
+    slots ``minus`` and ``plus`` of -dp and +dp of the pairs ``minus_pair``
+    and ``plus_pair``, and the read-only ``row_pairs`` and unbounded ``box``."""
 
     def __init__(self, ctx: SimContext, violated: np.ndarray):
         self.key = violated.tobytes()
@@ -456,14 +464,16 @@ class _Ensemble:
         self.brake_i, self.brake_j = violated[i].nonzero()[0], violated[j].nonzero()[0]
         self.brake_ai, self.brake_aj = i[self.brake_i], j[self.brake_j]
         self.free = free = (~violated).nonzero()[0]
-        self.vmax, col, width = ctx.speed[free], np.cumsum(~violated) - 1, 2 * free.size
+        self.vmax, self.amax = ctx.speed[free], ctx.accel[free, None]
+        col, width = np.cumsum(~violated) - 1, 2 * free.size
+        self.box = np.full(width, np.inf)  # the face rows pose the box
         self.A = np.concatenate((np.zeros((i.size, width)), qp.box_faces(width)))
         fi, fj = (~violated[i]).nonzero()[0], (~violated[j]).nonzero()[0]
         self.minus = (width * fi + 2 * col[i[fi]])[:, None] + np.arange(2)
         self.plus = (width * fj + 2 * col[j[fj]])[:, None] + np.arange(2)
         self.minus_pair, self.plus_pair = pair[fi], pair[fj]
         self.row_pairs = np.array((i, j)).T
-        for shared in (self.A, self.row_pairs):
+        for shared in (self.A, self.box, self.row_pairs):
             shared.flags.writeable = False
 
 
@@ -471,9 +481,10 @@ def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: 
     """The ensemble QP's rows over the stacked controls of the free agents,
     from the ``_Ensemble`` cached on ``ctx.ensemble`` while the violated
     mask holds. One row per pair that is not braking at both ends, in pair
-    order, then each free agent's four speed rows. Free agent c owns columns
-    2c and 2c + 1; a braking agent's control is fixed, so its block times
-    its braking control moves into b. Also returns the (E, 2) row pairs."""
+    order, then each free agent's four face rows, bounded as a
+    decentralized QP's. Free agent c owns columns 2c and 2c + 1; a braking
+    agent's control is fixed, so its block times its braking control moves
+    into b. Also returns the (E, 2) row pairs."""
     ens = ctx.ensemble
     if ens is None or ens.key != violated.tobytes():
         ens = ctx.ensemble = _Ensemble(ctx, violated)
@@ -487,20 +498,20 @@ def _ensemble_rows(ctx: SimContext, violated: np.ndarray, dp: np.ndarray, dist: 
     A = ens.A.copy()
     A.put(ens.minus, -dp.take(ens.minus_pair, 0))
     A.put(ens.plus, dp.take(ens.plus_pair, 0))
-    b = np.concatenate((b, _speed_bounds(ens.vmax, V.take(ens.free, 0), ctx.scenario.dt).ravel()))
-    return A, b, ens.row_pairs
+    faces = _face_bounds(ens.vmax, ens.amax, V.take(ens.free, 0), ctx.scenario.dt)
+    return A, np.concatenate((b, faces.ravel())), ens.row_pairs
 
 
 def _solve_centralized(ctx: SimContext, U_nom: np.ndarray, violated: np.ndarray,
                        dp: np.ndarray, dist: np.ndarray):
     A, b, row_pairs = _ensemble_rows(ctx, violated, dp, dist)
-    free, U = ctx.ensemble.free, np.zeros((ctx.n, 2))
-    if not free.size:
+    ens, U = ctx.ensemble, np.zeros((ctx.n, 2))
+    if not ens.free.size:
         return U, violated, row_pairs
-    sol = qp.solve(qp.QpProblem(U_nom.take(free, 0).ravel(), A, b, ctx.box.take(free, 0).ravel()),
+    sol = qp.solve(qp.QpProblem(U_nom.take(ens.free, 0).ravel(), A, b, ens.box),
                    warm_start=ctx.ensemble_warm)
     ctx.ensemble_warm = sol.active_set
-    U[free] = sol.u_star.reshape(-1, 2)
+    U[ens.free] = sol.u_star.reshape(-1, 2)
     return U, violated | (sol.status != qp.OPTIMAL), row_pairs
 
 
@@ -551,15 +562,7 @@ def step_once(ctx: SimContext) -> StepRecord:
     )
 
 
-_MINIMA_CHUNK = 4096  # pair-steps per batch of ``log_minima``, which bounds its memory
-
-
-def log_minima(log: TrajectoryLog) -> tuple[np.ndarray, np.ndarray]:
-    """Each record's minimum h and minimum distance over all pairs on its
-    post-step states, as two (T,) arrays: the step's h at its first minimum
-    (NaN if that is a NaN), inf without pairs. Bit for bit what
-    ``pair_barrier`` and ``relative_state`` give on every pair."""
-    return _record_minima(_Start(log.scenario), log.records)
+_MINIMA_CHUNK = 4096  # pair-steps per batch of ``_record_minima``, which bounds its memory
 
 
 def _record_minima(start: _Start, records: list[StepRecord]) -> tuple[np.ndarray, np.ndarray]:
@@ -600,22 +603,17 @@ def detect_deadlock(log: TrajectoryLog) -> tuple[bool, float | None]:
 
 def compute_metrics(log: TrajectoryLog) -> RunMetrics:
     """Summarize a run. Covers the initial state plus every recorded step."""
-    scn, start = log.scenario, _Start(log.scenario)
+    start = _Start(log.scenario)
     flag, onset = detect_deadlock(log)  # first, so its stacks of the log are freed before ours
     positions = np.array([start.P] + [rec.p for rec in log.records])
-    min_dist = float(np.min(start.geometry[2], initial=math.inf))
-    min_h = float(np.min(start.h, initial=math.inf))
     step_h, step_dist = _record_minima(start, log.records)
-    for h, dist in zip(step_h.tolist(), step_dist.tolist()):  # min() passes over a NaN step
-        min_dist = min(min_dist, dist)
-        min_h = min(min_h, h)
+    # min() keeps a NaN it starts from and passes over a NaN step.
+    min_dist = min([float(np.min(start.geometry[2], initial=math.inf)), *step_dist.tolist()])
+    min_h = min([float(np.min(start.h, initial=math.inf)), *step_h.tolist()])
 
-    goal_errors = {
-        a.params.id: float(_norm(positions[-1, i] - a.goal))
-        for i, a in enumerate(scn.agents)
-    }
-    total = _norm(np.diff(positions, axis=0)).sum(axis=0)
-    path_lengths = {a.params.id: float(total[i]) for i, a in enumerate(scn.agents)}
+    ids = [p.id for p in start.params]
+    goal_errors = dict(zip(ids, _norm(positions[-1] - start.goals).tolist()))
+    path_lengths = dict(zip(ids, _norm(np.diff(positions, axis=0)).sum(axis=0).tolist()))
     infeasible = np.count_nonzero([rec.brake for rec in log.records])
     return RunMetrics(
         min_pair_dist=min_dist,
@@ -625,6 +623,8 @@ def compute_metrics(log: TrajectoryLog) -> RunMetrics:
         deadlock_detected=flag,
         deadlock_onset=onset,
         path_lengths=path_lengths,
+        step_min_h=step_h,
+        step_min_dist=step_dist,
     )
 
 

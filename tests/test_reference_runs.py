@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from safeswarm import sim
 from safeswarm.sim import run
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -51,6 +52,19 @@ def test_run_matches_reference(name, source, mode):
                     f"{RECORDED['fingerprint']}, running numpy {HERE[0]} with fingerprint "
                     f"{HERE[1]}")
     assert observed(source, mode)[0] == RECORDED["runs"][name]
+
+
+def test_one_minima_pass_per_reference_run(monkeypatch):
+    """Observing a run as ``observed`` does, its digest row and then its
+    tolerance record, computes the per-record minima once, in the run's
+    ``compute_metrics``."""
+    calls = []
+    inner = sim._record_minima
+    monkeypatch.setattr(sim, "_record_minima", lambda *a: calls.append(1) or inner(*a))
+    log, metrics = run(reference_runs.scenario("headon2", "decentralized_C"))
+    reference_runs.digest(log, metrics)
+    reference_runs.record(log, metrics)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("field, index, change", [

@@ -27,7 +27,6 @@ from safeswarm.sim import (
     TrajectoryLog,
     compute_metrics,
     detect_deadlock,
-    log_minima,
     run,
     step_once,
 )
@@ -301,7 +300,7 @@ class TestStepOnce:
         ctx = SimContext(scn)
         rec = step_once(ctx)
         assert not np.allclose(rec.u_applied, rec.u_nominal)
-        assert log_minima(TrajectoryLog(scn, [rec]))[0][0] >= 0.0
+        assert compute_metrics(TrajectoryLog(scn, [rec])).step_min_h[0] >= 0.0
 
     def test_nonfinite_state_aborts_with_diagnostic(self):
         scn = Scenario(agents=[agent(1, (0, 0), (1, 0))])
@@ -499,7 +498,7 @@ class TestMetrics:
     def test_compute_metrics_matches_recorded_minimum(self):
         scn = two_agent_headon()
         log, metrics = run(scn)
-        lo = float(log_minima(log)[1].min())
+        lo = float(metrics.step_min_dist.min())
         d0 = float(
             np.linalg.norm(scn.agents[0].state0.p - scn.agents[1].state0.p)
         )
@@ -507,6 +506,7 @@ class TestMetrics:
         again = compute_metrics(log)
         assert again.min_pair_dist == metrics.min_pair_dist
         assert again.goal_errors == metrics.goal_errors
+        assert again.step_min_dist.tobytes() == metrics.step_min_dist.tobytes()
 
     def test_compute_metrics_passes_over_a_nan_step(self):
         """A step whose dp overflows has dist inf and h NaN (inf / inf in
@@ -517,8 +517,8 @@ class TestMetrics:
         vel = [[(0.0, 0.0)] * 2, [(1.0, 0.0), (0.0, 0.0)], [(0.0, 0.0)] * 2]
         log = synthetic_log(pos, vel, goals=[(0.0, 0.0), (2.0, 0.0)])
         with np.errstate(over="ignore", invalid="ignore"):  # the overflowing step's dp and vbar
-            min_h, min_dist = log_minima(log)
             metrics = compute_metrics(log)
+        min_h, min_dist = metrics.step_min_h, metrics.step_min_dist
         assert math.isnan(min_h[0]) and min_dist[0] == math.inf
         assert min_h[1] == math.sqrt(2.0 * 2.4 * (2.0 - 0.4)) and min_dist[1] == 2.0
         assert (metrics.min_h, metrics.min_pair_dist) == (min_h[1], 2.0)

@@ -6,10 +6,10 @@ vbar, ``pair_barrier`` for h, ``barrier.neighbors`` for the neighbour test
 over the directed pairs and the ``dist <= Ds`` test for the violated set.
 The rows every mode hands to its QPs must equal a plain-Python
 transcription of the scalar row formulas, compared by ``tobytes`` so that
-signed zeros count: a decentralized QP's barrier rows and four face rows,
-each face bounded by the smaller of its box and speed bounds, and the
-ensemble's barrier and speed rows. Folding each speed row into its face
-must leave every decentralized answer as it was. ``LimitEstimator`` must
+signed zeros count: a decentralized QP's barrier rows and the ensemble's
+pair rows, and in both every free agent's four face rows, each face
+bounded by the smaller of its box and speed bounds. Folding each speed row
+into its face must leave every answer as it was. ``LimitEstimator`` must
 equal a plain-Python transcription of its law.
 """
 
@@ -275,35 +275,73 @@ def test_agent_rows_match_scalar_formulas(case):
     assert lay.row_pairs.shape == (len(pairs), 2) and lay.row_pairs.tolist() == pairs
 
 
-@settings(max_examples=150, deadline=None)
-@given(ensembles(DECENTRALIZED) | ensembles(DECENTRALIZED, inside=True),
-       st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
-def test_folded_faces_keep_the_unfolded_answer(case, shift):
+def _embedded(rows, c, width):
+    """2-vector rows of stacked control c, as rows over ``width`` columns."""
+    out = []
+    for normal, bound in rows:
+        a = np.zeros(width)
+        a[2 * c : 2 * c + 2] = normal
+        out.append((a, bound))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(ensembles(DECENTRALIZED) | ensembles(DECENTRALIZED, inside=True)
+       | ensembles(("centralized",)) | ensembles(("centralized",), inside=True),
+       st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2), st.booleans())
+def test_folded_faces_keep_the_unfolded_answer(case, shift, capped):
     """Each free agent's QP as the step poses it, its barrier rows and four
     face rows with no box, ends with the status of the unfolded QP, its
     barrier rows, four speed rows and the symmetric box, and within 1e-12
-    of its answer. Every optimal answer keeps the next velocity within the
-    speed cap and the control within the box, to the solver's 1e-10 on box
-    bounds (an active face can round to one ulp past it)."""
+    of its answer. So does the centralized ensemble QP as the step poses
+    it, its pair rows, every free agent's four face rows and the unbounded
+    box, against the unfolded ensemble QP, its pair rows, four speed rows
+    per free agent and the symmetric box, within 1e-9: its Gram systems
+    span up to 24 controls and its products go through BLAS. Every optimal
+    answer keeps the next velocity within the speed cap and the control
+    within the box, to the solver's 1e-10 on box bounds (an active face can
+    round to one ulp past it). With ``capped`` every velocity is first
+    clipped to its agent's speed cap, as a run keeps it: under arbitrary
+    velocities nearly every ensemble QP is infeasible."""
     ctx, P, V = case
-    params, dt = ctx.params, ctx.scenario.dt
-    dist = sim._pair_dist(ctx, P)[1]
-    lay, A, b = sim._agent_qps(ctx, sim._violated(ctx, dist), dist)
-    scn = ctx.scenario
+    if capped:
+        V = ctx.V = np.clip(V, -ctx.speed[:, None], ctx.speed[:, None])
+    params, scn = ctx.params, ctx.scenario
+    dp, dist = sim._pair_dist(ctx, P)
+    violated = sim._violated(ctx, dist)
     U_nom = sim.goal_controller(P, V, ctx.goals, scn.k1, scn.k2, ctx.box) + shift
-    for k, i in enumerate(lay.free.tolist()):
-        bar = np.count_nonzero(lay.own == i)
-        speed = _speed_rows(params[i].speed_limit, V[i], dt)
-        unfolded = sim.qp.solve(sim.qp.QpProblem(
-            U_nom[i], np.vstack([A[k, :bar]] + [a for a, _ in speed]),
-            np.concatenate([b[k, :bar], [bound for _, bound in speed]]), ctx.box[i]))
-        folded = sim.qp.solve(sim.qp.QpProblem(U_nom[i], A[k], b[k], np.full(2, np.inf)))
+    problems = []  # (agents, folded QP, unfolded QP, tolerance)
+    if scn.mode == "centralized":
+        A, b, row_pairs = sim._ensemble_rows(ctx, violated, dp, dist)
+        free, pairs = ctx.ensemble.free, len(row_pairs)
+        speed = [row for c, i in enumerate(free.tolist()) for row in _embedded(
+            _speed_rows(params[i].speed_limit, V[i], scn.dt), c, 2 * free.size)]
+        if free.size:
+            u_hat = U_nom.take(free, 0).ravel()
+            problems.append((free.tolist(), sim.qp.QpProblem(u_hat, A, b, ctx.ensemble.box),
+                             sim.qp.QpProblem(
+                                 u_hat, np.vstack([A[:pairs]] + [a for a, _ in speed]),
+                                 np.concatenate([b[:pairs], [bound for _, bound in speed]]),
+                                 ctx.box.take(free, 0).ravel()), 1e-9))
+    else:
+        lay, A, b = sim._agent_qps(ctx, violated, dist)
+        for k, i in enumerate(lay.free.tolist()):
+            bar = np.count_nonzero(lay.own == i)
+            speed = _speed_rows(params[i].speed_limit, V[i], scn.dt)
+            problems.append(([i], sim.qp.QpProblem(U_nom[i], A[k], b[k], np.full(2, np.inf)),
+                             sim.qp.QpProblem(
+                                 U_nom[i], np.vstack([A[k, :bar]] + [a for a, _ in speed]),
+                                 np.concatenate([b[k, :bar], [bound for _, bound in speed]]),
+                                 ctx.box[i]), 1e-12))
+    for agents, folded_qp, unfolded_qp, tol in problems:
+        folded, unfolded = sim.qp.solve(folded_qp), sim.qp.solve(unfolded_qp)
         assert folded.status == unfolded.status
         if folded.status != OPTIMAL:
             continue
-        assert np.abs(folded.u_star - unfolded.u_star).max() <= 1e-12
-        assert np.all(np.abs(V[i] + folded.u_star * dt) <= params[i].speed_limit + 1e-9)
-        assert np.all(np.abs(folded.u_star) <= params[i].accel_limit + 1e-10)
+        assert np.abs(folded.u_star - unfolded.u_star).max() <= tol
+        for i, u in zip(agents, folded.u_star.reshape(-1, 2)):
+            assert np.all(np.abs(V[i] + u * scn.dt) <= params[i].speed_limit + 1e-9)
+            assert np.all(np.abs(u) <= params[i].accel_limit + 1e-10)
 
 
 @settings(max_examples=150, deadline=None)
@@ -330,10 +368,8 @@ def test_ensemble_rows_match_scalar_formulas(case):
         rows.append((a, bound))
         pairs.append([i, j])
     for i in free:
-        for normal, bound in _speed_rows(params[i].speed_limit, V[i], dt):
-            a = np.zeros(2 * len(free))
-            a[2 * col[i] : 2 * col[i] + 2] = normal
-            rows.append((a, bound))
+        rows += _embedded(_face_rows(params[i].accel_limit, params[i].speed_limit, V[i], dt),
+                          col[i], 2 * len(free))
     dp, dist = sim._pair_dist(ctx, P)
     A, b, row_pairs = sim._ensemble_rows(ctx, np.array(violated), dp, dist)
     _same_bytes(rows, A, b)
@@ -369,7 +405,7 @@ def test_cached_ensemble_equals_cold_build(case):
             for x, y in zip(got, cold):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes()
         assert held[2] is changed[2] is built.row_pairs
-        assert not built.A.flags.writeable and not built.row_pairs.flags.writeable
+        assert not any(x.flags.writeable for x in (built.A, built.box, built.row_pairs))
 
 
 @settings(max_examples=150, deadline=None)
@@ -515,11 +551,11 @@ def test_one_checked_start_per_context(monkeypatch, tmp_path, capsys):
     assert steps == 463
 
 
-def test_log_minima_are_the_scalar_minima():
-    """``log_minima`` gives each record, bit for bit, min() over
-    ``pair_barrier`` and over ``relative_state``'s dist of every pair on
-    its post-step states, over more steps than one of its batches holds;
-    inf when there is no pair."""
+def test_step_minima_are_the_scalar_minima():
+    """``RunMetrics.step_min_h`` and ``step_min_dist`` give each record,
+    bit for bit, min() over ``pair_barrier`` and over ``relative_state``'s
+    dist of every pair on its post-step states, over more steps than one
+    batch of ``_record_minima`` holds; inf when there is no pair."""
     for mode in MODES:
         scn = preset("circle6", mode)
         ctx, records, ref_h, ref_dist = SimContext(scn), [], [], []
@@ -531,12 +567,12 @@ def test_log_minima_are_the_scalar_minima():
                              for (i, j), rel in zip(_pairs(ctx), rels)))
             ref_dist.append(min(rel.dist for rel in rels))
         assert len(records) * ctx.pair_i.size > sim._MINIMA_CHUNK
-        min_h, min_dist = sim.log_minima(sim.TrajectoryLog(scn, records))
-        assert [x.hex() for x in min_h.tolist()] == [x.hex() for x in ref_h]
-        assert [x.hex() for x in min_dist.tolist()] == [x.hex() for x in ref_dist]
+        metrics = sim.compute_metrics(sim.TrajectoryLog(scn, records))
+        assert [x.hex() for x in metrics.step_min_h.tolist()] == [x.hex() for x in ref_h]
+        assert [x.hex() for x in metrics.step_min_dist.tolist()] == [x.hex() for x in ref_dist]
     lone = Scenario(_headon().agents[:1])
-    minima = sim.log_minima(sim.TrajectoryLog(lone, [step_once(SimContext(lone))]))
-    assert [m.tolist() for m in minima] == [[math.inf], [math.inf]]
+    metrics = sim.compute_metrics(sim.TrajectoryLog(lone, [step_once(SimContext(lone))]))
+    assert [metrics.step_min_h.tolist(), metrics.step_min_dist.tolist()] == [[math.inf], [math.inf]]
 
 
 def _step_against_cold_layout(ctx, steps):
