@@ -114,7 +114,7 @@ def main(argv=None) -> int:
                  Side(args.b.resolve(), "safeswarm_b", Path(tmp)))
         jobs = ([(s, m) for s in SUITE for m in sides[0].sim.MODES]
                 if args.source == "paper-suite" else [(args.source, None)])
-        ratios, uneven = [], 0
+        ratios, uneven = [], set()  # the jobs whose outputs differ in some round
         for rnd in range(1, args.rounds + 1):
             total_steps, total_ns = [0, 0], [0, 0]
             print(f"round {rnd}: {'job':45s} {'A steps/s':>10s} {'B steps/s':>10s} {'B/A':>6s}")
@@ -132,7 +132,8 @@ def main(argv=None) -> int:
                 name = Path(source).stem + (f"-{mode}" if mode else "")
                 mark = ("" if digests[0] == digests[1]
                         else f"  outputs differ (steps A {steps[0]}, B {steps[1]})")
-                uneven += bool(mark)
+                if mark:
+                    uneven.add(k)
                 print(f"         {name:45s} {rate[0]:10.0f} {rate[1]:10.0f} "
                       f"{rate[1] / rate[0]:6.3f}{mark}")
             rate = [n / (x / 1e9) for n, x in zip(total_steps, total_ns)]
@@ -140,7 +141,7 @@ def main(argv=None) -> int:
             print(f"round {rnd}: {'all jobs':45s} {rate[0]:10.0f} {rate[1]:10.0f} "
                   f"{ratios[-1]:6.3f}")
         print("ratios B/A by round: " + " ".join(f"{r:.3f}" for r in ratios))
-        print(f"jobs with unequal outputs: {uneven}")
+        print(f"jobs with unequal outputs: {len(uneven)}")
     return 1 if uneven else 0
 
 

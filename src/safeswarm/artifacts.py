@@ -26,21 +26,27 @@ _PALETTE = (
 )
 
 
-# One agent row: t, id, then px .. uy_nom as "%.12g", which renders a float
-# as format(x, ".12g") does, and the status, spelled by the brake flag.
-_CSV_ROW = "%s,%s," + ",".join(["%.12g"] * 8) + ",%s\n"
+# An agent row is t, its id, px .. uy_nom and its status, each number as
+# "%.12g", which renders a float as format(x, ".12g") does.
+_NUMBERS = ",".join(["%.12g"] * 8)
 _STATUS = (OPTIMAL, INFEASIBLE)
 
 
 def _csv_chunks(log: TrajectoryLog):
-    """The CSV header line, then each record's rows as one string."""
+    """The CSV header line, then each record's rows as one string: one ``%``
+    on its numbers, with a format string that spells the ids and statuses
+    of its brake pattern, made once per pattern."""
     ids = [a.params.id for a in log.scenario.agents]
+    formats = {}
     yield CSV_HEADER + "\n"
     for rec in log.records:
-        t = format(float(rec.t), ".12g")
-        values = np.concatenate((rec.p, rec.v, rec.u_applied, rec.u_nominal), 1).tolist()
-        yield "".join(_CSV_ROW % (t, aid, *row, _STATUS[brake])
-                      for aid, row, brake in zip(ids, values, rec.brake.tolist()))
+        brake = tuple(rec.brake.tolist())
+        if brake not in formats:
+            formats[brake] = "".join(f"%.12g,{i},{_NUMBERS},{_STATUS[b]}\n"
+                                     for i, b in zip(ids, brake))
+        t = np.full((len(ids), 1), float(rec.t))
+        values = np.concatenate((t, rec.p, rec.v, rec.u_applied, rec.u_nominal), 1)
+        yield formats[brake] % tuple(values.ravel().tolist())
 
 
 def write_trajectory_csv(log: TrajectoryLog, path) -> None:

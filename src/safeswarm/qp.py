@@ -49,11 +49,11 @@ one-row working set {a1}, ``r = row_dot(a1, a_p) / row_dot(a1, a1)`` (the
 1x1 ``np.linalg.solve``) and ``z = a_p - a1 * r``. A problem the closed
 form does not fit (a row in the span of its working set, a working
 multiplier that hits zero first, a non-finite sum, or a third row, which
-pass 3 looks for) is handed, with its iterate and its working rows and
-their multipliers, to ``solve``'s own loop, which picks its next row anew
-and finishes it on the problem's whole padded row. Drops, certificates of
-an empty polytope, non-finite stops and the iteration limit exist only
-there.
+pass 3 looks for) is marked and handed on: after the passes, ``solve``'s
+own loop solves each such problem whole, from its nominal control, on its
+whole padded row, and so re-takes the at most two steps the passes took
+for it. Drops, certificates of an empty polytope, non-finite stops and the
+iteration limit exist only there.
 
 The kernel's answers, optimal flags, working-set masks and iteration
 counts equal ``solve``'s bit for bit. Its residuals come from one
@@ -68,6 +68,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -185,49 +186,45 @@ def solve(problem: QpProblem, warm_start: tuple[int, ...] = ()) -> QpSolution:
     """
     A, b = expanded_constraints(problem)
     warm = frozenset(k for k in warm_start if 0 <= k < b.size)
-    return _solve_from(A, b, warm, problem.u_hat.copy(), [], [])
+    return _solve_from(A, b, warm, problem.u_hat.copy())
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the loop's finite check stops an overflow
-def _solve_from(A: np.ndarray, b: np.ndarray, warm: frozenset[int], u: np.ndarray,
-                work: list[int], lam: list[float]) -> QpSolution:
-    """``solve``'s loop from the iterate u, with the working rows ``work``
-    in the order they joined and their multipliers ``lam``. It counts one
-    dual step per working row already taken, as ``solve_padded``'s passes
-    take one per row they add, and then picks each row to add itself. Rows
-    bounded by +inf, such as the kernel's padding, are never violated and
-    do not count towards the limit."""
+def _solve_from(A: np.ndarray, b: np.ndarray, warm: frozenset[int],
+                u_hat: np.ndarray) -> QpSolution:
+    """``solve``'s loop on the rows A u <= b, from the nominal control u_hat
+    and an empty working set. Rows bounded by +inf, such as the kernel's
+    padding, are never violated and do not count towards the limit."""
     n = A.shape[1]
     m = int(np.count_nonzero(b != np.inf))
     max_iter = max(10 * m, 50)
-    iters = len(work)
+    u, work, lam, iters = u_hat, [], [], 0
 
     while iters < max_iter:
         resid = A @ u - b
         if work:
             resid[work] = 0.0  # working rows are tight by construction
-        violated = np.flatnonzero(~(resid <= _SELECT_TOL))  # NaN counts as violated
-        if violated.size == 0 and len(work) > n:  # rounding took a row in their span as new
+        violated = np.flatnonzero(~(resid <= _SELECT_TOL)).tolist()  # NaN counts as violated
+        if not violated and len(work) > n:  # rounding took a row in their span as new
             logger.warning("%d working rows in %d dimensions; reporting infeasible", len(work), n)
             return QpSolution(u, INFEASIBLE, tuple(sorted(work)), np.zeros(0), iters)
-        if violated.size == 0:
-            order = np.argsort(work)
-            active = tuple(int(work[k]) for k in order)
-            mult = np.array([lam[k] for k in order])
-            return QpSolution(u, OPTIMAL, active, mult, iters)
-        preferred = [int(k) for k in violated if int(k) in warm]
-        pool = preferred if preferred else [int(k) for k in violated]
-        p = max(pool, key=lambda k: (resid[k], -k))
-        a_p = A[p]
-        lam_p = 0.0
+        if not violated:
+            order = sorted(range(len(work)), key=work.__getitem__)
+            return QpSolution(u, OPTIMAL, tuple(work[k] for k in order),
+                              np.array([lam[k] for k in order]), iters)
+        res = resid.tolist()
+        p = max([k for k in violated if k in warm] or violated, key=lambda k: (res[k], -k))
+        a_p, lam_p = A[p], 0.0
+        aa = float(a_p @ a_p)
 
         while iters < max_iter:
             iters += 1
             active = A[work] if work else np.zeros((0, n))
             r, z = _dual_coeffs(active, a_p)
+            r = r.tolist()
             zz = float(z @ z)
-            dep = zz <= _DEP_TOL * max(1.0, float(a_p @ a_p))  # a_p in the active span
-            if dep and not np.any(r > _DUAL_TOL):
+            dep = zz <= _DEP_TOL * max(1.0, aa)  # a_p in the active span
+            if dep and not any(r_k > _DUAL_TOL for r_k in r):
                 # Nonnegative certificate of an empty polytope.
                 return QpSolution(u, INFEASIBLE, tuple(sorted(work)), np.zeros(0), iters)
             t_full = np.inf if dep else 2.0 * float(a_p @ u - b[p]) / zz
@@ -241,7 +238,7 @@ def _solve_from(A: np.ndarray, b: np.ndarray, warm: frozenset[int], u: np.ndarra
             else:
                 work.append(p)
                 lam.append(lam_p)
-            if not (np.isfinite(u).all() and np.isfinite(lam_p) and np.isfinite(lam).all()):
+            if not (np.isfinite(u).all() and math.isfinite(lam_p) and all(map(math.isfinite, lam))):
                 logger.warning("non-finite iterate on a %d-row problem; reporting infeasible", m)
                 return QpSolution(u, INFEASIBLE, tuple(sorted(work)), np.zeros(0), iters)
             if not drop:
@@ -254,7 +251,7 @@ def _solve_from(A: np.ndarray, b: np.ndarray, warm: frozenset[int], u: np.ndarra
     return QpSolution(u, INFEASIBLE, tuple(sorted(work)), np.zeros(0), iters)
 
 
-def _blocking_step(lam: list[float], r: np.ndarray) -> tuple[float, int]:
+def _blocking_step(lam: list[float], r: list[float]) -> tuple[float, int]:
     """Largest multiplier step before some working multiplier hits zero."""
     t_block = np.inf
     k_block = -1
@@ -311,28 +308,26 @@ def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray,
     problem's answer is ``solve``'s on its whole padded row with an
     infinite box.
 
-    A problem handed to ``solve``'s loop takes its answer, active set,
-    iteration count and status from there.
+    ``solve``'s loop solves each problem the passes cannot finish whole,
+    from its nominal control: its answer, active set, iterations and status.
     """
     K = bb.shape[0]
     u, iters, failed = u_hat.copy(), np.zeros(K, dtype=int), np.zeros(K, dtype=bool)
     # bb with +inf on each row a pass adds, so that no later pass picks it:
     # bw > bb marks the working rows, all of finite bound, of the problems
-    # the passes finish, and ``handed`` the active sets of the others.
-    bw, handed = bb.copy(), np.zeros(bb.shape, dtype=bool)
+    # the passes finish; ``handed`` lists the problems they leave to the loop.
+    bw, handed = bb.copy(), []
     warm_bit = warm.astype(np.uint64) << 63
 
-    def hand_off(k, work=(), lam=()):
-        # solve's loop finishes problem k[i] from its iterate, whose working
-        # rows (work[0][i], ...) joined in that order with multipliers (lam[0][i], ...).
-        for i, ki in enumerate(k.tolist()):
-            sol = _solve_from(AA[ki], bb[ki], frozenset(np.flatnonzero(warm[ki]).tolist()),
-                              u[ki], [int(w[i]) for w in work], [float(x[i]) for x in lam])
-            u[ki], failed[ki], iters[ki] = sol.u_star, sol.status != OPTIMAL, sol.iterations
-            bw[ki], handed[ki, list(sol.active_set)] = bb[ki], True
-
     def done():
-        return u, ~failed, handed | (bw > bb), iters
+        in_work = bw > bb
+        for ki in sorted(handed):
+            sol = _solve_from(AA[ki], bb[ki], frozenset(np.flatnonzero(warm[ki]).tolist()),
+                              u_hat[ki])
+            u[ki], failed[ki], iters[ki] = sol.u_star, sol.status != OPTIMAL, sol.iterations
+            in_work[ki] = False
+            in_work[ki, list(sol.active_set)] = True
+        return u, ~failed, in_work, iters
 
     # Pass 1 adds a row p1 to an empty working set: z = a1.
     k, p1, gap = _pick(AA, u, bw, warm_bit)
@@ -346,7 +341,7 @@ def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray,
     # overflowing sum is a false alarm and costs a hand-off).
     general = (zz <= _DEP_TOL * np.maximum(1.0, zz)) | ~np.isfinite(u_k[:, 0] + u_k[:, 1] + lam1)
     if np.count_nonzero(general):
-        hand_off(k[general])
+        handed += k[general].tolist()
         k, p1, a1, lam1, u_k = (x[~general] for x in (k, p1, a1, lam1, u_k))
     u[k], bw[k, p1], iters[k] = u_k, np.inf, 1
 
@@ -355,27 +350,25 @@ def solve_padded(u_hat: np.ndarray, AA: np.ndarray, bb: np.ndarray,
     live, p2, gap = _pick(AA.take(k, 0), u.take(k, 0), bw.take(k, 0), warm_bit.take(k, 0))
     if not live.size:
         return done()
-    k, p1, a1, lam1 = k.take(live), p1.take(live), a1.take(live, 0), lam1.take(live)
+    k, a1, lam1 = k.take(live), a1.take(live, 0), lam1.take(live)
     a2 = AA[k, p2]
     r1 = row_dot(a1, a2) / row_dot(a1, a1)
     z = a2 - a1 * r1[:, None]
     zz = row_dot(z, z)
     t = 2.0 * gap / zz  # also a2's multiplier
     u_k = u.take(k, 0) - 0.5 * t[:, None] * z
-    lam1_k = lam1 - t * r1
     # a2 in a1's span, a1's multiplier hitting 0 first, or a non-finite sum.
     general = ((zz <= _DEP_TOL * np.maximum(1.0, row_dot(a2, a2)))
                | ((r1 > _DUAL_TOL) & (lam1 / r1 < t))
-               | ~np.isfinite(u_k[:, 0] + u_k[:, 1] + t + lam1_k))
+               | ~np.isfinite(u_k[:, 0] + u_k[:, 1] + t + (lam1 - t * r1)))
     if np.count_nonzero(general):
-        hand_off(k[general], (p1[general],), (lam1[general],))
-        k, p1, p2, t, u_k, lam1_k = (x[~general] for x in (k, p1, p2, t, u_k, lam1_k))
+        handed += k[general].tolist()
+        k, p2, u_k = (x[~general] for x in (k, p2, u_k))
     u[k], bw[k, p2], iters[k] = u_k, np.inf, 2
 
     # Pass 3 hands each problem with a third violated row to solve's loop.
     live = _pick(AA.take(k, 0), u.take(k, 0), bw.take(k, 0), warm_bit.take(k, 0))[0]
-    if live.size:
-        hand_off(k.take(live), (p1.take(live), p2.take(live)), (lam1_k.take(live), t.take(live)))
+    handed += k.take(live).tolist()
     return done()
 
 

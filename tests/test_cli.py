@@ -439,25 +439,31 @@ class TestCsvArtifacts:
 
     def test_numbers_render_as_format_12g(self, tmp_path):
         # Signed zeros, subnormals, extremes and exact ties at the 12th digit
-        # (2**-18 = 3.814697265625e-06 and 13-digit integers).
+        # (2**-18 = 3.814697265625e-06 and 13-digit integers), in two records
+        # whose brake patterns differ.
         values = [-0.0, 0.0, 5e-324, -2.5e-320, 1e300, -1e-300, 1e-300, -1.7976931348623157e308,
                   2.0 ** -18, 1234567890125.0, -1000000000005.0, 1234567890135.0, 0.1 + 0.2]
         n = len(values)
-        cols = [np.roll(values, c) for c in range(8)]
-        rec = SimpleNamespace(t=2.0 ** -18, p=np.stack(cols[0:2], 1), v=np.stack(cols[2:4], 1),
-                              u_applied=np.stack(cols[4:6], 1), u_nominal=np.stack(cols[6:8], 1),
-                              brake=np.array([False, True] * (n // 2) + [False]))
+        brake = np.array([False, True] * (n // 2) + [False])
+        records = []
+        for t, shift, brakes in ((2.0 ** -18, 0, brake), (1234567890125.0, 3, ~brake)):
+            cols = [np.roll(values, c + shift) for c in range(8)]
+            records.append(SimpleNamespace(
+                t=t, cols=cols, p=np.stack(cols[0:2], 1), v=np.stack(cols[2:4], 1),
+                u_applied=np.stack(cols[4:6], 1), u_nominal=np.stack(cols[6:8], 1), brake=brakes))
         agents = [SimpleNamespace(params=SimpleNamespace(id=7 + i)) for i in range(n)]
-        log = SimpleNamespace(scenario=SimpleNamespace(agents=agents), records=[rec])
+        log = SimpleNamespace(scenario=SimpleNamespace(agents=agents), records=records)
         write_trajectory_csv(log, tmp_path / "trajectory.csv")
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
-        assert len(lines) == n + 1
-        for i, line in enumerate(lines[1:]):
-            expected = [format(rec.t, ".12g"), str(7 + i)]
-            expected += [format(col[i], ".12g") for col in cols]
-            expected += ["infeasible" if rec.brake[i] else "optimal"]
-            assert line.split(",") == expected
+        assert len(lines) == 2 * n + 1
+        for r, rec in enumerate(records):
+            for i, line in enumerate(lines[1 + r * n:1 + (r + 1) * n]):
+                expected = [format(rec.t, ".12g"), str(7 + i)]
+                expected += [format(col[i], ".12g") for col in rec.cols]
+                expected += ["infeasible" if rec.brake[i] else "optimal"]
+                assert line.split(",") == expected
         assert lines[1].split(",")[:3] == ["3.81469726562e-06", "7", "-0"]
+        assert lines[1 + n].startswith("1.23456789012e+12,7,")
 
     def test_monotone_time_per_agent(self, tmp_path, short_run):
         _, log, _ = short_run

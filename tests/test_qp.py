@@ -131,20 +131,20 @@ def assert_batch_equals_solve(problems, warm_starts, stray=None):
 @contextlib.contextmanager
 def handoffs():
     """Spies on the kernel's hand-offs to ``solve``'s loop: its calls from
-    ``solve_padded``'s ``hand_off``. Yields a list that gets, per hand-off,
-    the working rows ``work`` and multipliers ``lam`` the problem brought,
-    the ``widths`` of the working sets the loop then stepped from, and the
+    ``solve_padded``, one per problem its passes cannot finish. Yields a
+    list that gets, per hand-off, the control ``start`` the loop began
+    from, the ``widths`` of the working sets it stepped from, and the
     ``solution`` it returned."""
     handed, loop, dual = [], qp._solve_from, qp._dual_coeffs
     widths = None
 
-    def spy_loop(A, b, warm, u, work, lam):
+    def spy_loop(A, b, warm, u_hat):
         nonlocal widths
-        if sys._getframe(1).f_code.co_name != "hand_off":  # solve's own start
-            return loop(A, b, warm, u, work, lam)
+        if sys._getframe(1).f_code.co_name == "solve":  # solve's own start
+            return loop(A, b, warm, u_hat)
         widths = []
-        record = SimpleNamespace(work=list(work), lam=list(lam), widths=widths)
-        record.solution = loop(A, b, warm, u, work, lam)
+        record = SimpleNamespace(start=u_hat.copy(), widths=widths)
+        record.solution = loop(A, b, warm, u_hat)
         handed.append(record)
         widths = None
         return record.solution
@@ -277,19 +277,23 @@ class TestSolveBatch:
 
     def test_two_row_working_set(self):
         # Both axis rows join; the diagonal row then lies in their span and
-        # replaces them.
+        # replaces them. The passes hand that to the loop, which re-takes
+        # their steps from 0 and 1 rows, drops both rows, then adds it.
         problem = QpProblem(np.array([2.0, 2.0]), *rows((1, 0, 0), (0, 1, 0), (0.25, 0.25, -0.125)),
                             np.full(2, 3.0))
         with handoffs() as handed:
             batch = assert_batch_equals_solve([problem], [()])
         assert batch.status == [OPTIMAL] and batch.active_set == [(2,)]
-        assert [(h.work, h.lam) for h in handed] == [([0, 1], [4.0, 4.0])]
+        assert [(h.start.tolist(), h.widths) for h in handed] == [([2.0, 2.0], [0, 1, 2, 1, 0])]
 
     def test_three_row_working_sets(self, caplog):
         with handoffs() as handed:
             batch = assert_batch_equals_solve(NEAR_PARALLEL, [(), ()])
         assert batch.status == [INFEASIBLE, INFEASIBLE]
         assert max(w for h in handed for w in h.widths) >= 3
+        # The iteration limit's stop is a true infeasibility: the oracle
+        # finds no feasible point either.
+        assert [brute_force_oracle(p, 0.01).status for p in NEAR_PARALLEL] == [INFEASIBLE] * 2
         assert [r.getMessage() for r in caplog.records] == [
             "iteration limit (90) hit on a 9-row problem; reporting infeasible"] * 2
 
@@ -307,7 +311,7 @@ class TestSolveBatch:
             batch = assert_batch_equals_solve([problem], [()])
         assert batch.status == [INFEASIBLE] and batch.active_set == [(0, 1, 4)]
         assert batch.iterations.tolist() == [3] and batch.u_star[0, 1] < -1e10
-        assert [h.work for h in handed] == [[0, 1]]
+        assert [h.widths for h in handed] == [[0, 1, 2]]
         assert [r.getMessage() for r in caplog.records] == [
             "3 working rows in 2 dimensions; reporting infeasible"] * 2
 
@@ -375,11 +379,10 @@ class TestSolveBatch:
         assert batch.iterations.tolist() == [1, 1, 0, 2, 2, 3, 2, 1, 2, 3, 90, 129]
         assert batch.status == [OPTIMAL] * 6 + [INFEASIBLE] * 6
         assert batch.active_set[:6] == [(0,), (0,), (), (0, 1), (0, 1), (1,)]
-        # Working rows brought to solve's loop, and the iterations it ends
-        # on: problem 7; then 5, 6 and 8; then 9, 10 and 11.
-        assert [(h.work, h.solution.iterations) for h in handed] == [
-            ([], 1), ([0], 3), ([0], 2), ([0], 2), ([0, 1], 3), ([3, 4], 90), ([3, 1], 129)]
-        assert [h.lam for h in handed[:5]] == [[], [2.0], [2.0], [2.0], [2.0, 2.0]]
+        # Problems 5 to 11 go to solve's loop once each, after the passes
+        # and in index order, and each starts from its nominal control.
+        assert [h.start.tolist() for h in handed] == [p.u_hat.tolist() for p in problems[5:]]
+        assert [h.solution.iterations for h in handed] == [3, 2, 1, 2, 3, 90, 129]
         # Signed zeros come back as solve gives them: kept where the step
         # leaves a component alone, +0.0 where it subtracts -0.0.
         assert batch.u_star[:3].tolist() == [[0.25, -0.0], [0.0, 0.25], [-0.0, -0.0]]
@@ -425,15 +428,16 @@ class TestSolveBatch:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
     def test_lockstep_makes_at_most_two_steps(self, seed, k):
         """A problem the kernel finishes itself reports at most 2 iterations,
-        and every hand-off brings at most 2 working rows, each with its
-        multiplier."""
+        and every hand-off starts from the nominal control of a problem
+        handed no other time."""
         rng = np.random.default_rng(seed)
         problems = [random_batch_problem(rng) for _ in range(k)]
         warm = [tuple(int(j) for j in rng.integers(-3, 20, int(rng.integers(0, 4))))
                 for _ in problems]
         with handoffs() as handed:
             batch = batch_of(problems, warm)
-        assert all(len(h.work) == len(h.lam) <= 2 for h in handed)
+        assert Counter(tuple(h.start.tolist()) for h in handed) <= Counter(
+            tuple(p.u_hat.tolist()) for p in problems)
         every, finished = Counter(batch.iterations.tolist()), Counter(
             h.solution.iterations for h in handed)
         assert finished <= every
